@@ -6,20 +6,21 @@ all eigenvalues of each k x k Gram submatrix lie in [1-delta, 1+delta].  The
 exact parameter is the max over all C(N, k) column subsets of the spectral
 deviation of the Gram submatrix from the identity.
 
-`exact_rip` computes that max by scanning subsets in lexicographic order,
-batching the small eigenproblems.  `lazy_certify` probes a small order m
-exhaustively, then lifts the measured parameter to larger orders via the
-bound delta_k <= eps*(k-1)/(m-1).  Enumeration is chunked on combination
-ranks so parallel runs reduce deterministically: the reported witness is
-always the lexicographically smallest argmax subset and the examined-subset
-counter never depends on the worker count.
+`exact_rip` computes that max in one serial scan over subsets in
+lexicographic order, chunk by chunk.  Each chunk is bounded first: the
+Gershgorin bound max_i sum_j |(G_S - I)_ij| caps a subset's deviation, and
+only subsets whose bound can still reach the running best go to a batched
+eigensolve.  The screen discards no subset that could be the maximum or the
+first one over a threshold, so the reported value, the witness (always the
+lexicographically smallest argmax subset) and the rank-defined examined-subset
+count are those of the unscreened scan.  `lazy_certify` probes a small order
+m exhaustively, then lifts the measured parameter to larger orders via the
+bound delta_k <= eps*(k-1)/(m-1).
 """
 
 import itertools
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,30 +81,20 @@ class LazyCertificate:
     max_certified_order: int
 
 
-def worker_cap():
-    """Worker count cap: RIP_LAB_THREADS if set, else available parallelism."""
-    env = os.environ.get("RIP_LAB_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"RIP_LAB_THREADS must be a positive integer, got {env!r}")
-        if cap < 1:
-            raise ValueError(f"RIP_LAB_THREADS must be a positive integer, got {env!r}")
-        return cap
-    return os.cpu_count() or 1
-
-
 def validate_unit_columns(phi, tol=UNIT_COLUMN_TOL):
     """True iff every column norm of phi lies in [1-tol, 1+tol]."""
     if tol < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    a = as_matrix(phi, "phi")
-    norms = np.linalg.norm(a, axis=0)
-    return bool(np.all(np.abs(norms - 1.0) <= tol))
+    try:
+        require_unit_columns(phi, tol)
+    except UnitColumnError:
+        return False
+    return True
 
 
 def require_unit_columns(phi, tol=UNIT_COLUMN_TOL, context="this operation"):
+    """phi as a float matrix; UnitColumnError naming the column whose norm is
+    farthest from 1 when that distance exceeds tol."""
     a = as_matrix(phi, "phi")
     norms = np.linalg.norm(a, axis=0)
     worst = int(np.argmax(np.abs(norms - 1.0)))
@@ -166,24 +157,38 @@ def unrank_combination(rank, n, k):
     return tuple(out)
 
 
-def _combinations_from(n, k, first):
-    # lexicographic successor loop, starting at a given combination
-    cur = list(first)
-    while True:
-        yield tuple(cur)
-        i = k - 1
-        while i >= 0 and cur[i] == n - k + i:
-            i -= 1
-        if i < 0:
-            return
-        cur[i] += 1
-        for j in range(i + 1, k):
-            cur[j] = cur[j - 1] + 1
+# Scan chunks start at _FIRST_ROWS subsets, so a threshold hit near the start
+# materialises little, and double up to _MAX_ROWS, fewer for k > 8: a chunk
+# whose every subset passes the screen stacks its k x k Gram submatrices for
+# the eigensolve, and that stack stays within _CHUNK_DOUBLES doubles (4 MB).
+_FIRST_ROWS = 256
+_MAX_ROWS = 8192
+_CHUNK_DOUBLES = 1 << 19
+
+# Screening margin, per unit of k*k*(1 + best).  For a subset S let M = G_S - I,
+# d = rho(M) its deviation and b = max_i sum_j |M_ij| its Gershgorin bound, so
+# d <= b in exact arithmetic.  The computed bound b' rounds G_ii - 1 once and
+# adds k nonnegative terms, so b <= b' (1 + k u) with u = eps/2.  eigvalsh is
+# backward stable, |w' - w| <= p(k) u ||G_S||_2 with p(k) a modest polynomial,
+# taken here as k^2 (observed errors are a few k ulps); ||G_S||_2 <= 1 + d,
+# and |w' - 1| rounds once more.
+# So the computed deviation d' <= b' + (k^2 + k + 2) u (1 + b'), and
+# 16 k^2 u = 8 eps k^2 covers that for every k >= 1: a subset whose b' lies
+# below best - margin has d' < best.  It can be neither the first argmax nor
+# the first subset over a threshold, which the running best never exceeds.
+_SCREEN_MARGIN = 8 * np.finfo(np.float64).eps
 
 
-def _block_rows(k):
-    # keep each eigvalsh batch around a few tens of MB regardless of k
-    return max(256, min(65536, (1 << 22) // (k * k)))
+def _chunks(k, total):
+    """(start rank, row count) of consecutive scan chunks covering all ranks."""
+    cap = max(1, min(_MAX_ROWS, _CHUNK_DOUBLES // (k * k)))
+    rows = min(_FIRST_ROWS, cap)
+    start = 0
+    while start < total:
+        count = min(rows, total - start)
+        yield start, count
+        start += count
+        rows = min(2 * rows, cap)
 
 
 def _materialize(source, count, k):
@@ -191,44 +196,27 @@ def _materialize(source, count, k):
     return np.fromiter(flat, dtype=np.int64, count=count * k).reshape(count, k)
 
 
+def _gershgorin_bounds(g, block):
+    """max_i sum_j |(G_S - I)_ij| for each subset S (row) of ``block``.
+
+    Summed pair by pair from the flat Gram, which is exactly symmetric, so
+    each off-diagonal entry is gathered once and no k x k stack is built.
+    """
+    n = g.shape[0]
+    flat = g.ravel()
+    cols = np.ascontiguousarray(block.T)
+    sums = [np.abs(flat.take(c * (n + 1)) - 1.0) for c in cols]
+    for i, j in itertools.combinations(range(len(cols)), 2):
+        off = np.abs(flat.take(cols[i] * n + cols[j]))
+        sums[i] += off
+        sums[j] += off
+    return np.maximum.reduce(sums)
+
+
 def _block_deviations(g, block):
     sub = g[block[:, :, None], block[:, None, :]]
     w = np.linalg.eigvalsh(sub)
     return np.maximum(np.abs(w[:, 0] - 1.0), np.abs(w[:, -1] - 1.0))
-
-
-_POOL = {}
-
-
-def _pool_init(g, n, k):
-    _POOL["g"] = g
-    _POOL["n"] = n
-    _POOL["k"] = k
-
-
-def _pool_chunk(task):
-    start, count = task
-    n, k = _POOL["n"], _POOL["k"]
-    source = _combinations_from(n, k, unrank_combination(start, n, k))
-    return _block_deviations(_POOL["g"], _materialize(source, count, k))
-
-
-def _scan_chunks(g, n, k, total, workers):
-    """Yield (start_rank, deviations) for contiguous rank chunks, in rank order."""
-    rows = _block_rows(k)
-    starts = range(0, total, rows)
-    if workers > 1 and total > rows:
-        tasks = [(s, min(rows, total - s)) for s in starts]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(g, n, k)
-        ) as pool:
-            for (s, _), devs in zip(tasks, pool.map(_pool_chunk, tasks)):
-                yield s, devs
-    else:
-        source = itertools.combinations(range(n), k)
-        for s in starts:
-            count = min(rows, total - s)
-            yield s, _block_deviations(g, _materialize(source, count, k))
 
 
 def _build_witness(g, phi, subset):
@@ -252,15 +240,18 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, workers=None):
 
     Scans all C(N, k) column subsets of ``phi`` in lexicographic order and
     returns the report together with a witness for the worst subset (ties
-    broken toward the lexicographically smallest subset).
+    broken toward the lexicographically smallest subset).  Subsets whose
+    Gershgorin bound lies below the running best by more than the rounding
+    of the bound and of the eigensolve are counted as examined but not
+    solved; they can change neither the value nor the witness.
 
-    If ``threshold`` is given, the scan stops at the first subset whose
-    deviation strictly exceeds it; the report then carries direction
+    If ``threshold`` (finite) is given, the scan stops at the first subset
+    whose deviation strictly exceeds it; the report then carries direction
     ``LowerBound`` and the examined-subset count at the stopping point.
 
     ``budget`` bounds C(N, k); beyond it a :class:`BudgetExceededError` is
-    raised before any work is done.  ``workers`` caps process parallelism
-    (default: ``worker_cap()``); results are identical for every setting.
+    raised before any work is done.  ``workers`` is accepted and ignored:
+    the scan is serial.
     """
     t0 = time.perf_counter_ns()
     a = as_matrix(phi, "phi")
@@ -268,6 +259,10 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, workers=None):
     k = int(k)
     if not 1 <= k <= ncols:
         raise ValueError(f"order must satisfy 1 <= k <= {ncols}, got {k}")
+    if threshold is not None:
+        threshold = float(threshold)
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold}")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     total = math.comb(ncols, k)
@@ -275,33 +270,35 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, workers=None):
         raise BudgetExceededError(
             f"C({ncols},{k}) = {total} subsets exceeds the enumeration budget {budget}"
         )
-    if workers is None:
-        workers = worker_cap()
 
     g = gram(a)
     best_dev = -1.0
     best_rank = -1
-    examined = 0
-    stopped_at = None
-    for start, devs in _scan_chunks(g, ncols, k, total, workers):
+    stopped = False
+    source = itertools.combinations(range(ncols), k)
+    for start, count in _chunks(k, total):
+        block = _materialize(source, count, k)
+        bounds = _gershgorin_bounds(g, block)
+        # "not below" keeps a NaN bound in the solved set
+        rows = np.flatnonzero(~(bounds < best_dev - _SCREEN_MARGIN * k * k * (1.0 + best_dev)))
+        if not len(rows):
+            continue
+        devs = _block_deviations(g, block[rows])
         if threshold is not None:
-            over = devs > threshold
-            if np.any(over):
-                hit = int(np.argmax(over))
-                best_dev = float(devs[hit])
-                best_rank = start + hit
-                examined = start + hit + 1
-                stopped_at = best_rank
+            over = np.flatnonzero(devs > threshold)
+            if len(over):
+                best_dev = float(devs[over[0]])
+                best_rank = start + int(rows[over[0]])
+                stopped = True
                 break
-        chunk_best = int(np.argmax(devs))
-        if float(devs[chunk_best]) > best_dev:
-            best_dev = float(devs[chunk_best])
-            best_rank = start + chunk_best
-        examined = start + len(devs)
+        top = int(np.argmax(devs))
+        if float(devs[top]) > best_dev:
+            best_dev = float(devs[top])
+            best_rank = start + int(rows[top])
 
     subset = unrank_combination(best_rank, ncols, k)
     witness = _build_witness(g, a, subset)
-    if stopped_at is not None:
+    if stopped:
         direction, method = LOWER_BOUND, WITNESS_LB
     else:
         direction, method = EXACT_MAX, EXHAUSTIVE
@@ -310,7 +307,7 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, workers=None):
         value=best_dev,
         direction=direction,
         method=method,
-        subsets_examined=examined,
+        subsets_examined=best_rank + 1 if stopped else total,
         elapsed_ns=time.perf_counter_ns() - t0,
     )
     return report, witness
@@ -337,6 +334,7 @@ def lazy_certify(phi, m, delta, budget=DEFAULT_BUDGET, workers=None):
     k <= min(rows, cols) with eps*(k-1)/(m-1) <= delta (0 when even the
     probe order fails, i.e. eps > delta).  Requires unit columns within
     1e-9.  Returns the certificate together with the probe report.
+    ``workers`` is accepted and ignored, as in :func:`exact_rip`.
     """
     a = require_unit_columns(phi, UNIT_COLUMN_TOL, "lazy certification")
     cap = min(a.shape)
@@ -347,7 +345,7 @@ def lazy_certify(phi, m, delta, budget=DEFAULT_BUDGET, workers=None):
     if not 0.0 < delta < 1.0:
         raise ValueError(f"target parameter must lie in (0, 1), got {delta}")
 
-    report, _ = exact_rip(a, m, budget=budget, workers=workers)
+    report, _ = exact_rip(a, m, budget=budget)
     eps = report.value
     if eps > delta:
         k_max = 0

@@ -83,7 +83,8 @@ def build_parser():
     px.add_argument("--threshold", type=float, default=None,
                     help="stop early once a subset deviation exceeds this")
     px.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    px.add_argument("--workers", type=int, default=None)
+    px.add_argument("--workers", type=int, default=None,
+                    help="accepted and ignored: the scan is serial")
     px.add_argument("--out", default=None, help="write a JSON report here")
     px.set_defaults(func=cmd_exact)
 
@@ -97,7 +98,8 @@ def build_parser():
     pl.add_argument("--probe-order", type=int, required=True)
     pl.add_argument("--delta", type=float, required=True)
     pl.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    pl.add_argument("--workers", type=int, default=None)
+    pl.add_argument("--workers", type=int, default=None,
+                    help="accepted and ignored: the scan is serial")
     pl.add_argument("--out", default=None)
     pl.set_defaults(func=cmd_lazy)
 

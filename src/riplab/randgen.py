@@ -132,8 +132,9 @@ class Graph:
 
     def induces_clique(self, vertices):
         """True iff every pair among ``vertices`` is an edge."""
-        idx = np.asarray(sorted(set(int(v) for v in vertices)), dtype=np.intp)
-        if len(idx) != len(list(vertices)):
+        vertices = [int(v) for v in vertices]
+        idx = np.asarray(sorted(set(vertices)), dtype=np.intp)
+        if len(idx) != len(vertices):
             raise ValueError("clique vertices must be distinct")
         if len(idx) and (idx[0] < 0 or idx[-1] >= self.n):
             raise ValueError("vertex out of range")

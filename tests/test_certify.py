@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from riplab import certify
 from riplab.certify import (
     BLOCK_COMPOSE,
     EXACT_MAX,
@@ -26,6 +27,7 @@ from riplab.certify import (
     unrank_combination,
     validate_unit_columns,
 )
+from riplab.linalg import gram
 from riplab.randgen import Seed, gen_bernoulli_sensing
 
 from oracles import rayleigh_lower_bound, svd_rip_oracle
@@ -147,6 +149,9 @@ def test_threshold_stops_early_with_lower_bound():
     rep2, _ = exact_rip(phi, 3, threshold=2.0)
     assert rep2.direction == EXACT_MAX
     assert rep2.subsets_examined == math.comb(12, 3)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            exact_rip(phi, 3, threshold=bad)
 
 
 def test_budget_error_names_the_count():
@@ -157,6 +162,90 @@ def test_budget_error_names_the_count():
         exact_rip(phi, 0)
     with pytest.raises(ValueError):
         exact_rip(phi, 31)
+
+
+def _reference_scans(phi, k):
+    """Unscreened scans: batched eigvalsh over all C(N, k) subsets, then for
+    each threshold (none, negative, below the max, between the top two
+    values, the max, above it) the first subset over it, else the first
+    argmax, as (threshold, value, subset, vector, direction, examined)."""
+    g = gram(phi)
+    combos = np.array(list(itertools.combinations(range(phi.shape[1]), k)))
+    w = np.linalg.eigvalsh(g[combos[:, :, None], combos[:, None, :]])
+    devs = np.maximum(np.abs(w[:, 0] - 1.0), np.abs(w[:, -1] - 1.0))
+    values = np.unique(devs)
+    top = float(values[-1])
+    between = (values[-2] + values[-1]) / 2 if len(values) > 1 else top / 2
+    for threshold in (None, -0.5, 0.5 * top, between, top, top + 0.25):
+        over = np.flatnonzero(devs > threshold) if threshold is not None else []
+        if len(over):
+            rank, direction, examined = int(over[0]), LOWER_BOUND, int(over[0]) + 1
+        else:
+            rank, direction, examined = int(np.argmax(devs)), EXACT_MAX, len(devs)
+        subset = combos[rank]
+        ws, v = np.linalg.eigh(g[np.ix_(subset, subset)])
+        vec = v[:, int(np.argmax(np.abs(ws - 1.0)))].copy()
+        if vec[int(np.argmax(np.abs(vec)))] < 0.0:
+            vec = -vec
+        vec /= np.linalg.norm(vec)
+        full = np.zeros(phi.shape[1])
+        full[subset] = vec
+        yield threshold, float(devs[rank]), tuple(int(i) for i in subset), full, direction, examined
+
+
+def _sweep_matrices():
+    rng = np.random.default_rng(2024)
+    for s in range(2):
+        yield gen_bernoulli_sensing(6, 16, Seed(s))  # unit columns
+        yield rng.standard_normal((5, 15)) * rng.uniform(0.2, 3.0, 15)  # non-unit
+        base = gen_bernoulli_sensing(6, 8, Seed(10 + s))
+        yield base[:, rng.integers(0, 8, 16)]  # duplicated columns: exact ties
+        yield block_compose(np.eye(3), gen_bernoulli_sensing(4, 12, Seed(20 + s)))
+        yield block_compose(gen_bernoulli_sensing(5, 10, Seed(30 + s)), 1.5 * np.eye(4))
+        # near-duplicate pairs at ranks 0 and C(24,2) - 1, in different chunks:
+        # the closer, later pair beats the earlier by far less than 1e-3, and
+        # its bound is nearly tight
+        near = rng.standard_normal((5, 24))
+        near[:, 1] = near[:, 0] + 1e-3 * rng.standard_normal(5)
+        near[:, 23] = near[:, 22] + 1e-4 * rng.standard_normal(5)
+        yield near / np.linalg.norm(near, axis=0)
+
+
+def test_screened_scan_matches_unscreened_reference(monkeypatch):
+    """The Gershgorin screen changes no value, witness, direction or count
+    for any threshold, and does skip eigensolves."""
+    solved = []
+    solve = certify._block_deviations
+    monkeypatch.setattr(certify, "_block_deviations",
+                        lambda g, block: solved.append(len(block)) or solve(g, block))
+    full_examined = full_solved = 0
+    for phi in _sweep_matrices():
+        for k in range(1, 6):
+            for threshold, value, subset, vector, direction, examined in _reference_scans(phi, k):
+                del solved[:]
+                rep, wit = exact_rip(phi, k, threshold=threshold)
+                assert rep.value == value
+                assert wit.subset == subset
+                assert np.array_equal(wit.vector, vector)
+                assert rep.direction == direction
+                assert rep.subsets_examined == examined
+                if threshold is None:
+                    full_examined += examined
+                    full_solved += sum(solved)
+    assert full_solved < full_examined / 2  # unscreened, every examined subset is solved
+
+
+def test_threshold_hit_materialises_first_chunk_only(monkeypatch):
+    phi = gen_bernoulli_sensing(16, 200, Seed(1))
+    phi[:, 4] = phi[:, 0]  # subset (0, 1, 4), rank 2, has deviation >= 1
+    rows = []
+    materialize = certify._materialize
+    monkeypatch.setattr(certify, "_materialize",
+                        lambda source, count, k: rows.append(count) or materialize(source, count, k))
+    rep, wit = exact_rip(phi, 3, threshold=0.99)
+    assert rep.direction == LOWER_BOUND
+    assert wit.subset == (0, 1, 4) and rep.subsets_examined == 3
+    assert len(rows) == 1 and rows[0] <= 256 < math.comb(200, 3)
 
 
 def test_workers_do_not_change_results():

@@ -133,6 +133,8 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
     rc, _, err = run_cli(["exact", "--matrix", m, "--order", "99"], capsys)
     assert rc == 2
     assert "error: order must satisfy 1 <= k <= 12, got 99" in err
+    rc, _, err = run_cli(["exact", "--matrix", m, "--order", "2", "--threshold", "nan"], capsys)
+    assert rc == 2 and "threshold must be finite" in err
     rc, _, err = run_cli(["exact", "--matrix", str(tmp_path / "nope.txt"),
                           "--order", "2"], capsys)
     assert rc == 2

@@ -200,6 +200,9 @@ def test_graph_validation_and_helpers():
     assert g.adj[0, 1] and g.adj[2, 1] and not g.adj[0, 3]
     assert g.induces_clique((0, 1))
     assert not g.induces_clique((0, 1, 2))
+    assert g.induces_clique(v for v in (0, 1))  # a generator is read once
+    with pytest.raises(ValueError, match="distinct"):
+        g.induces_clique(v for v in (1, 2, 1))
     assert g == Graph.from_edges(4, [(1, 2), (0, 1)])
     with pytest.raises(ValueError):
         Graph(0)
