@@ -20,7 +20,6 @@ bound delta_k <= eps*(k-1)/(m-1).
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +58,6 @@ class RipReport:
     direction: str
     method: str
     subsets_examined: int
-    elapsed_ns: int
 
 
 @dataclass(frozen=True)
@@ -83,8 +81,6 @@ class LazyCertificate:
 
 def validate_unit_columns(phi, tol=UNIT_COLUMN_TOL):
     """True iff every column norm of phi lies in [1-tol, 1+tol]."""
-    if tol < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
     try:
         require_unit_columns(phi, tol)
     except UnitColumnError:
@@ -95,6 +91,8 @@ def validate_unit_columns(phi, tol=UNIT_COLUMN_TOL):
 def require_unit_columns(phi, tol=UNIT_COLUMN_TOL, context="this operation"):
     """phi as a float matrix; UnitColumnError naming the column whose norm is
     farthest from 1 when that distance exceeds tol."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     a = as_matrix(phi, "phi")
     norms = np.linalg.norm(a, axis=0)
     worst = int(np.argmax(np.abs(norms - 1.0)))
@@ -235,7 +233,7 @@ def _build_witness(g, phi, subset):
     return Witness(tuple(int(i) for i in subset), full, deviation)
 
 
-def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, workers=None):
+def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET):
     """Exact restricted isometry parameter of order k by full enumeration.
 
     Scans all C(N, k) column subsets of ``phi`` in lexicographic order and
@@ -250,10 +248,9 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, workers=None):
     ``LowerBound`` and the examined-subset count at the stopping point.
 
     ``budget`` bounds C(N, k); beyond it a :class:`BudgetExceededError` is
-    raised before any work is done.  ``workers`` is accepted and ignored:
-    the scan is serial.
+    raised before any work is done.  The report carries no timing; the CLI
+    times whole commands.
     """
-    t0 = time.perf_counter_ns()
     a = as_matrix(phi, "phi")
     ncols = a.shape[1]
     k = int(k)
@@ -308,7 +305,6 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, workers=None):
         direction=direction,
         method=method,
         subsets_examined=best_rank + 1 if stopped else total,
-        elapsed_ns=time.perf_counter_ns() - t0,
     )
     return report, witness
 
@@ -327,14 +323,13 @@ def lift_order(eps, m, k):
     return eps * (k - 1) / (m - 1)
 
 
-def lazy_certify(phi, m, delta, budget=DEFAULT_BUDGET, workers=None):
+def lazy_certify(phi, m, delta, budget=DEFAULT_BUDGET):
     """Certify the largest order reachable from an exhaustive probe at order m.
 
     Computes eps = exact order-m parameter, then returns the largest
     k <= min(rows, cols) with eps*(k-1)/(m-1) <= delta (0 when even the
     probe order fails, i.e. eps > delta).  Requires unit columns within
     1e-9.  Returns the certificate together with the probe report.
-    ``workers`` is accepted and ignored, as in :func:`exact_rip`.
     """
     a = require_unit_columns(phi, UNIT_COLUMN_TOL, "lazy certification")
     cap = min(a.shape)
@@ -367,8 +362,10 @@ def lazy_certify(phi, m, delta, budget=DEFAULT_BUDGET, workers=None):
     return cert, report
 
 
-def lifted_report(cert, elapsed_ns=0):
-    """Upper-bound report at the certified order implied by a lazy certificate."""
+def lifted_report(cert):
+    """Upper-bound report at the certified order implied by a lazy certificate.
+
+    Its value is the lifted bound eps*(k-1)/(m-1); it examines no subsets."""
     if cert.max_certified_order < cert.probe_order:
         raise ValueError("certificate certifies nothing beyond the probe order")
     value = lift_order(cert.probe_parameter, cert.probe_order, cert.max_certified_order)
@@ -378,7 +375,6 @@ def lifted_report(cert, elapsed_ns=0):
         direction=UPPER_BOUND,
         method=LAZY,
         subsets_examined=0,
-        elapsed_ns=int(elapsed_ns),
     )
 
 

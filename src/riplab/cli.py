@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every subcommand prints a small stable ``key=value`` line (or a bare
-decision word) on stdout and can persist a JSON report carrying the tool
-version, command, seed, parameters, and results.  Exit codes: 0 success,
+decision word) on stdout and returns ``(seed, params, results)``; `main`
+times it and writes the JSON report (tool version, command, seed, parameters,
+results and wall time) when one is asked for.  Exit codes: 0 success,
 1 internal error, 2 bad arguments or unreadable/invalid input files,
 3 enumeration budget exceeded, 4 matrix does not have unit columns.
 
@@ -55,14 +56,6 @@ from .reduction import (
 )
 
 
-def _stable_report_dict(report):
-    # timing lives once, in the top-level wall_time_ns; keeping it out of the
-    # results section makes re-runs byte-identical there
-    d = rip_report_dict(report)
-    del d["elapsed_ns"]
-    return d
-
-
 def _add_seed_flags(p):
     p.add_argument("--seed", type=int, required=True,
                    help="seed value (required; no entropy fallback)")
@@ -85,12 +78,12 @@ def build_parser():
     px.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     px.add_argument("--workers", type=int, default=None,
                     help="accepted and ignored: the scan is serial")
-    px.add_argument("--out", default=None, help="write a JSON report here")
+    px.add_argument("--out", dest="report", default=None, help="write a JSON report here")
     px.set_defaults(func=cmd_exact)
 
     pc = sub.add_parser("coherence", help="largest off-diagonal Gram entry")
     pc.add_argument("--matrix", required=True)
-    pc.add_argument("--out", default=None)
+    pc.add_argument("--out", dest="report", default=None)
     pc.set_defaults(func=cmd_coherence)
 
     pl = sub.add_parser("lazy", help="probe a small order, lift to the largest certifiable one")
@@ -100,7 +93,7 @@ def build_parser():
     pl.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pl.add_argument("--workers", type=int, default=None,
                     help="accepted and ignored: the scan is serial")
-    pl.add_argument("--out", default=None)
+    pl.add_argument("--out", dest="report", default=None)
     pl.set_defaults(func=cmd_lazy)
 
     pg = sub.add_parser("generate", help="seeded random matrices and graphs")
@@ -155,94 +148,62 @@ def build_parser():
     pe.add_argument("--null-stat", choices=["lambda1", "exact"], default="lambda1")
     pe.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     _add_seed_flags(pe)
-    pe.add_argument("--out", default=None)
+    pe.add_argument("--out", dest="report", default=None)
     pe.set_defaults(func=cmd_experiment)
 
     return p
 
 
 def cmd_exact(args):
-    t0 = time.perf_counter_ns()
     phi = read_matrix_file(args.matrix)
-    report, witness = exact_rip(
-        phi, args.order, threshold=args.threshold, budget=args.budget, workers=args.workers
-    )
+    report, witness = exact_rip(phi, args.order, threshold=args.threshold, budget=args.budget)
     print(f"delta={report.value!r}")
-    if args.out:
-        write_report(
-            args.out,
-            command=args.raw_argv,
-            seed=None,
-            params={
-                "order": args.order,
-                "threshold": args.threshold,
-                "budget": args.budget,
-                "rows": phi.shape[0],
-                "cols": phi.shape[1],
-            },
-            results={"report": _stable_report_dict(report),
-                     "witness": witness_dict(witness)},
-            wall_time_ns=time.perf_counter_ns() - t0,
-        )
-    return 0
+    params = {
+        "order": args.order,
+        "threshold": args.threshold,
+        "budget": args.budget,
+        "rows": phi.shape[0],
+        "cols": phi.shape[1],
+    }
+    return None, params, {"report": rip_report_dict(report), "witness": witness_dict(witness)}
 
 
 def cmd_coherence(args):
-    t0 = time.perf_counter_ns()
     phi = read_matrix_file(args.matrix)
     mu = coherence(phi)
     print(f"mu={mu!r}")
-    if args.out:
-        write_report(
-            args.out,
-            command=args.raw_argv,
-            seed=None,
-            params={"rows": phi.shape[0], "cols": phi.shape[1]},
-            results={"mu": mu},
-            wall_time_ns=time.perf_counter_ns() - t0,
-        )
-    return 0
+    return None, {"rows": phi.shape[0], "cols": phi.shape[1]}, {"mu": mu}
 
 
 def cmd_lazy(args):
-    t0 = time.perf_counter_ns()
     phi = read_matrix_file(args.matrix)
-    cert, probe = lazy_certify(
-        phi, args.probe_order, args.delta, budget=args.budget, workers=args.workers
-    )
+    cert, probe = lazy_certify(phi, args.probe_order, args.delta, budget=args.budget)
     print(f"epsilon={cert.probe_parameter!r} k_max={cert.max_certified_order}")
-    if args.out:
-        cols = phi.shape[1]
-        if cert.max_certified_order >= cert.probe_order:
-            naive = math.comb(cols, cert.max_certified_order)
+    cols = phi.shape[1]
+    naive = ratio = None
+    if cert.max_certified_order >= cert.probe_order:
+        naive = math.comb(cols, cert.max_certified_order)
+        try:
             ratio = naive / probe.subsets_examined
-        else:
-            naive = None
-            ratio = None
-        write_report(
-            args.out,
-            command=args.raw_argv,
-            seed=None,
-            params={
-                "probe_order": args.probe_order,
-                "delta": args.delta,
-                "budget": args.budget,
-                "rows": phi.shape[0],
-                "cols": cols,
-            },
-            results={
-                "certificate": certificate_dict(cert),
-                "probe_report": _stable_report_dict(probe),
-                "naive_plan_subsets": naive,
-                "lazy_vs_naive_ratio": ratio,
-            },
-            wall_time_ns=time.perf_counter_ns() - t0,
-        )
-    return 0
+        except OverflowError:  # the quotient does not fit in a double
+            pass
+    params = {
+        "probe_order": args.probe_order,
+        "delta": args.delta,
+        "budget": args.budget,
+        "rows": phi.shape[0],
+        "cols": cols,
+    }
+    results = {
+        "certificate": certificate_dict(cert),
+        "probe_report": rip_report_dict(probe),
+        "naive_plan_subsets": naive,
+        "lazy_vs_naive_ratio": ratio,
+    }
+    return None, params, results
 
 
 def cmd_generate(args):
-    t0 = time.perf_counter_ns()
     seed = Seed(args.seed, args.stream)
     if args.model == "bernoulli":
         rows, cols = args.dims
@@ -276,20 +237,10 @@ def cmd_generate(args):
             "clique": list(inst.planted),
         }
     print(f"wrote={args.out}")
-    if args.report:
-        write_report(
-            args.report,
-            command=args.raw_argv,
-            seed=seed,
-            params=params,
-            results=results,
-            wall_time_ns=time.perf_counter_ns() - t0,
-        )
-    return 0
+    return seed, params, results
 
 
 def cmd_reduce(args):
-    t0 = time.perf_counter_ns()
     g = read_graph_file(args.graph)
     params = ReductionParams(c=args.c, psd_tol=args.psd_tol)
     c_matrix = cholesky_reduce(g, params)
@@ -297,37 +248,17 @@ def cmd_reduce(args):
     write_matrix_file(args.out, c_matrix)
     print("status=not-psd" if not_psd else "status=ok")
     print(f"wrote={args.out}")
-    if args.report:
-        write_report(
-            args.report,
-            command=args.raw_argv,
-            seed=None,
-            params={"n": g.n, "c": args.c, "psd_tol": args.psd_tol},
-            results={"n": g.n, "not_psd": not_psd},
-            wall_time_ns=time.perf_counter_ns() - t0,
-        )
-    return 0
+    return None, {"n": g.n, "c": args.c, "psd_tol": args.psd_tol}, {"n": g.n, "not_psd": not_psd}
 
 
 def cmd_refute(args):
-    t0 = time.perf_counter_ns()
     g = read_graph_file(args.graph)
     decision = spectral_clique_refuter(g, args.k)
     print(decision)
-    if args.report:
-        write_report(
-            args.report,
-            command=args.raw_argv,
-            seed=None,
-            params={"n": g.n, "k": args.k},
-            results={"decision": decision},
-            wall_time_ns=time.perf_counter_ns() - t0,
-        )
-    return 0
+    return None, {"n": g.n, "k": args.k}, {"decision": decision}
 
 
 def cmd_experiment(args):
-    t0 = time.perf_counter_ns()
     if args.preset == "asym":
         if args.n is None or args.eps is None:
             raise ValueError("--preset asym requires --n and --eps")
@@ -362,8 +293,8 @@ def cmd_experiment(args):
     if args.rect_aspect is not None:
         if rect_cols is not None:
             raise ValueError("give either --rect-cols or --rect-aspect, not both")
-        if args.rect_aspect <= 1:
-            raise ValueError(f"--rect-aspect must exceed 1, got {args.rect_aspect}")
+        if not 1 < args.rect_aspect < math.inf:
+            raise ValueError(f"--rect-aspect must be finite and exceed 1, got {args.rect_aspect}")
         rect_cols = int(round((args.rect_aspect - 1) * int(n)))
 
     params = ReductionParams(
@@ -385,28 +316,20 @@ def cmd_experiment(args):
     )
     sep = report.separation
     print(f"tp={sep.true_positives} fp={sep.false_positives} trials={trials}")
-    if args.out:
-        write_report(
-            args.out,
-            command=args.raw_argv,
-            seed=seed,
-            params={
-                "preset": args.preset,
-                "n": report.n,
-                "clique_size": report.clique_size,
-                "order": report.k,
-                "delta": report.delta,
-                "trials": trials,
-                "c": params.c,
-                "psd_tol": params.psd_tol,
-                "rect_cols": rect_cols,
-                "null_statistic": args.null_stat,
-                "budget": args.budget,
-            },
-            results=experiment_dict(report),
-            wall_time_ns=time.perf_counter_ns() - t0,
-        )
-    return 0
+    run_params = {
+        "preset": args.preset,
+        "n": report.n,
+        "clique_size": report.clique_size,
+        "order": report.k,
+        "delta": report.delta,
+        "trials": trials,
+        "c": params.c,
+        "psd_tol": params.psd_tol,
+        "rect_cols": rect_cols,
+        "null_statistic": args.null_stat,
+        "budget": args.budget,
+    }
+    return seed, run_params, experiment_dict(report)
 
 
 def main(argv=None):
@@ -414,9 +337,19 @@ def main(argv=None):
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.raw_argv = list(argv)
     try:
-        return args.func(args)
+        t0 = time.perf_counter_ns()
+        seed, params, results = args.func(args)
+        if args.report:
+            write_report(
+                args.report,
+                command=list(argv),
+                seed=seed,
+                params=params,
+                results=results,
+                wall_time_ns=time.perf_counter_ns() - t0,
+            )
+        return 0
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -126,7 +126,6 @@ def rip_report_dict(report):
         "direction": report.direction,
         "method": report.method,
         "subsets_examined": report.subsets_examined,
-        "elapsed_ns": report.elapsed_ns,
     }
 
 

@@ -5,6 +5,8 @@ asymmetry tolerance and symmetrized before any factorization so that results
 do not depend on which triangle the caller filled in.
 """
 
+import math
+
 import numpy as np
 
 # Inputs whose asymmetry exceeds this are rejected rather than silently fixed.
@@ -72,8 +74,8 @@ def cholesky_psd(b, tol=PSD_TOL, name="matrix"):
     The returned factor has a nonnegative diagonal and satisfies
     ``R.T @ R == b`` up to roundoff.
     """
-    if tol < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     s = symmetric_part(b, name)
     try:
         lower = np.linalg.cholesky(s)

@@ -130,6 +130,12 @@ class Graph:
         """All edges (u, v) with u < v in lexicographic order."""
         return [(int(u), int(v)) for u, v in np.argwhere(np.triu(self.adj, 1))]
 
+    def signed_adjacency(self):
+        """Symmetric float matrix with zero diagonal, +1 on edges, -1 on non-edges."""
+        a = np.where(self.adj, 1.0, -1.0)
+        np.fill_diagonal(a, 0.0)
+        return a
+
     def induces_clique(self, vertices):
         """True iff every pair among ``vertices`` is an edge."""
         vertices = [int(v) for v in vertices]
@@ -183,14 +189,15 @@ def gen_bernoulli_sensing(n, cols, seed):
 
 
 def gen_model_a(k, seed):
-    """k x k symmetric sign matrix: zero diagonal, independent +-1 above it."""
+    """k x k symmetric sign matrix: zero diagonal, independent +-1 above it.
+
+    It is the signed adjacency of ``gen_gnp_half(k, seed)``: +1 exactly on
+    that graph's edges.
+    """
     k = int(k)
     if k <= 0:
         raise ValueError(f"order must be positive, got {k}")
-    a = np.zeros((k, k))
-    iu = np.triu_indices(k, 1)
-    a[iu] = _signs(seed, _LABEL_SYM, len(iu[0]))
-    return a + a.T
+    return gen_gnp_half(k, seed).signed_adjacency()
 
 
 def gen_model_b(n, c, seed):

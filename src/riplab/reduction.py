@@ -58,8 +58,8 @@ class ReductionParams:
     def __post_init__(self):
         if self.c < 0:
             raise ValueError(f"reduction constant must be nonnegative, got {self.c}")
-        if self.psd_tol < 0:
-            raise ValueError(f"psd tolerance must be nonnegative, got {self.psd_tol}")
+        if not 0 <= self.psd_tol < math.inf:
+            raise ValueError(f"psd tolerance must be finite and nonnegative, got {self.psd_tol}")
         if not 0 < self.c < 1 / 3:
             warnings.warn(
                 f"reduction constant c = {self.c} is outside the standard range "
@@ -103,9 +103,7 @@ def signed_adjacency(g):
     """Symmetric matrix with zero diagonal, +1 on edges, -1 on non-edges."""
     if g.n < 2:
         raise ValueError(f"need at least 2 vertices, got n={g.n}")
-    a = np.where(g.adj, 1.0, -1.0)
-    np.fill_diagonal(a, 0.0)
-    return a
+    return g.signed_adjacency()
 
 
 def cholesky_reduce(g, params=None):
@@ -226,12 +224,11 @@ def spectral_clique_refuter(g, k):
     k = int(k)
     if k < 2:
         raise ValueError(f"clique size must be at least 2, got {k}")
-    lam1 = float(sym_eigenvalues(signed_adjacency(g))[0])
+    signed = signed_adjacency(g)
+    lam1 = float(sym_eigenvalues(signed)[0])
     target = float(k - 1)
     if abs(lam1 - target) <= _REFUTER_BAND:
-        signed = np.where(g.adj, 1, -1)
-        np.fill_diagonal(signed, 0)
-        shifted = (k - 1) * np.eye(g.n, dtype=np.int64) - signed
+        shifted = (k - 1) * np.eye(g.n, dtype=np.int64) - signed.astype(np.int64)
         return NO_CLIQUE if _is_positive_definite_exact(shifted.tolist()) else YES
     return YES if lam1 >= target else NO_CLIQUE
 

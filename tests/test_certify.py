@@ -23,6 +23,7 @@ from riplab.certify import (
     lifted_report,
     predicted_certified_order,
     quasipoly_probe_order,
+    require_unit_columns,
     subset_deviation,
     unrank_combination,
     validate_unit_columns,
@@ -248,16 +249,6 @@ def test_threshold_hit_materialises_first_chunk_only(monkeypatch):
     assert len(rows) == 1 and rows[0] <= 256 < math.comb(200, 3)
 
 
-def test_workers_do_not_change_results():
-    phi = gen_bernoulli_sensing(6, 14, Seed(3))
-    a, wa = exact_rip(phi, 3, workers=1)
-    b, wb = exact_rip(phi, 3, workers=2)
-    assert a.value == b.value
-    assert a.subsets_examined == b.subsets_examined
-    assert wa.subset == wb.subset
-    assert np.array_equal(wa.vector, wb.vector)
-
-
 def test_lift_order_examples():
     assert lift_order(0.05, 3, 5) == 0.1
     eps = 0.371
@@ -375,3 +366,12 @@ def test_block_compose_shapes_and_law():
         db = exact_rip(b, k)[0].value
         dc = exact_rip(c, k)[0].value
         assert abs(dc - max(da, db)) <= 1e-10
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_unit_column_checks_reject_bad_tolerance(tol):
+    # with a NaN tolerance "distance > tol" is false for every column
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        require_unit_columns(2.0 * np.eye(3), tol)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        validate_unit_columns(2.0 * np.eye(3), tol)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from riplab.cli import main
-from riplab.fileio import read_matrix_file, read_report, results_bytes
+from riplab.fileio import read_matrix_file, read_report, results_bytes, write_matrix_file
 from riplab.randgen import Seed, gen_bernoulli_sensing, gen_model_a, gen_model_b
 
 
@@ -142,6 +143,10 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
     bad.write_text("not a matrix\n")
     rc, _, err = run_cli(["exact", "--matrix", str(bad), "--order", "2"], capsys)
     assert rc == 2 and "expected header" in err
+    for aspect in ("inf", "nan", "1"):
+        rc, _, err = run_cli(["experiment", "--preset", "desk-200", "--trials", "1",
+                              "--seed", "1", "--rect-aspect", aspect], capsys)
+        assert rc == 2 and "--rect-aspect must be finite and exceed 1" in err
 
 
 def test_exit_code_three_on_budget(tmp_path, capsys):
@@ -199,3 +204,84 @@ def test_installed_entry_point(tmp_path):
     )
     assert r2.returncode == 0, r2.stderr
     assert r2.stdout.startswith("delta=")
+
+
+def test_lazy_ratio_is_null_when_it_overflows_a_double(tmp_path, capsys):
+    # column 1 tilted toward e0: probe parameter ~0.0017 lifts to k_max = 530,
+    # and C(1100, 530) / C(1100, 2) is far beyond the largest double
+    phi = np.eye(1100)
+    phi[0, 1], phi[1, 1] = math.sin(0.0017), math.cos(0.0017)
+    m = str(tmp_path / "tilt.txt")
+    write_matrix_file(m, phi)
+    rep = str(tmp_path / "r.json")
+    rc, out, err = run_cli(["lazy", "--matrix", m, "--probe-order", "2",
+                            "--delta", "0.9", "--out", rep], capsys)
+    assert rc == 0, err
+    assert out.endswith(" k_max=530\n")
+    res = read_report(rep)["results"]
+    assert res["naive_plan_subsets"] == math.comb(1100, 530)
+    assert res["lazy_vs_naive_ratio"] is None
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
+def test_bad_psd_tolerance_exits_two_and_writes_nothing(tol, tmp_path, capsys):
+    from riplab.fileio import write_graph_file
+    from riplab.randgen import Graph
+
+    g = str(tmp_path / "e.txt")
+    write_graph_file(g, Graph(100))  # lambda_min(I + cA/sqrt(n)) = -1.97: not PSD
+    c = tmp_path / "c.txt"
+    rep = tmp_path / "r.json"
+    rc, out, err = run_cli(["reduce", "--graph", g, f"--psd-tol={tol}", "--out", str(c),
+                            "--report", str(rep)], capsys)
+    assert rc == 2 and out == ""
+    assert "psd tolerance must be finite and nonnegative" in err
+    assert not c.exists() and not rep.exists()
+    rc, _, err = run_cli(["experiment", "--preset", "desk-200", "--trials", "1",
+                          "--seed", "1", f"--psd-tol={tol}", "--out", str(rep)], capsys)
+    assert rc == 2 and "psd tolerance" in err
+    assert not rep.exists()
+
+
+# argv with {m} (matrix file), {g} (graph file), {o} (output file); report flag
+REPORT_CASES = {
+    "exact": (["exact", "--matrix", "{m}", "--order", "2"], "--out"),
+    "coherence": (["coherence", "--matrix", "{m}"], "--out"),
+    "lazy": (["lazy", "--matrix", "{m}", "--probe-order", "2", "--delta", "0.9"], "--out"),
+    "generate-bernoulli": (["generate", "bernoulli", "--dims", "3", "5", "--seed", "1",
+                            "--out", "{o}"], "--report"),
+    "generate-model-a": (["generate", "model-a", "--n", "4", "--seed", "1", "--out", "{o}"],
+                         "--report"),
+    "generate-model-b": (["generate", "model-b", "--n", "4", "--seed", "1", "--out", "{o}"],
+                         "--report"),
+    "generate-gnp": (["generate", "gnp", "--n", "6", "--seed", "1", "--out", "{o}"],
+                     "--report"),
+    "generate-planted": (["generate", "planted", "--n", "6", "--t", "3", "--seed", "1",
+                          "--out", "{o}"], "--report"),
+    "reduce": (["reduce", "--graph", "{g}", "--out", "{o}"], "--report"),
+    "refute": (["refute", "--graph", "{g}", "--k", "3"], "--report"),
+    "experiment": (["experiment", "--n", "20", "--clique-size", "8", "--order", "8",
+                    "--delta", "0.2", "--trials", "1", "--seed", "3"], "--out"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_every_command_writes_the_same_report_shape(case, tmp_path, capsys):
+    g = str(tmp_path / "g.txt")
+    run_cli(["generate", "planted", "--n", "10", "--t", "4", "--seed", "4", "--out", g],
+            capsys)
+    paths = {"m": make_matrix(tmp_path, capsys), "g": g, "o": str(tmp_path / "o.txt")}
+    template, flag = REPORT_CASES[case]
+    argv = [a.format(**paths) for a in template]
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0 and out
+    assert not list(tmp_path.glob("*.json"))
+    rep = str(tmp_path / "r.json")
+    rc, out_with_report, _ = run_cli(argv + [flag, rep], capsys)
+    assert rc == 0 and out_with_report == out
+    doc = read_report(rep)
+    assert sorted(doc) == ["command", "params", "results", "seed", "tool_version",
+                           "wall_time_ns"]
+    assert (doc["seed"] is not None) == (argv[0] in ("generate", "experiment"))
+    assert doc["command"] == argv + [flag, rep]
+    assert doc["wall_time_ns"] > 0

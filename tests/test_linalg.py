@@ -165,3 +165,10 @@ def test_model_a_eigenvalues_against_oracle():
     got = sym_eigenvalues(a)
     want = eigvals_oracle(a)
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_cholesky_psd_rejects_non_finite_tolerance(tol):
+    # with a NaN tolerance "w[0] < -tol" is false, so a non-PSD matrix would be factored
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        cholesky_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), tol=tol)

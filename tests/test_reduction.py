@@ -296,3 +296,9 @@ def test_asym_preset():
         asym_preset(2, 0.1)
     with pytest.raises(ValueError):
         asym_preset(1000, 0.6)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_reduction_params_reject_bad_psd_tolerance(tol):
+    with pytest.raises(ValueError, match="psd tolerance must be finite and nonnegative"):
+        ReductionParams(psd_tol=tol)
