@@ -7,15 +7,18 @@ exact parameter is the max over all C(N, k) column subsets of the spectral
 deviation of the Gram submatrix from the identity.
 
 `exact_rip` computes that max in one serial scan over subsets in
-lexicographic order, chunk by chunk.  Each chunk is bounded first: the
-Gershgorin bound max_i sum_j |(G_S - I)_ij| caps a subset's deviation, and
-only subsets whose bound can still reach the running best go to a batched
-eigensolve.  The screen discards no subset that could be the maximum or the
-first one over a threshold, so the reported value, the witness (always the
-lexicographically smallest argmax subset) and the rank-defined examined-subset
-count are those of the unscreened scan.  `lazy_certify` probes a small order
-m exhaustively, then lifts the measured parameter to larger orders via the
-bound delta_k <= eps*(k-1)/(m-1).
+lexicographic order, chunk by chunk.  A chunk's subsets are built as a block
+of index rows from a table of all d-subsets (d < k, made once per scan): the
+subsets sharing a (k-d)-prefix are that prefix followed by a contiguous run
+of table rows, so Python steps through prefixes, not subsets.  Each chunk is
+bounded first: the Gershgorin bound max_i sum_j |(G_S - I)_ij| caps a
+subset's deviation, and only subsets whose bound can still reach the running
+best go to a batched eigensolve.  The screen discards no subset that could be
+the maximum or the first one over a threshold, so the reported value, the
+witness (always the lexicographically smallest argmax subset) and the
+rank-defined examined-subset count are those of the unscreened scan.
+`lazy_certify` probes a small order m exhaustively, then lifts the measured
+parameter to larger orders via the bound delta_k <= eps*(k-1)/(m-1).
 """
 
 import itertools
@@ -189,9 +192,69 @@ def _chunks(k, total):
         rows = min(2 * rows, cap)
 
 
-def _materialize(source, count, k):
-    flat = itertools.chain.from_iterable(itertools.islice(source, count))
-    return np.fromiter(flat, dtype=np.int64, count=count * k).reshape(count, k)
+# The suffix table holds at most _SUFFIX_ROWS rows (1.3 MB at width 5) and at
+# most a 16th of the scan's subsets, so a scan that stops in its first chunk
+# does not pay for a table larger than the work it saves.
+_SUFFIX_ROWS = 1 << 15
+
+
+def _suffix_width(n, k):
+    """Largest d whose table of C(n, d) rows stays within both caps, or 0
+    (a one-row table); always d < k, as C(n, k) exceeds a 16th of the scan."""
+    total = math.comb(n, k)
+    return max((d for d in range(1, k)
+                if math.comb(n, d) <= _SUFFIX_ROWS and 16 * math.comb(n, d) <= total),
+               default=0)
+
+
+def _suffix_table(n, d):
+    """All d-subsets of range(n) in lexicographic order, one per row.
+
+    Built column by column: the rows of width w starting at index a are a
+    followed by each (w-1)-subset whose first index exceeds a, which are the
+    last rows of the narrower table.
+    """
+    if d == 0:
+        return np.empty((1, 0), dtype=np.int64)  # the one empty subset
+    table = np.arange(n).reshape(n, 1)
+    for width in range(2, d + 1):
+        firsts = np.arange(n - width + 1)
+        tails = len(table) - np.searchsorted(table[:, 0], firsts, side="right")
+        src = len(table) - tails  # where each first index's tail starts
+        dst = np.cumsum(tails) - tails  # where its rows go
+        picks = np.arange(tails.sum()) + np.repeat(src - dst, tails)
+        table = np.column_stack((np.repeat(firsts, tails), table[picks]))
+    return table
+
+
+def _subset_blocks(n, k):
+    """(start rank, block) for each scan chunk: ``block`` holds, one per row,
+    the k-subsets of range(n) of ranks start, start + 1, ... (int64, column
+    major, so the bound gathers from contiguous index columns).
+
+    In lexicographic order the completions of a (k-d)-prefix whose last
+    index is p are the last C(n-1-p, d) rows of the d-subset table, so each
+    block is a few prefixes broadcast beside contiguous table slices and
+    Python walks C(n, k-d) prefixes, not C(n, k) subsets.
+    """
+    d = _suffix_width(n, k)
+    table = _suffix_table(n, d)
+    rows = len(table)
+    prefixes = itertools.combinations(range(n - d), k - d)
+    at = rows  # next table row to emit; rows means "fetch the next prefix"
+    for start, count in _chunks(k, math.comb(n, k)):
+        block = np.empty((count, k), dtype=np.int64, order="F")
+        filled = 0
+        while filled < count:
+            if at == rows:
+                prefix = next(prefixes)
+                at = rows - math.comb(n - 1 - prefix[-1], d)
+            take = min(count - filled, rows - at)
+            block[filled:filled + take, : k - d] = prefix
+            block[filled:filled + take, k - d :] = table[at:at + take]
+            filled += take
+            at += take
+        yield start, block
 
 
 def _gershgorin_bounds(g, block):
@@ -202,7 +265,7 @@ def _gershgorin_bounds(g, block):
     """
     n = g.shape[0]
     flat = g.ravel()
-    cols = np.ascontiguousarray(block.T)
+    cols = block.T  # contiguous rows: _subset_blocks builds column-major blocks
     sums = [np.abs(flat.take(c * (n + 1)) - 1.0) for c in cols]
     for i, j in itertools.combinations(range(len(cols)), 2):
         off = np.abs(flat.take(cols[i] * n + cols[j]))
@@ -272,9 +335,7 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET):
     best_dev = -1.0
     best_rank = -1
     stopped = False
-    source = itertools.combinations(range(ncols), k)
-    for start, count in _chunks(k, total):
-        block = _materialize(source, count, k)
+    for start, block in _subset_blocks(ncols, k):
         bounds = _gershgorin_bounds(g, block)
         # "not below" keeps a NaN bound in the solved set
         rows = np.flatnonzero(~(bounds < best_dev - _SCREEN_MARGIN * k * k * (1.0 + best_dev)))

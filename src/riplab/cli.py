@@ -154,6 +154,12 @@ def build_parser():
     return p
 
 
+def _require_finite_c(args):
+    # the library rejects a non-finite c too; this names the flag
+    if not math.isfinite(args.c):
+        raise ValueError(f"--c must be finite, got {args.c}")
+
+
 def cmd_exact(args):
     phi = read_matrix_file(args.matrix)
     report, witness = exact_rip(phi, args.order, threshold=args.threshold, budget=args.budget)
@@ -217,6 +223,7 @@ def cmd_generate(args):
         params = {"model": "model-a", "n": args.n}
         results = {"rows": args.n, "cols": args.n}
     elif args.model == "model-b":
+        _require_finite_c(args)
         m = gen_model_b(args.n, args.c, seed)
         write_matrix_file(args.out, m)
         params = {"model": "model-b", "n": args.n, "c": args.c}
@@ -241,6 +248,7 @@ def cmd_generate(args):
 
 
 def cmd_reduce(args):
+    _require_finite_c(args)
     g = read_graph_file(args.graph)
     params = ReductionParams(c=args.c, psd_tol=args.psd_tol)
     c_matrix = cholesky_reduce(g, params)

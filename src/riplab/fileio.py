@@ -14,6 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .linalg import as_matrix
 from .randgen import Graph, Seed
 
 VERSION = "0.1.0"
@@ -28,9 +29,9 @@ def _fail(path, lineno, msg):
 
 
 def write_matrix_file(path, m):
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {a.shape}")
+    """Write ``m``; a matrix the reader would refuse (not 2-D, empty or with
+    non-finite entries) raises ValueError before the file is opened."""
+    a = as_matrix(m, "matrix")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
         for row in a:

@@ -204,8 +204,8 @@ def gen_model_b(n, c, seed):
     """I + c*A/sqrt(n) with A a model-A sign matrix; PSD with high probability
     once c < 1/3 and n is moderately large."""
     c = float(c)
-    if c <= 0:
-        raise ValueError(f"scale c must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"scale c must be finite and positive, got {c}")
     a = gen_model_a(n, seed)
     return np.eye(int(n)) + (c / np.sqrt(float(n))) * a
 

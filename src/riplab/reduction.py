@@ -56,8 +56,8 @@ class ReductionParams:
     psd_tol: float = PSD_TOL
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError(f"reduction constant must be nonnegative, got {self.c}")
+        if not 0 <= self.c < math.inf:
+            raise ValueError(f"reduction constant must be finite and nonnegative, got {self.c}")
         if not 0 <= self.psd_tol < math.inf:
             raise ValueError(f"psd tolerance must be finite and nonnegative, got {self.psd_tol}")
         if not 0 < self.c < 1 / 3:
@@ -171,6 +171,12 @@ def verify_violation(c_matrix, witness, delta, n, c, from_clique=False):
     delta = float(delta)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    return abs(_image_norm_sq(mat, witness, n, c, from_clique) - 1.0) > delta
+
+
+def _image_norm_sq(mat, witness, n, c, from_clique):
+    """||C x||^2 for the witness vector x, checked against the clique identity
+    as :func:`verify_violation` describes."""
     image = mat @ witness.vector
     value = float(image @ image)
     if from_clique and np.any(mat[:, list(witness.subset)]):
@@ -181,7 +187,7 @@ def verify_violation(c_matrix, witness, delta, n, c, from_clique=False):
                 f"clique witness identity failed: ||Cx||^2 = {value!r}, "
                 f"expected {expected!r} for k={k}, n={n}, c={c}"
             )
-    return abs(value - 1.0) > delta
+    return value
 
 
 # When the computed lambda_1 is this close to the threshold, floating point
@@ -333,9 +339,8 @@ def run_distinguishing_experiment(
         if rect_cols is not None:
             c1 = block_compose(c1, gen_bernoulli_sensing(n, rect_cols, planted_seed))
             witness = _pad_columns(witness, n + rect_cols)
-        image = c1 @ witness.vector
-        stat1 = abs(float(image @ image) - 1.0)
-        flagged1 = verify_violation(c1, witness, delta, n, params.c, from_clique=True)
+        stat1 = abs(_image_norm_sq(c1, witness, n, params.c, from_clique=True) - 1.0)
+        flagged1 = stat1 > delta
         records.append(
             TrialRecord(planted_seed, ARM_PLANTED, stat1, VIOLATES if flagged1 else PLAUSIBLE)
         )

@@ -212,6 +212,33 @@ def _sweep_matrices():
         yield near / np.linalg.norm(near, axis=0)
 
 
+def _assert_blocks_are_combinations(n, k):
+    combos = itertools.combinations(range(n), k)
+    next_start = 0
+    for start, block in certify._subset_blocks(n, k):
+        assert start == next_start and block.dtype == np.int64
+        want = np.array(list(itertools.islice(combos, len(block))), dtype=np.int64)
+        assert np.array_equal(block, want.reshape(len(block), k))
+        next_start += len(block)
+    assert next_start == math.comb(n, k) and next(combos, None) is None
+
+
+def test_subset_blocks_match_itertools_small():
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            _assert_blocks_are_combinations(n, k)
+
+
+@pytest.mark.parametrize("n, k, width", [
+    (49, 3, 1), (50, 3, 2),  # 16 C(50, 2) = C(50, 3): the scan-size cap, just above and at
+    (31, 6, 4), (32, 6, 3),  # C(31, 4) = 31465 and C(32, 4) = 35960 around the 2^15-row cap
+])
+def test_subset_blocks_match_itertools_at_table_caps(n, k, width):
+    assert certify._suffix_width(n, k) == width
+    assert len(certify._suffix_table(n, width)) == math.comb(n, width) <= certify._SUFFIX_ROWS
+    _assert_blocks_are_combinations(n, k)
+
+
 def test_screened_scan_matches_unscreened_reference(monkeypatch):
     """The Gershgorin screen changes no value, witness, direction or count
     for any threshold, and does skip eigensolves."""
@@ -240,9 +267,14 @@ def test_threshold_hit_materialises_first_chunk_only(monkeypatch):
     phi = gen_bernoulli_sensing(16, 200, Seed(1))
     phi[:, 4] = phi[:, 0]  # subset (0, 1, 4), rank 2, has deviation >= 1
     rows = []
-    materialize = certify._materialize
-    monkeypatch.setattr(certify, "_materialize",
-                        lambda source, count, k: rows.append(count) or materialize(source, count, k))
+    subset_blocks = certify._subset_blocks
+
+    def recording(n, k):
+        for start, block in subset_blocks(n, k):
+            rows.append(len(block))
+            yield start, block
+
+    monkeypatch.setattr(certify, "_subset_blocks", recording)
     rep, wit = exact_rip(phi, 3, threshold=0.99)
     assert rep.direction == LOWER_BOUND
     assert wit.subset == (0, 1, 4) and rep.subsets_examined == 3

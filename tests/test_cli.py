@@ -243,6 +243,23 @@ def test_bad_psd_tolerance_exits_two_and_writes_nothing(tol, tmp_path, capsys):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_non_finite_c_exits_two_and_writes_nothing(c, tmp_path, capsys):
+    from riplab.fileio import write_graph_file
+    from riplab.randgen import Graph
+
+    g = str(tmp_path / "g.txt")
+    write_graph_file(g, Graph(4))
+    out_file = tmp_path / "o.txt"
+    rep = tmp_path / "r.json"
+    for argv in (["generate", "model-b", "--n", "4", "--seed", "3"], ["reduce", "--graph", g]):
+        rc, out, err = run_cli(argv + [f"--c={c}", "--out", str(out_file),
+                                       "--report", str(rep)], capsys)
+        assert rc == 2 and out == ""
+        assert f"--c must be finite, got {c}" in err
+        assert not out_file.exists() and not rep.exists()
+
+
 # argv with {m} (matrix file), {g} (graph file), {o} (output file); report flag
 REPORT_CASES = {
     "exact": (["exact", "--matrix", "{m}", "--order", "2"], "--out"),

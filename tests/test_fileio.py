@@ -57,6 +57,20 @@ def test_matrix_file_layout(tmp_path):
     assert p.read_text() == "1 2\n1.0 0.5\n"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_write_refuses_non_finite_before_opening(bad, tmp_path):
+    p = tmp_path / "m.txt"
+    m = np.eye(2)
+    m[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        write_matrix_file(p, m)
+    assert not p.exists()
+    for shape in ((3,), (0, 2)):  # not 2-D, empty: the reader refuses both
+        with pytest.raises(ValueError):
+            write_matrix_file(p, np.ones(shape))
+        assert not p.exists()
+
+
 def test_matrix_read_errors(tmp_path):
     cases = [
         "",  # no header

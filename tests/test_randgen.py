@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -137,6 +138,9 @@ def test_model_b_from_model_a():
         gen_model_b(4, 0.0, Seed(3))
     with pytest.raises(ValueError):
         gen_model_b(4, -0.1, Seed(3))
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"got {c}"):
+            gen_model_b(4, c, Seed(3))
 
 
 def test_spectral_bound():

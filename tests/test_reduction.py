@@ -84,6 +84,9 @@ def test_reduction_params_validation():
     assert ReductionParams().c == 0.3
     with pytest.raises(ValueError):
         ReductionParams(c=-0.1)
+    for c in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"reduction constant must be finite.*got {c}"):
+            ReductionParams(c=c)
     with pytest.warns(UserWarning):
         ReductionParams(c=0.5)  # theory wants 0 < c < 1/3
     with warnings.catch_warnings():
