@@ -41,7 +41,6 @@ LOWER_BOUND = "LowerBound"
 EXHAUSTIVE = "Exhaustive"
 LAZY = "Lazy"
 WITNESS_LB = "WitnessLB"
-BLOCK_COMPOSE = "BlockCompose"
 
 
 class BudgetExceededError(RuntimeError):
@@ -135,27 +134,6 @@ def subset_deviation(phi, subset):
     a = as_matrix(phi, "phi")
     idx = check_subset(subset, a.shape[1])
     return spectral_deviation_from_identity(gram(a[:, idx]))
-
-
-def unrank_combination(rank, n, k):
-    """The combination of rank ``rank`` in the lexicographic order of all
-    k-subsets of range(n) (combinatorial number system)."""
-    total = math.comb(n, k)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} out of range for C({n},{k}) = {total}")
-    out = []
-    r = rank
-    c = 0
-    for slots in range(k, 0, -1):
-        while True:
-            below = math.comb(n - 1 - c, slots - 1)
-            if r < below:
-                out.append(c)
-                c += 1
-                break
-            r -= below
-            c += 1
-    return tuple(out)
 
 
 # Scan chunks start at _FIRST_ROWS subsets, so a threshold hit near the start
@@ -293,7 +271,7 @@ def _build_witness(g, phi, subset):
     full = np.zeros(phi.shape[1])
     full[idx] = vec
     deviation = abs(float(w[which]) - 1.0)
-    return Witness(tuple(int(i) for i in subset), full, deviation)
+    return Witness(tuple(subset), full, deviation)
 
 
 def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET):
@@ -333,7 +311,7 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET):
 
     g = gram(a)
     best_dev = -1.0
-    best_rank = -1
+    examined = total
     stopped = False
     for start, block in _subset_blocks(ncols, k):
         bounds = _gershgorin_bounds(g, block)
@@ -346,16 +324,16 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET):
             over = np.flatnonzero(devs > threshold)
             if len(over):
                 best_dev = float(devs[over[0]])
-                best_rank = start + int(rows[over[0]])
+                best_subset = block[rows[over[0]]].tolist()
+                examined = start + int(rows[over[0]]) + 1
                 stopped = True
                 break
         top = int(np.argmax(devs))
         if float(devs[top]) > best_dev:
             best_dev = float(devs[top])
-            best_rank = start + int(rows[top])
+            best_subset = block[rows[top]].tolist()
 
-    subset = unrank_combination(best_rank, ncols, k)
-    witness = _build_witness(g, a, subset)
+    witness = _build_witness(g, a, best_subset)
     if stopped:
         direction, method = LOWER_BOUND, WITNESS_LB
     else:
@@ -365,7 +343,7 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET):
         value=best_dev,
         direction=direction,
         method=method,
-        subsets_examined=best_rank + 1 if stopped else total,
+        subsets_examined=examined,
     )
     return report, witness
 

@@ -3,13 +3,15 @@
 Matrix files: a header line "rows cols", then one line per row of
 space-separated floats in shortest round-trip representation, so
 parse(serialize(M)) reproduces M bit for bit.  Graph files: a header line
-"n m", then m lines "u v" with 0 <= u < v < n in lexicographic order.
+"n m" with n <= MAX_GRAPH_VERTICES, then m lines "u v" with 0 <= u < v < n
+in lexicographic order.
 Reports are JSON documents carrying the tool version, the invoked command,
 the seed, the full parameter set, and a results object — everything needed
 to reproduce the run.
 """
 
 import json
+from array import array
 from dataclasses import asdict
 
 import numpy as np
@@ -24,93 +26,94 @@ class FileFormatError(ValueError):
     """Raised when an input file does not match its documented format."""
 
 
+# A graph file's n sizes an n x n adjacency before any edge is read.
+MAX_GRAPH_VERTICES = 1 << 14
+
+
 def _fail(path, lineno, msg):
     raise FileFormatError(f"{path}:{lineno}: {msg}")
+
+
+def _write_table(path, header, rows):
+    """Two header integers, then one line of space-separated reprs per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{header[0]} {header[1]}\n")
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _read_table(path, header, shape, parse):
+    """Header integers a, b and the rows of a table file as a 2-D float64 or
+    int64 array (``parse`` is float or int).  ``shape(path, a, b)`` checks the
+    header and gives (rows, width).  Each line is checked before its values
+    are stored, 8 bytes each, so a header alone allocates nothing."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    try:
+        a, b = map(int, lines[0].split())
+    except ValueError:
+        _fail(path, 1, f"expected header '{header}' of two integers, got {lines[0]!r}")
+    rows, width = shape(path, a, b)
+    if len(lines) < rows + 1:
+        _fail(path, len(lines), f"expected {rows} data rows, file ends early")
+    values = array("d" if parse is float else "q")
+    for lineno, line in enumerate(lines[1 : rows + 1], start=2):
+        tokens = line.split()
+        if len(tokens) != width:
+            _fail(path, lineno, f"expected {width} values, got {len(tokens)}")
+        try:
+            values.extend(map(parse, tokens))
+        except (ValueError, OverflowError):  # not a number, or beyond int64
+            _fail(path, lineno, f"invalid {parse.__name__} value in {line!r}")
+    for lineno, line in enumerate(lines[rows + 1 :], start=rows + 2):
+        if line.strip():
+            _fail(path, lineno, f"unexpected trailing content {line!r}")
+    return a, b, np.asarray(values).reshape(rows, width)  # a view: a copy doubles the peak
 
 
 def write_matrix_file(path, m):
     """Write ``m``; a matrix the reader would refuse (not 2-D, empty or with
     non-finite entries) raises ValueError before the file is opened."""
     a = as_matrix(m, "matrix")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for row in a:
-            fh.write(" ".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    _write_table(path, a.shape, (row.tolist() for row in a))
+
+
+def _matrix_shape(path, rows, cols):
+    if rows < 1 or cols < 1:
+        _fail(path, 1, f"dimensions must be positive, got {rows}x{cols}")
+    return rows, cols
 
 
 def read_matrix_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    head = lines[0].split() if lines else []
-    if len(head) != 2:
-        _fail(path, 1, f"expected header 'rows cols', got {lines[0]!r}")
-    try:
-        rows, cols = int(head[0]), int(head[1])
-    except ValueError:
-        _fail(path, 1, f"non-integer header {lines[0]!r}")
-    if rows < 1 or cols < 1:
-        _fail(path, 1, f"dimensions must be positive, got {rows}x{cols}")
-    if len(lines) < rows + 1:
-        _fail(path, len(lines), f"expected {rows} data rows, file ends early")
-    out = np.empty((rows, cols))
-    for i in range(rows):
-        tokens = lines[1 + i].split()
-        if len(tokens) != cols:
-            _fail(path, 2 + i, f"expected {cols} values, got {len(tokens)}")
-        try:
-            out[i] = [float(t) for t in tokens]
-        except ValueError:
-            _fail(path, 2 + i, "unparseable real value")
-    for extra, line in enumerate(lines[rows + 1 :], start=rows + 2):
-        if line.strip():
-            _fail(path, extra, f"unexpected trailing content {line!r}")
+    out = _read_table(path, "rows cols", _matrix_shape, float)[2]
     if not np.all(np.isfinite(out)):
         _fail(path, 1, "matrix contains non-finite entries")
     return out
 
 
 def write_graph_file(path, g):
-    edges = g.edges()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{g.n} {len(edges)}\n")
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
+    _write_table(path, (g.n, g.edge_count()), g.edges())
+
+
+def _graph_shape(path, n, m):
+    if n < 1 or m < 0:
+        _fail(path, 1, f"invalid counts n={n}, m={m}")
+    if n > MAX_GRAPH_VERTICES:
+        _fail(path, 1, f"n={n} exceeds the cap of {MAX_GRAPH_VERTICES} vertices")
+    return m, 2
 
 
 def read_graph_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    head = lines[0].split() if lines else []
-    if len(head) != 2:
-        _fail(path, 1, f"expected header 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        _fail(path, 1, f"non-integer header {lines[0]!r}")
-    if n < 1 or m < 0:
-        _fail(path, 1, f"invalid counts n={n}, m={m}")
-    if len(lines) < m + 1:
-        _fail(path, len(lines), f"expected {m} edge rows, file ends early")
-    edges = []
-    prev = None
-    for i in range(m):
-        tokens = lines[1 + i].split()
-        if len(tokens) != 2:
-            _fail(path, 2 + i, f"expected 'u v', got {lines[1 + i]!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            _fail(path, 2 + i, f"non-integer endpoints {lines[1 + i]!r}")
-        if not 0 <= u < v < n:
-            _fail(path, 2 + i, f"edge ({u}, {v}) violates 0 <= u < v < n={n}")
-        if prev is not None and (u, v) <= prev:
-            _fail(path, 2 + i, f"edges out of order or duplicated at ({u}, {v})")
-        prev = (u, v)
-        edges.append((u, v))
-    for extra, line in enumerate(lines[m + 1 :], start=m + 2):
-        if line.strip():
-            _fail(path, extra, f"unexpected trailing content {line!r}")
+    n, _, edges = _read_table(path, "n m", _graph_shape, int)
+    u, v = edges.T
+    in_range = (0 <= u) & (u < v) & (v < n)
+    # u*n + v ranks in-range rows; keys of out-of-range rows never decide
+    ascending = np.diff(u * n + v, prepend=-1) > 0
+    bad = np.flatnonzero(~(in_range & ascending))
+    if len(bad):
+        i = int(bad[0])
+        if not in_range[i]:
+            _fail(path, i + 2, f"edge ({u[i]}, {v[i]}) violates 0 <= u < v < n={n}")
+        _fail(path, i + 2, f"edges out of order or duplicated at ({u[i]}, {v[i]})")
     return Graph.from_edges(n, edges)
 
 

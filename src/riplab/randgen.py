@@ -110,14 +110,16 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges):
-        adj = np.zeros((int(n), int(n)), dtype=bool)
-        for u, v in edges:
-            u, v = int(u), int(v)
+        """Graph on n vertices from (u, v) pairs, e.g. an (m, 2) integer array."""
+        e = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+        bad = np.flatnonzero((e[:, 0] == e[:, 1]) | ((e < 0) | (e >= n)).any(axis=1))
+        if len(bad):
+            u, v = e[bad[0]].tolist()
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            adj[u, v] = adj[v, u] = True
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        adj = np.zeros((n, n), dtype=bool)
+        adj[e, e[:, ::-1]] = True  # (u, v) and (v, u) for every edge
         return cls(n, adj)
 
     def has_edge(self, u, v):
@@ -127,8 +129,8 @@ class Graph:
         return int(np.count_nonzero(self.adj) // 2)
 
     def edges(self):
-        """All edges (u, v) with u < v in lexicographic order."""
-        return [(int(u), int(v)) for u, v in np.argwhere(np.triu(self.adj, 1))]
+        """All edges as [u, v] lists with u < v, in lexicographic order."""
+        return np.argwhere(np.triu(self.adj, 1)).tolist()
 
     def signed_adjacency(self):
         """Symmetric float matrix with zero diagonal, +1 on edges, -1 on non-edges."""
@@ -136,18 +138,22 @@ class Graph:
         np.fill_diagonal(a, 0.0)
         return a
 
-    def induces_clique(self, vertices):
-        """True iff every pair among ``vertices`` is an edge."""
+    def missing_edge(self, vertices):
+        """The lexicographically first pair (u, v), u < v, of distinct in-range
+        ``vertices`` that is not an edge, or None when they induce a clique."""
         vertices = [int(v) for v in vertices]
         idx = np.asarray(sorted(set(vertices)), dtype=np.intp)
         if len(idx) != len(vertices):
             raise ValueError("clique vertices must be distinct")
-        if len(idx) and (idx[0] < 0 or idx[-1] >= self.n):
-            raise ValueError("vertex out of range")
-        if len(idx) < 2:
-            return True
-        sub = self.adj[np.ix_(idx, idx)]
-        return bool(np.all(sub[~np.eye(len(idx), dtype=bool)]))
+        bad = idx[(idx < 0) | (idx >= self.n)]
+        if len(bad):
+            raise ValueError(f"vertex {bad[0]} out of range for n={self.n}")
+        pairs = np.argwhere(np.triu(~self.adj[np.ix_(idx, idx)], 1))
+        return tuple(idx[pairs[0]].tolist()) if len(pairs) else None
+
+    def induces_clique(self, vertices):
+        """True iff every pair among ``vertices`` is an edge."""
+        return self.missing_edge(vertices) is None
 
     def copy(self):
         return Graph(self.n, self.adj)

@@ -21,7 +21,6 @@ the explicit clique witness.
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -136,15 +135,8 @@ def clique_witness(g, members, params=None):
     subset = tuple(sorted(int(v) for v in members))
     if len(subset) < 2:
         raise ValueError(f"a clique witness needs at least 2 vertices, got {len(subset)}")
-    if len(set(subset)) != len(subset):
-        raise ValueError("clique vertices must be distinct")
-    for u in subset:
-        if not 0 <= u < g.n:
-            raise ValueError(f"vertex {u} out of range for n={g.n}")
-    for i, u in enumerate(subset):
-        for v in subset[i + 1 :]:
-            if not g.has_edge(u, v):
-                raise ValueError(f"not a clique: missing edge ({u}, {v})")
+    if (missing := g.missing_edge(subset)) is not None:
+        raise ValueError(f"not a clique: missing edge {missing}")
     k = len(subset)
     vec = np.zeros(g.n)
     vec[list(subset)] = 1.0 / math.sqrt(k)
@@ -193,26 +185,23 @@ def _image_norm_sq(mat, witness, n, c, from_clique):
 # When the computed lambda_1 is this close to the threshold, floating point
 # cannot be trusted to sort out the comparison (complete graphs land on the
 # boundary and LAPACK rounds a few ulp either way); such cases escalate to
-# exact rational arithmetic.
+# exact integer arithmetic.
 _REFUTER_BAND = 1e-6
 
 
 def _is_positive_definite_exact(m):
-    # symmetric Gaussian elimination over the rationals; a pivot <= 0 before
-    # completion means not positive definite
-    n = len(m)
-    a = [[Fraction(int(x)) for x in row] for row in m]
-    for i in range(n):
-        piv = a[i][i]
-        if piv <= 0:
+    # Bareiss fraction-free elimination on Python ints (every division is
+    # exact): the pivot of step i is the leading principal minor of order
+    # i + 1, so by Sylvester's criterion m is positive definite iff every
+    # pivot is positive
+    a = np.array(m, dtype=object)
+    prev = 1
+    for i in range(len(a)):
+        if a[i, i] <= 0:
             return False
-        for r in range(i + 1, n):
-            f = a[r][i] / piv
-            if f:
-                ar, ai = a[r], a[i]
-                for c in range(i + 1, n):
-                    if ai[c]:
-                        ar[c] -= f * ai[c]
+        rest = a[i + 1 :, i + 1 :]
+        rest[...] = (a[i, i] * rest - np.outer(a[i + 1 :, i], a[i, i + 1 :])) // prev
+        prev = a[i, i]
     return True
 
 
@@ -223,9 +212,9 @@ def spectral_clique_refuter(g, k):
     "no-clique" is only ever returned for graphs that really have no
     k-clique.  The eigenvalue itself comes from floating point; when it
     lands within 1e-6 of the threshold the comparison is re-decided exactly,
-    in rational arithmetic, as "(k-1)*I - A positive definite?" — so
-    knife-edge inputs (complete graphs, say) still get the mathematically
-    exact answer rather than a rounding accident.
+    in integer arithmetic (fraction-free elimination), as "(k-1)*I - A
+    positive definite?" — so knife-edge inputs (complete graphs, say) still
+    get the mathematically exact answer rather than a rounding accident.
     """
     k = int(k)
     if k < 2:
@@ -235,7 +224,7 @@ def spectral_clique_refuter(g, k):
     target = float(k - 1)
     if abs(lam1 - target) <= _REFUTER_BAND:
         shifted = (k - 1) * np.eye(g.n, dtype=np.int64) - signed.astype(np.int64)
-        return NO_CLIQUE if _is_positive_definite_exact(shifted.tolist()) else YES
+        return NO_CLIQUE if _is_positive_definite_exact(shifted) else YES
     return YES if lam1 >= target else NO_CLIQUE
 
 

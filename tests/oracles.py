@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths used by the package:
 eigenvalues come from exact characteristic polynomials root-solved in
 high precision, restricted-isometry maxima from per-subset singular values,
-clique checks from brute-force enumeration.
+clique checks from brute-force enumeration, exact definiteness from Gaussian
+elimination over the rationals or from characteristic polynomial signs.
 """
 
 import itertools
@@ -35,6 +36,33 @@ def charpoly_exact(m):
             for i in range(n)
         ]
     return coeffs
+
+
+def is_positive_definite_rational(m):
+    """Exact positive definiteness of a symmetric integer matrix: symmetric
+    Gaussian elimination over Fractions, where a pivot <= 0 means no."""
+    n = len(m)
+    a = [[Fraction(int(x)) for x in row] for row in m]
+    for i in range(n):
+        piv = a[i][i]
+        if piv <= 0:
+            return False
+        for r in range(i + 1, n):
+            f = a[r][i] / piv
+            if f:
+                ar, ai = a[r], a[i]
+                for c in range(i + 1, n):
+                    if ai[c]:
+                        ar[c] -= f * ai[c]
+    return True
+
+
+def is_positive_definite_charpoly(m):
+    """Exact positive definiteness of a symmetric matrix: all eigenvalues are
+    positive iff the characteristic polynomial's coefficients strictly
+    alternate in sign (its roots are real).  Small matrices only."""
+    coeffs = charpoly_exact(m)
+    return all(c * (-1) ** i > 0 for i, c in enumerate(coeffs))
 
 
 def eigvals_oracle(m):

@@ -6,7 +6,6 @@ import pytest
 
 from riplab import certify
 from riplab.certify import (
-    BLOCK_COMPOSE,
     EXACT_MAX,
     EXHAUSTIVE,
     LAZY,
@@ -25,24 +24,12 @@ from riplab.certify import (
     quasipoly_probe_order,
     require_unit_columns,
     subset_deviation,
-    unrank_combination,
     validate_unit_columns,
 )
 from riplab.linalg import gram
 from riplab.randgen import Seed, gen_bernoulli_sensing
 
 from oracles import rayleigh_lower_bound, svd_rip_oracle
-
-
-def test_unrank_matches_itertools():
-    for n, k in ((5, 2), (7, 3), (8, 1), (6, 6)):
-        combos = list(itertools.combinations(range(n), k))
-        for rank, want in enumerate(combos):
-            assert unrank_combination(rank, n, k) == want
-    with pytest.raises(ValueError):
-        unrank_combination(10, 5, 2)  # only C(5,2)=10 ranks exist
-    with pytest.raises(ValueError):
-        unrank_combination(-1, 5, 2)
 
 
 def test_coherence_examples():

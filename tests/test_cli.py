@@ -149,6 +149,24 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
         assert rc == 2 and "--rect-aspect must be finite and exceed 1" in err
 
 
+def test_oversized_headers_exit_two(tmp_path, capsys):
+    # a graph header alone would ask for a 100000 x 100000 adjacency
+    g = tmp_path / "g.txt"
+    g.write_text("100000 0\n")
+    for args in (["refute", "--graph", str(g), "--k", "3"],
+                 ["reduce", "--graph", str(g), "--out", str(tmp_path / "f.txt")]):
+        rc, out, err = run_cli(args, capsys)
+        assert rc == 2 and out == ""
+        assert f"{g}:1: n=100000 exceeds the cap of 16384 vertices" in err
+    assert not (tmp_path / "f.txt").exists()
+    # a matrix header asking for 10^11 columns over a one-value row
+    m = tmp_path / "m.txt"
+    m.write_text("1 100000000000\n1.0\n")
+    rc, out, err = run_cli(["exact", "--matrix", str(m), "--order", "1"], capsys)
+    assert rc == 2 and out == ""
+    assert f"{m}:2: expected 100000000000 values, got 1" in err
+
+
 def test_exit_code_three_on_budget(tmp_path, capsys):
     m = make_matrix(tmp_path, capsys)
     rc, _, err = run_cli(["exact", "--matrix", m, "--order", "3", "--budget", "10"], capsys)

@@ -3,6 +3,7 @@ import pytest
 
 from riplab.certify import LazyCertificate, RipReport, Witness, exact_rip
 from riplab.fileio import (
+    MAX_GRAPH_VERTICES,
     VERSION,
     FileFormatError,
     certificate_dict,
@@ -152,6 +153,80 @@ def test_graph_error_names_position(tmp_path):
     p.write_text("4 2\n0 2\n0 1\n")
     with pytest.raises(FileFormatError, match=r"bad\.txt:3: edges out of order"):
         read_graph_file(p)
+
+
+def test_graph_read_limits(tmp_path):
+    p = tmp_path / "g.txt"
+    cases = [
+        (f"{MAX_GRAPH_VERTICES + 1} 0\n", r":1: n=16385 exceeds the cap"),
+        ("3 1\n0 99999999999999999999\n", r":2: invalid int value in '0 99999999999999999999'"),
+        ("3 2\n0 1\n-99999999999999999999 2\n", r":3: invalid int value in '-99999"),
+        ("4 3\n0 1\n1 2\n1 2\n", r":4: edges out of order or duplicated at \(1, 2\)"),
+        ("4 3\n0 1\n2 1\n0 3\n", r":3: edge \(2, 1\) violates 0 <= u < v < n=4"),
+        ("4 3\n0 3\n0 1\n2 9\n", r":3: edges out of order"),  # first bad row wins
+        ("4 2\n0 1\n0 2 3\n", r":3: expected 2 values, got 3"),
+        ("4 1\n0 1.5\n", r":2: invalid int value in '0 1.5'"),
+    ]
+    for text, msg in cases:
+        p.write_text(text)
+        with pytest.raises(FileFormatError, match=msg):
+            read_graph_file(p)
+
+
+def _first_edge_error(n, edges):
+    """(line, message) of the first bad edge row by the per-edge rules, or None."""
+    prev = None
+    for i, (u, v) in enumerate(edges):
+        if not 0 <= u < v < n:
+            return i + 2, f"edge ({u}, {v}) violates 0 <= u < v < n={n}"
+        if prev is not None and (u, v) <= prev:
+            return i + 2, f"edges out of order or duplicated at ({u}, {v})"
+        prev = (u, v)
+    return None
+
+
+def test_graph_edge_checks_match_per_edge_rules(tmp_path):
+    """The array checks report the same first bad row as checking edge by
+    edge, for edge lists with injected faults."""
+    p = tmp_path / "g.txt"
+    faults = 0
+    for s in range(300):
+        rng = np.random.default_rng(s)
+        n = int(rng.integers(2, 9))
+        g = gen_gnp_half(n, Seed(s))
+        edges = [tuple(e) for e in g.edges()]
+        for _ in range(int(rng.integers(0, 3))):
+            if not edges:
+                break
+            i = int(rng.integers(len(edges)))
+            u, v = edges[i]
+            edges[i] = [(v, u), (u, u), (u, n), (-1, v), (u + 2**61, v),  # u * n wraps
+                        edges[i - 1], (u + 1, v)][int(rng.integers(7))]
+        p.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        want = _first_edge_error(n, edges)
+        if want is None:
+            assert read_graph_file(p).edges() == [list(e) for e in edges]
+            continue
+        faults += 1
+        with pytest.raises(FileFormatError) as err:
+            read_graph_file(p)
+        assert str(err.value) == f"{p}:{want[0]}: {want[1]}"
+    assert faults > 100
+
+
+def test_graph_from_edge_array():
+    edges = np.array([[0, 1], [1, 3], [2, 3]], dtype=np.int64)
+    g = Graph.from_edges(4, edges)
+    assert g.edges() == edges.tolist()
+    assert g == Graph.from_edges(4, [(2, 3), (0, 1), (1, 3)])
+    assert Graph.from_edges(3, np.empty((0, 2), dtype=np.int64)) == Graph(3)
+    with pytest.raises(ValueError, match=r"self-loop at vertex 2"):
+        Graph.from_edges(4, [(0, 1), (2, 2), (0, 7)])
+    with pytest.raises(ValueError, match=r"edge \(0, 7\) out of range for n=4"):
+        Graph.from_edges(4, [(0, 7), (2, 2)])
+    for bad in ((0, 4), (-1, 2)):
+        with pytest.raises(ValueError, match=rf"edge \({bad[0]}, {bad[1]}\) out of range"):
+            Graph.from_edges(4, [bad])
 
 
 def test_report_roundtrip(tmp_path):

@@ -204,6 +204,10 @@ def test_graph_validation_and_helpers():
     assert g.adj[0, 1] and g.adj[2, 1] and not g.adj[0, 3]
     assert g.induces_clique((0, 1))
     assert not g.induces_clique((0, 1, 2))
+    assert g.missing_edge((2, 1, 0, 3)) == (0, 2)  # lexicographically first
+    assert g.missing_edge((1, 2)) is None and g.missing_edge(()) is None
+    with pytest.raises(ValueError, match="vertex -1 out of range for n=4"):
+        g.missing_edge((-1, 0, 9))
     assert g.induces_clique(v for v in (0, 1))  # a generator is read once
     with pytest.raises(ValueError, match="distinct"):
         g.induces_clique(v for v in (1, 2, 1))

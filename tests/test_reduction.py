@@ -15,6 +15,7 @@ from riplab.reduction import (
     VIOLATES,
     YES,
     ReductionParams,
+    _is_positive_definite_exact,
     asym_preset,
     cholesky_reduce,
     clique_witness,
@@ -24,7 +25,11 @@ from riplab.reduction import (
     verify_violation,
 )
 
-from oracles import has_clique_bruteforce
+from oracles import (
+    has_clique_bruteforce,
+    is_positive_definite_charpoly,
+    is_positive_definite_rational,
+)
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 
@@ -218,11 +223,63 @@ def test_refuter_planted_cliques_always_flagged():
 def test_refuter_soundness_bruteforce():
     """Whenever the refuter answers no-clique, exhaustive search agrees
     there is no clique of that size."""
+    refuted = 0
     for s in range(30):
         g = gen_gnp_half(12, Seed(s))
-        for k in (4, 5):
+        for k in (6, 7):
             if spectral_clique_refuter(g, k) == NO_CLIQUE:
-                assert not has_clique_bruteforce(g.adj, k)
+                assert not has_clique_bruteforce(g, k)
+                refuted += 1
+    assert refuted  # the assertion above ran
+
+
+def _knife_edge_graphs():
+    """(graph, k) pairs whose lambda_1 lies on or next to the threshold k - 1:
+    K_n at k = n (on it) and n + 1, K_{a,a,a} at k = a + 2 (on it) and K_n
+    minus a perfect matching at k = n - 2 (on it) and n - 1."""
+    for n in range(2, 41):
+        complete = Graph(n, ~np.eye(n, dtype=bool))
+        yield complete, n
+        yield complete, n + 1
+    for a in range(1, 13):
+        part = np.arange(3 * a) // a
+        yield Graph(3 * a, part[:, None] != part[None, :]), a + 2
+    for n in range(4, 31, 2):
+        adj = ~np.eye(n, dtype=bool)
+        adj[np.arange(n), np.arange(n) ^ 1] = False  # drop the matching {2i, 2i + 1}
+        yield Graph(n, adj), n - 2
+        yield Graph(n, adj), n - 1
+
+
+def test_exact_definiteness_matches_rational_elimination():
+    """The exact fallback agrees with elimination over the rationals on the
+    refuter's knife edges, and the refuter answers "yes" exactly when
+    (k-1)I - A is not positive definite, i.e. when lambda_1 >= k - 1."""
+    for g, k in _knife_edge_graphs():
+        shifted = (k - 1) * np.eye(g.n, dtype=np.int64) - signed_adjacency(g).astype(np.int64)
+        definite = is_positive_definite_rational(shifted.tolist())
+        assert _is_positive_definite_exact(shifted) == definite, (g, k)
+        assert spectral_clique_refuter(g, k) == (NO_CLIQUE if definite else YES), (g, k)
+
+
+def test_exact_definiteness_on_random_integer_matrices():
+    """Random symmetric integer matrices, including singular PSD Gram
+    matrices X^T X and their unit shifts, against two exact oracles."""
+    seen = set()
+    for s in range(40):
+        rng = np.random.default_rng(s)
+        n = int(rng.integers(1, 9))
+        if s % 2:
+            x = rng.integers(-2, 3, size=(int(rng.integers(1, n + 1)), n))
+            m = x.T @ x + (s % 4 == 1) * np.eye(n, dtype=np.int64)
+        else:
+            m = rng.integers(-3, 4, size=(n, n))
+            m = m + m.T + int(rng.integers(0, 3 * n)) * np.eye(n, dtype=np.int64)
+        want = is_positive_definite_rational(m.tolist())
+        assert is_positive_definite_charpoly(m.tolist()) == want
+        assert _is_positive_definite_exact(m) == want, s
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_refuter_null_graphs_at_large_order():
