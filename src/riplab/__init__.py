@@ -13,14 +13,11 @@ from .certify import (
     RipReport,
     UnitColumnError,
     Witness,
-    block_compose,
     coherence,
     exact_rip,
     lazy_certify,
     lift_order,
-    predicted_certified_order,
     subset_deviation,
-    validate_unit_columns,
 )
 from .fileio import VERSION as __version__
 from .randgen import (
@@ -36,6 +33,7 @@ from .randgen import (
 from .reduction import (
     ExperimentReport,
     ReductionParams,
+    block_compose,
     cholesky_reduce,
     clique_witness,
     run_distinguishing_experiment,
@@ -67,11 +65,9 @@ __all__ = [
     "lazy_certify",
     "lift_order",
     "plant_clique",
-    "predicted_certified_order",
     "run_distinguishing_experiment",
     "signed_adjacency",
     "spectral_clique_refuter",
     "subset_deviation",
-    "validate_unit_columns",
     "verify_violation",
 ]

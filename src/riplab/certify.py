@@ -27,19 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, gram, spectral_deviation_from_identity
+from .linalg import as_matrix, gram
 
 DEFAULT_BUDGET = 10**8
 UNIT_COLUMN_TOL = 1e-9
 
 # Directions a report's value can bound the true parameter from.
 EXACT_MAX = "ExactMax"
-UPPER_BOUND = "UpperBound"
 LOWER_BOUND = "LowerBound"
 
 # How the value was obtained.
 EXHAUSTIVE = "Exhaustive"
-LAZY = "Lazy"
 WITNESS_LB = "WitnessLB"
 
 
@@ -79,15 +77,6 @@ class LazyCertificate:
     probe_parameter: float
     target_parameter: float
     max_certified_order: int
-
-
-def validate_unit_columns(phi, tol=UNIT_COLUMN_TOL):
-    """True iff every column norm of phi lies in [1-tol, 1+tol]."""
-    try:
-        require_unit_columns(phi, tol)
-    except UnitColumnError:
-        return False
-    return True
 
 
 def require_unit_columns(phi, tol=UNIT_COLUMN_TOL, context="this operation"):
@@ -130,10 +119,12 @@ def check_subset(subset, ncols):
 
 
 def subset_deviation(phi, subset):
-    """Spectral deviation from identity of the Gram matrix of columns ``subset``."""
+    """Spectral deviation max_i |lambda_i(G_S) - 1| of the Gram matrix G_S of
+    columns ``subset``."""
     a = as_matrix(phi, "phi")
     idx = check_subset(subset, a.shape[1])
-    return spectral_deviation_from_identity(gram(a[:, idx]))
+    w = np.linalg.eigvalsh(gram(a[:, idx]) - np.eye(len(idx)))
+    return float(max(abs(w[0]), abs(w[-1])))
 
 
 # Scan chunks start at _FIRST_ROWS subsets, so a threshold hit near the start
@@ -399,61 +390,3 @@ def lazy_certify(phi, m, delta, budget=DEFAULT_BUDGET):
         max_certified_order=k_max,
     )
     return cert, report
-
-
-def lifted_report(cert):
-    """Upper-bound report at the certified order implied by a lazy certificate.
-
-    Its value is the lifted bound eps*(k-1)/(m-1); it examines no subsets."""
-    if cert.max_certified_order < cert.probe_order:
-        raise ValueError("certificate certifies nothing beyond the probe order")
-    value = lift_order(cert.probe_parameter, cert.probe_order, cert.max_certified_order)
-    return RipReport(
-        order=cert.max_certified_order,
-        value=value,
-        direction=UPPER_BOUND,
-        method=LAZY,
-        subsets_examined=0,
-    )
-
-
-def predicted_certified_order(m, n, cols, delta, c_abs=1.0):
-    """Order the lazy route is predicted to certify for an n x cols Bernoulli
-    matrix probed at order m: delta*sqrt(m*n/(c_abs*ln(e*cols/m))).
-
-    The constant ``c_abs`` is an unspecified absolute constant (default 1);
-    outputs are comparable across parameter settings, not absolute truths.
-    The caller floors the result if an integer order is needed.
-    """
-    m, n, cols = int(m), int(n), int(cols)
-    if m < 1:
-        raise ValueError(f"probe order must be at least 1, got {m}")
-    if n < 1:
-        raise ValueError(f"row count must be positive, got {n}")
-    if cols < m:
-        raise ValueError(f"column count {cols} must be at least the probe order {m}")
-    delta = float(delta)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"target parameter must lie in (0, 1), got {delta}")
-    c_abs = float(c_abs)
-    if c_abs <= 0:
-        raise ValueError(f"absolute constant must be positive, got {c_abs}")
-    return delta * math.sqrt(m * n / (c_abs * math.log(math.e * cols / m)))
-
-
-def quasipoly_probe_order(cols):
-    """Probe order preset m = round(ln(cols)^3), the quasi-polynomial regime."""
-    cols = int(cols)
-    if cols < 2:
-        raise ValueError(f"need at least 2 columns, got {cols}")
-    return max(2, round(math.log(cols) ** 3))
-
-
-def block_compose(a, b):
-    """Block-diagonal composition diag(A, B) with zero off-diagonal blocks."""
-    a = as_matrix(a, "first block")
-    b = as_matrix(b, "second block")
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out

@@ -16,6 +16,7 @@ import math
 import sys
 import time
 import traceback
+from dataclasses import asdict
 
 from .certify import (
     BudgetExceededError,
@@ -27,11 +28,8 @@ from .certify import (
 )
 from .fileio import (
     FileFormatError,
-    certificate_dict,
-    experiment_dict,
     read_graph_file,
     read_matrix_file,
-    rip_report_dict,
     witness_dict,
     write_graph_file,
     write_matrix_file,
@@ -171,7 +169,7 @@ def cmd_exact(args):
         "rows": phi.shape[0],
         "cols": phi.shape[1],
     }
-    return None, params, {"report": rip_report_dict(report), "witness": witness_dict(witness)}
+    return None, params, {"report": asdict(report), "witness": witness_dict(witness)}
 
 
 def cmd_coherence(args):
@@ -201,8 +199,8 @@ def cmd_lazy(args):
         "cols": cols,
     }
     results = {
-        "certificate": certificate_dict(cert),
-        "probe_report": rip_report_dict(probe),
+        "certificate": asdict(cert),
+        "probe_report": asdict(probe),
         "naive_plan_subsets": naive,
         "lazy_vs_naive_ratio": ratio,
     }
@@ -337,7 +335,7 @@ def cmd_experiment(args):
         "null_statistic": args.null_stat,
         "budget": args.budget,
     }
-    return seed, run_params, experiment_dict(report)
+    return seed, run_params, asdict(report)
 
 
 def main(argv=None):

@@ -7,7 +7,10 @@ parse(serialize(M)) reproduces M bit for bit.  Graph files: a header line
 in lexicographic order.
 Reports are JSON documents carrying the tool version, the invoked command,
 the seed, the full parameter set, and a results object — everything needed
-to reproduce the run.
+to reproduce the run.  Each part of ``results`` is ``dataclasses.asdict`` of
+a frozen result dataclass, except a witness, whose array vector goes through
+`witness_dict`.  Those dataclasses' fields are therefore the report format,
+and diagnostics such as timings or fallback counts must stay out of them.
 """
 
 import json
@@ -17,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .linalg import as_matrix
-from .randgen import Graph, Seed
+from .randgen import Graph
 
 VERSION = "0.1.0"
 
@@ -117,22 +120,6 @@ def read_graph_file(path):
     return Graph.from_edges(n, edges)
 
 
-def seed_dict(seed):
-    if seed is None:
-        return None
-    return {"value": int(seed.value), "stream": int(seed.stream)}
-
-
-def rip_report_dict(report):
-    return {
-        "order": report.order,
-        "value": float(report.value),
-        "direction": report.direction,
-        "method": report.method,
-        "subsets_examined": report.subsets_examined,
-    }
-
-
 def witness_dict(witness):
     return {
         "subset": [int(i) for i in witness.subset],
@@ -141,44 +128,11 @@ def witness_dict(witness):
     }
 
 
-def certificate_dict(cert):
-    return {
-        "probe_order": cert.probe_order,
-        "probe_parameter": float(cert.probe_parameter),
-        "target_parameter": float(cert.target_parameter),
-        "max_certified_order": cert.max_certified_order,
-    }
-
-
-def experiment_dict(report):
-    return {
-        "n": report.n,
-        "k": report.k,
-        "clique_size": report.clique_size,
-        "c": float(report.c),
-        "delta": float(report.delta),
-        "threshold": float(report.threshold),
-        "null_statistic": report.null_statistic,
-        "rect_cols": report.rect_cols,
-        "base_seed": seed_dict(report.base_seed),
-        "trials": [
-            {
-                "seed": seed_dict(t.seed),
-                "arm": t.arm,
-                "statistic": float(t.statistic),
-                "decision": t.decision,
-            }
-            for t in report.trials
-        ],
-        "separation": asdict(report.separation),
-    }
-
-
 def write_report(path, command, seed, params, results, wall_time_ns):
     doc = {
         "tool_version": VERSION,
         "command": command,
-        "seed": seed_dict(seed),
+        "seed": None if seed is None else asdict(seed),
         "params": params,
         "results": results,
         "wall_time_ns": int(wall_time_ns),

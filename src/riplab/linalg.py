@@ -48,18 +48,18 @@ def sym_eigenvalues(m, name="matrix"):
     return w[::-1].copy()
 
 
-def spectral_deviation_from_identity(m, name="matrix"):
-    """Spectral radius of M - I for symmetric M, i.e. max_i |lambda_i(M) - 1|."""
-    s = symmetric_part(m, name)
-    w = np.linalg.eigvalsh(s - np.eye(s.shape[0]))
-    return float(max(abs(w[0]), abs(w[-1])))
-
-
 def gram(phi):
-    """Column Gram matrix Phi^T Phi, explicitly symmetrized."""
+    """Column Gram matrix Phi^T Phi, exactly symmetric.
+
+    numpy forms a.T @ a for a C- or F-contiguous a by a symmetric rank-k
+    update that mirrors one triangle; a strided a is made contiguous first,
+    as its product need not be symmetric.  The exact-scan screen reads the
+    upper triangle and eigvalsh the lower, so the scan relies on that.
+    """
     a = as_matrix(phi, "phi")
-    g = a.T @ a
-    return (g + g.T) / 2.0
+    if not (a.flags.c_contiguous or a.flags.f_contiguous):
+        a = np.ascontiguousarray(a)
+    return a.T @ a
 
 
 def cholesky_psd(b, tol=PSD_TOL, name="matrix"):

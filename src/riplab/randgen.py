@@ -52,22 +52,23 @@ class Seed:
                 raise ValueError(f"seed {field} must be an integer, got {v!r}")
             if not 0 <= int(v) <= _MASK64:
                 raise ValueError(f"seed {field} out of 64-bit range: {v}")
+            object.__setattr__(self, field, int(v))  # plain ints, for reports
 
     def child(self, *labels):
         """Derive an independent child seed for a labeled subtask."""
-        h = _mix64(int(self.value) + _GOLDEN)
-        h ^= _mix64(int(self.stream) + 2 * _GOLDEN)
+        h = _mix64(self.value + _GOLDEN)
+        h ^= _mix64(self.stream + 2 * _GOLDEN)
         h = _mix64(h)
         for i, lab in enumerate(labels):
             lab = int(lab)
             if lab < 0:
                 raise ValueError("seed labels must be nonnegative")
             h = _mix64(h + lab + (i + 3) * _GOLDEN)
-        return Seed(h, int(self.stream))
+        return Seed(h, self.stream)
 
 
 def _philox(seed, label):
-    key = np.array([int(seed.value), int(seed.stream)], dtype=np.uint64)
+    key = np.array([seed.value, seed.stream], dtype=np.uint64)
     counter = np.array([0, 0, int(label), 0], dtype=np.uint64)
     return np.random.Philox(counter=counter, key=key)
 
@@ -122,9 +123,6 @@ class Graph:
         adj[e, e[:, ::-1]] = True  # (u, v) and (v, u) for every edge
         return cls(n, adj)
 
-    def has_edge(self, u, v):
-        return bool(self.adj[u, v])
-
     def edge_count(self):
         return int(np.count_nonzero(self.adj) // 2)
 
@@ -155,9 +153,6 @@ class Graph:
         """True iff every pair among ``vertices`` is an edge."""
         return self.missing_edge(vertices) is None
 
-    def copy(self):
-        return Graph(self.n, self.adj)
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
@@ -175,10 +170,6 @@ class PlantedInstance:
 
     graph: Graph
     planted: tuple
-
-    @property
-    def size(self):
-        return len(self.planted)
 
 
 def gen_bernoulli_sensing(n, cols, seed):
@@ -214,19 +205,6 @@ def gen_model_b(n, c, seed):
         raise ValueError(f"scale c must be finite and positive, got {c}")
     a = gen_model_a(n, seed)
     return np.eye(int(n)) + (c / np.sqrt(float(n))) * a
-
-
-def model_a_spectral_bound(k, coeff=3.0):
-    """Typical bound coeff*sqrt(k) on the largest eigenvalue of a model-A
-    matrix.  Any coefficient above 2 is asymptotically valid (the largest
-    eigenvalue concentrates near 2*sqrt(k)); 3 leaves desk-scale headroom."""
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"order must be positive, got {k}")
-    coeff = float(coeff)
-    if coeff <= 2.0:
-        raise ValueError(f"coefficient must exceed 2, got {coeff}")
-    return coeff * math.sqrt(k)
 
 
 def gen_gnp_half(n, seed):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import DEFAULT_BUDGET, LOWER_BOUND, Witness, block_compose, exact_rip
+from .certify import DEFAULT_BUDGET, LOWER_BOUND, Witness, exact_rip
 from .linalg import PSD_TOL, as_matrix, cholesky_psd, sym_eigenvalues
 from .randgen import Seed, gen_bernoulli_sensing, gen_gnp_half, plant_clique
 
@@ -228,6 +228,16 @@ def spectral_clique_refuter(g, k):
     return YES if lam1 >= target else NO_CLIQUE
 
 
+def block_compose(a, b):
+    """Block-diagonal composition diag(A, B) with zero off-diagonal blocks."""
+    a = as_matrix(a, "first block")
+    b = as_matrix(b, "second block")
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0] :, a.shape[1] :] = b
+    return out
+
+
 def _pad_columns(witness, total_cols):
     # same support, zeros on the appended coordinates
     full = np.zeros(total_cols)
@@ -340,7 +350,7 @@ def run_distinguishing_experiment(
         n=n,
         k=k,
         clique_size=clique_size,
-        c=params.c,
+        c=float(params.c),
         delta=delta,
         threshold=threshold,
         null_statistic=null_statistic,

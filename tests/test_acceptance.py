@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from riplab.certify import coherence, exact_rip, lazy_certify, lift_order
 from riplab.cli import main
@@ -102,7 +103,7 @@ def test_criterion_03_order_lifting_bound():
 
 def test_criterion_04_block_diagonal_law():
     t0 = time.perf_counter()
-    from riplab.certify import block_compose
+    from riplab.reduction import block_compose
 
     worst = 0.0
     for s in range(50):
@@ -287,6 +288,20 @@ def test_criterion_09_determinism(tmp_path):
                 f"graph file {graph_same}, experiment results vs golden "
                 f"{exp_same}, fresh-interpreter rerun {sub_same}, exact/lazy "
                 f"report results {exact_same}/{lazy_same}, {elapsed:.2f}s")
+
+
+@pytest.mark.parametrize("name", ["exact_results.json", "lazy_results.json",
+                                  "experiment_exact_results.json"])
+def test_criterion_09_report_goldens(name, tmp_path, monkeypatch):
+    # each golden is a CLI report written from tests/; replay its command there
+    golden = read_report(GOLDEN / name)
+    out = tmp_path / "r.json"
+    monkeypatch.chdir(GOLDEN.parent)
+    assert main(golden["command"][:-1] + [str(out)]) == 0
+    doc = read_report(out)
+    same = {key: doc[key] == golden[key] for key in ("seed", "params")}
+    same["results"] = results_bytes(doc) == results_bytes(golden)
+    report_line(9, all(same.values()), f"{name} replayed, sections identical: {same}")
 
 
 def test_criterion_10_lazy_vs_naive_count(tmp_path):

@@ -8,26 +8,20 @@ from riplab import certify
 from riplab.certify import (
     EXACT_MAX,
     EXHAUSTIVE,
-    LAZY,
     LOWER_BOUND,
-    UPPER_BOUND,
     WITNESS_LB,
     BudgetExceededError,
     UnitColumnError,
-    block_compose,
     coherence,
     exact_rip,
     lazy_certify,
     lift_order,
-    lifted_report,
-    predicted_certified_order,
-    quasipoly_probe_order,
     require_unit_columns,
     subset_deviation,
-    validate_unit_columns,
 )
 from riplab.linalg import gram
 from riplab.randgen import Seed, gen_bernoulli_sensing
+from riplab.reduction import block_compose
 
 from oracles import rayleigh_lower_bound, svd_rip_oracle
 
@@ -323,8 +317,9 @@ def test_lazy_certify_orthonormal_hits_cap():
 def test_lazy_certify_requires_unit_columns():
     with pytest.raises(UnitColumnError):
         lazy_certify(2.0 * np.eye(4), 2, 0.5)
-    assert validate_unit_columns(np.eye(4))
-    assert not validate_unit_columns(2.0 * np.eye(4))
+    assert require_unit_columns(np.eye(4)).shape == (4, 4)
+    with pytest.raises(UnitColumnError):
+        require_unit_columns(2.0 * np.eye(4))
     phi = gen_bernoulli_sensing(4, 6, Seed(0))
     with pytest.raises(ValueError):
         lazy_certify(phi, 1, 0.5)
@@ -332,43 +327,6 @@ def test_lazy_certify_requires_unit_columns():
         lazy_certify(phi, 2, 0.0)
     with pytest.raises(ValueError):
         lazy_certify(phi, 2, 1.0)
-
-
-def test_lifted_report_fields():
-    phi = gen_bernoulli_sensing(6, 12, Seed(9))
-    cert, _ = lazy_certify(phi, 2, 0.9)
-    rep = lifted_report(cert)
-    assert rep.order == cert.max_certified_order
-    assert rep.direction == UPPER_BOUND and rep.method == LAZY
-    assert rep.value == lift_order(cert.probe_parameter, 2, cert.max_certified_order)
-    assert rep.value <= 0.9
-
-
-def test_predicted_certified_order():
-    # delta=0.3, m=4, n=100, N=100: 0.3*sqrt(400/ln(100e/4)) ~ 2.92
-    assert abs(predicted_certified_order(4, 100, 100, 0.3) - 2.9211434119097137) < 1e-12
-    # homogeneity: quadrupling rows doubles the prediction
-    a = predicted_certified_order(4, 100, 100, 0.3)
-    b = predicted_certified_order(4, 400, 100, 0.3)
-    assert abs(b - 2.0 * a) < 1e-12
-    # doubling c_abs shrinks by sqrt(2)
-    c = predicted_certified_order(4, 100, 100, 0.3, c_abs=2.0)
-    assert abs(a / c - math.sqrt(2.0)) < 1e-12
-    with pytest.raises(ValueError):
-        predicted_certified_order(0, 100, 100, 0.3)
-    with pytest.raises(ValueError):
-        predicted_certified_order(4, 100, 2, 0.3)
-    with pytest.raises(ValueError):
-        predicted_certified_order(4, 100, 100, 1.5)
-
-
-def test_quasipoly_probe_order():
-    assert quasipoly_probe_order(2) == 2  # floor keeps it a usable order
-    for cols in (100, 1000, 10000):
-        m = quasipoly_probe_order(cols)
-        assert 0.9 <= m / math.log(cols) ** 3 <= 1.1
-    with pytest.raises(ValueError):
-        quasipoly_probe_order(1)
 
 
 def test_block_compose_shapes_and_law():
@@ -392,5 +350,3 @@ def test_unit_column_checks_reject_bad_tolerance(tol):
     # with a NaN tolerance "distance > tol" is false for every column
     with pytest.raises(ValueError, match="finite and nonnegative"):
         require_unit_columns(2.0 * np.eye(3), tol)
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        validate_unit_columns(2.0 * np.eye(3), tol)

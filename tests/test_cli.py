@@ -1,11 +1,14 @@
+import importlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riplab
 from riplab.cli import main
 from riplab.fileio import read_matrix_file, read_report, results_bytes, write_matrix_file
 from riplab.randgen import Seed, gen_bernoulli_sensing, gen_model_a, gen_model_b
@@ -276,6 +279,19 @@ def test_non_finite_c_exits_two_and_writes_nothing(c, tmp_path, capsys):
         assert rc == 2 and out == ""
         assert f"--c must be finite, got {c}" in err
         assert not out_file.exists() and not rep.exists()
+
+
+def test_perfbench_tracer_finds_its_names(tmp_path, capsys, monkeypatch):
+    # perfbench's traced mode wraps riplab functions by module attribute, so a
+    # name it patches that riplab lost raises AttributeError here
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    layers = importlib.import_module("layers")
+    layers.make_tracer(riplab).unpatch()
+    assert riplab.cli.main is main
+    m = make_matrix(tmp_path, capsys)
+    # perfbench passes --workers, which the serial scan accepts and ignores
+    rc, out, _ = run_cli(["exact", "--matrix", m, "--order", "2", "--workers", "2"], capsys)
+    assert rc == 0 and out.startswith("delta=")
 
 
 # argv with {m} (matrix file), {g} (graph file), {o} (output file); report flag

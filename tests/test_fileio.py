@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,10 @@ from riplab.fileio import (
     MAX_GRAPH_VERTICES,
     VERSION,
     FileFormatError,
-    certificate_dict,
-    experiment_dict,
     read_graph_file,
     read_matrix_file,
     read_report,
     results_bytes,
-    rip_report_dict,
-    seed_dict,
     witness_dict,
     write_graph_file,
     write_matrix_file,
@@ -271,24 +269,33 @@ def test_results_bytes_ignores_timing(tmp_path):
 
 
 def test_dict_builders():
-    assert seed_dict(None) is None
-    assert seed_dict(Seed(3, 2)) == {"value": 3, "stream": 2}
+    assert asdict(Seed(3, 2)) == {"value": 3, "stream": 2}
     rep = RipReport(order=2, value=0.5, direction="ExactMax", method="Exhaustive",
                     subsets_examined=10)
-    d = rip_report_dict(rep)
+    d = asdict(rep)
     assert d["order"] == 2 and d["value"] == 0.5
     w = Witness(subset=(0, 2), vector=np.array([0.6, 0.0, 0.8]), deviation=0.1)
     wd = witness_dict(w)
     assert wd == {"subset": [0, 2], "vector": [0.6, 0.0, 0.8], "deviation": 0.1}
     cert = LazyCertificate(probe_order=2, probe_parameter=0.1,
                            target_parameter=0.5, max_certified_order=6)
-    cd = certificate_dict(cert)
+    cd = asdict(cert)
     assert cd["max_certified_order"] == 6
+
+
+def test_numpy_integer_seed_reports_plain_ints(tmp_path):
+    seed = Seed(np.uint64(2**64 - 1), np.int32(3))
+    d = asdict(seed)
+    assert d == {"value": 2**64 - 1, "stream": 3}
+    assert all(type(v) is int for v in d.values())
+    p = tmp_path / "r.json"
+    write_report(p, "x", seed, {}, {}, wall_time_ns=0)
+    assert read_report(p)["seed"] == d
 
 
 def test_experiment_dict_is_json_ready(tmp_path):
     rep = run_distinguishing_experiment(20, 8, 8, 0.2, trials=2, base_seed=Seed(3))
-    d = experiment_dict(rep)
+    d = asdict(rep)
     assert d["n"] == 20 and d["base_seed"] == {"value": 3, "stream": 0}
     assert len(d["trials"]) == 4
     assert d["separation"]["true_positives"] == rep.separation.true_positives
@@ -300,7 +307,7 @@ def test_experiment_dict_is_json_ready(tmp_path):
 def test_exact_report_is_serializable(tmp_path):
     phi = gen_bernoulli_sensing(5, 8, Seed(1))
     rep, wit = exact_rip(phi, 2)
-    doc_results = {"report": rip_report_dict(rep), "witness": witness_dict(wit)}
+    doc_results = {"report": asdict(rep), "witness": witness_dict(wit)}
     p = tmp_path / "r.json"
     write_report(p, "exact", Seed(1), {"order": 2}, doc_results, wall_time_ns=0)
     back = read_report(p)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from riplab.certify import subset_deviation
 from riplab.linalg import (
     PSD_TOL,
     as_matrix,
     cholesky_psd,
     gram,
-    spectral_deviation_from_identity,
     sym_eigenvalues,
     symmetric_part,
 )
@@ -80,9 +80,13 @@ def test_symmetrize_averages_tiny_asymmetry():
 
 
 def test_spectral_deviation_examples():
-    assert spectral_deviation_from_identity(np.eye(3)) == 0.0
-    assert abs(spectral_deviation_from_identity(np.array([[1.0, 0.5], [0.5, 1.0]])) - 0.5) < 1e-15
-    assert abs(spectral_deviation_from_identity(np.diag([1.3, 0.9])) - 0.3) < 1e-15
+    # each example M is the Gram matrix of its Cholesky factor phi = L^T
+    for m, deviation in [(np.eye(3), 0.0),
+                         (np.array([[1.0, 0.5], [0.5, 1.0]]), 0.5),
+                         (np.diag([1.3, 0.9]), 0.3)]:
+        phi = np.linalg.cholesky(m).T
+        got = subset_deviation(phi, range(len(m)))
+        assert abs(got - deviation) < 1e-15
 
 
 def test_gram_matches_inner_products():
@@ -93,6 +97,23 @@ def test_gram_matches_inner_products():
         for j in range(3):
             assert abs(g[i, j] - m[:, i] @ m[:, j]) < 1e-12
     assert np.array_equal(g, g.T)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "row-strided", "column-strided", "strided"])
+def test_gram_is_exactly_symmetric(layout):
+    # The exact scan's Gershgorin screen reads the upper triangle of the Gram
+    # and eigvalsh its lower one, so the screen is sound only if the two agree
+    # bit for bit.  At this size a strided product is not symmetric by itself.
+    base = np.random.default_rng(5).standard_normal((256, 900))
+    a = {
+        "C": np.ascontiguousarray(base[:128, :300]),
+        "F": np.asfortranarray(base[:128, :300]),
+        "row-strided": base[::2, :300],
+        "column-strided": base[:128, ::3],
+        "strided": base[::2, ::3],
+    }[layout]
+    g = gram(a)
+    assert (g == g.T).all()
 
 
 def test_gram_unit_column():

@@ -12,7 +12,6 @@ from riplab.randgen import (
     gen_gnp_half,
     gen_model_a,
     gen_model_b,
-    model_a_spectral_bound,
     plant_clique,
 )
 
@@ -143,19 +142,10 @@ def test_model_b_from_model_a():
             gen_model_b(4, c, Seed(3))
 
 
-def test_spectral_bound():
-    assert model_a_spectral_bound(4, coeff=2.5) == 5.0
-    assert abs(model_a_spectral_bound(500) - 3.0 * np.sqrt(500)) < 1e-12
-    with pytest.raises(ValueError):
-        model_a_spectral_bound(0)
-    with pytest.raises(ValueError):
-        model_a_spectral_bound(10, coeff=2.0)  # tail bound needs coeff > 2
-
-
 def test_model_a_spectral_concentration():
     """All 50 draws at k=500 stay under the 3*sqrt(k) envelope."""
     k = 500
-    bound = model_a_spectral_bound(k)
+    bound = 3.0 * math.sqrt(k)
     top = []
     for s in range(50):
         a = gen_model_a(k, Seed(s))
@@ -228,7 +218,7 @@ def test_plant_clique_examples():
     g = gen_gnp_half(6, Seed(7))
     inst = plant_clique(g, 3, Seed(9))
     assert inst.planted == (1, 2, 3)
-    assert inst.size == 3
+    assert len(inst.planted) == 3
     assert inst.graph.induces_clique(inst.planted)
     # planting only ever adds edges
     for u, v in g.edges():

@@ -183,8 +183,7 @@ def test_verify_violation_rejects_inconsistency():
 def test_monotone_order_padding():
     """A violation at support k survives embedding into a wider frame with
     zeros on the new coordinates."""
-    from riplab.certify import block_compose
-    from riplab.reduction import _pad_columns
+    from riplab.reduction import _pad_columns, block_compose
 
     inst = plant_clique(gen_gnp_half(30, Seed(1)), 8, Seed(2))
     c = cholesky_reduce(inst.graph)
