@@ -23,6 +23,7 @@ parameter to larger orders via the bound delta_k <= eps*(k-1)/(m-1).
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,17 +373,11 @@ def lazy_certify(phi, m, delta, budget=DEFAULT_BUDGET):
 
     report, _ = exact_rip(a, m, budget=budget)
     eps = report.value
-    if eps > delta:
-        k_max = 0
-    elif eps == 0.0:
-        k_max = cap
-    else:
-        k_max = min(cap, math.floor(delta * (m - 1) / eps) + 1)
-        # settle float boundary cases so the lifted bound holds exactly as computed
-        while k_max > m and lift_order(eps, m, k_max) > delta:
-            k_max -= 1
-        while k_max < cap and lift_order(eps, m, k_max + 1) <= delta:
-            k_max += 1
+    # lift_order is nondecreasing in k, so the orders above m whose lifted
+    # bound, as computed, stays within delta form a prefix of m+1..cap
+    k_max = 0 if eps > delta else m + bisect_right(
+        range(m + 1, cap + 1), delta, key=lambda k: lift_order(eps, m, k)
+    )
     cert = LazyCertificate(
         probe_order=m,
         probe_parameter=eps,

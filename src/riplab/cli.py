@@ -35,7 +35,6 @@ from .fileio import (
     write_matrix_file,
     write_report,
 )
-from .linalg import PSD_TOL
 from .randgen import (
     Seed,
     gen_bernoulli_sensing,
@@ -103,7 +102,7 @@ def build_parser():
     gm.add_argument("--n", type=int, required=True)
     gmb = gsub.add_parser("model-b", help="I + c*A/sqrt(n)")
     gmb.add_argument("--n", type=int, required=True)
-    gmb.add_argument("--c", type=float, default=0.3)
+    gmb.add_argument("--c", type=float, default=ReductionParams.c)
     gg = gsub.add_parser("gnp", help="G(n, 1/2) graph")
     gg.add_argument("--n", type=int, required=True)
     gp = gsub.add_parser("planted", help="G(n, 1/2) with a planted clique")
@@ -117,8 +116,8 @@ def build_parser():
 
     pr = sub.add_parser("reduce", help="graph -> factor of I + c*A/sqrt(n), or zero")
     pr.add_argument("--graph", required=True)
-    pr.add_argument("--c", type=float, default=0.3)
-    pr.add_argument("--psd-tol", type=float, default=PSD_TOL)
+    pr.add_argument("--c", type=float, default=ReductionParams.c)
+    pr.add_argument("--psd-tol", type=float, default=ReductionParams.psd_tol)
     pr.add_argument("--out", required=True, help="output matrix file")
     pr.add_argument("--report", default=None)
     pr.set_defaults(func=cmd_reduce)
@@ -138,8 +137,8 @@ def build_parser():
     pe.add_argument("--order", type=int, default=None)
     pe.add_argument("--delta", type=float, default=None)
     pe.add_argument("--trials", type=int, default=None)
-    pe.add_argument("--c", type=float, default=None)
-    pe.add_argument("--psd-tol", type=float, default=None)
+    pe.add_argument("--c", type=float, default=ReductionParams.c)
+    pe.add_argument("--psd-tol", type=float, default=ReductionParams.psd_tol)
     pe.add_argument("--rect-cols", type=int, default=None)
     pe.add_argument("--rect-aspect", type=float, default=None,
                     help="total-width-to-n ratio; rect-cols = (aspect-1)*n")
@@ -303,10 +302,7 @@ def cmd_experiment(args):
             raise ValueError(f"--rect-aspect must be finite and exceed 1, got {args.rect_aspect}")
         rect_cols = int(round((args.rect_aspect - 1) * int(n)))
 
-    params = ReductionParams(
-        c=0.3 if args.c is None else args.c,
-        psd_tol=PSD_TOL if args.psd_tol is None else args.psd_tol,
-    )
+    params = ReductionParams(c=args.c, psd_tol=args.psd_tol)
     seed = Seed(args.seed, args.stream)
     report = run_distinguishing_experiment(
         n,

@@ -37,11 +37,20 @@ def _fail(path, lineno, msg):
     raise FileFormatError(f"{path}:{lineno}: {msg}")
 
 
-def _write_table(path, header, rows):
-    """Two header integers, then one line of space-separated reprs per row."""
+# Values formatted per block by _write_table: whole rows, at least one.
+_WRITE_BLOCK = 1 << 14
+
+
+def _write_table(path, header, table):
+    """Two header integers, then one line of space-separated reprs per row of
+    the 2-D array ``table``, formatted a block of rows at a time."""
+    width = table.shape[1]
+    step = max(1, _WRITE_BLOCK // width)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{header[0]} {header[1]}\n")
-        fh.writelines(" ".join(map(repr, row)) + "\n" for row in rows)
+        for start in range(0, len(table), step):
+            it = map(repr, table[start : start + step].ravel().tolist())
+            fh.write("\n".join(map(" ".join, zip(*[it] * width))) + "\n")
 
 
 def _read_table(path, header, shape, parse):
@@ -77,7 +86,7 @@ def write_matrix_file(path, m):
     """Write ``m``; a matrix the reader would refuse (not 2-D, empty or with
     non-finite entries) raises ValueError before the file is opened."""
     a = as_matrix(m, "matrix")
-    _write_table(path, a.shape, (row.tolist() for row in a))
+    _write_table(path, a.shape, a)
 
 
 def _matrix_shape(path, rows, cols):
@@ -94,7 +103,8 @@ def read_matrix_file(path):
 
 
 def write_graph_file(path, g):
-    _write_table(path, (g.n, g.edge_count()), g.edges())
+    edges = g.edges()
+    _write_table(path, (g.n, len(edges)), edges)
 
 
 def _graph_shape(path, n, m):

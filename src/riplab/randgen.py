@@ -127,8 +127,8 @@ class Graph:
         return int(np.count_nonzero(self.adj) // 2)
 
     def edges(self):
-        """All edges as [u, v] lists with u < v, in lexicographic order."""
-        return np.argwhere(np.triu(self.adj, 1)).tolist()
+        """All edges as an (m, 2) int64 array of rows u < v, in lexicographic order."""
+        return np.argwhere(np.triu(self.adj, 1))
 
     def signed_adjacency(self):
         """Symmetric float matrix with zero diagonal, +1 on edges, -1 on non-edges."""
@@ -148,10 +148,6 @@ class Graph:
             raise ValueError(f"vertex {bad[0]} out of range for n={self.n}")
         pairs = np.argwhere(np.triu(~self.adj[np.ix_(idx, idx)], 1))
         return tuple(idx[pairs[0]].tolist()) if len(pairs) else None
-
-    def induces_clique(self, vertices):
-        """True iff every pair among ``vertices`` is an edge."""
-        return self.missing_edge(vertices) is None
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

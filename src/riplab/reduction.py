@@ -205,6 +205,16 @@ def _is_positive_definite_exact(m):
     return True
 
 
+def _lambda1_reaches(signed, k):
+    """(lambda_1, lambda_1 >= k-1) for a signed adjacency matrix, the
+    comparison decided as :func:`spectral_clique_refuter` describes."""
+    lam1 = float(sym_eigenvalues(signed)[0])
+    if abs(lam1 - (k - 1)) <= _REFUTER_BAND:
+        shifted = (k - 1) * np.eye(len(signed), dtype=np.int64) - signed.astype(np.int64)
+        return lam1, not _is_positive_definite_exact(shifted)
+    return lam1, lam1 >= k - 1
+
+
 def spectral_clique_refuter(g, k):
     """Refuter with exact soundness: "yes" iff lambda_1(A) >= k-1.
 
@@ -219,13 +229,7 @@ def spectral_clique_refuter(g, k):
     k = int(k)
     if k < 2:
         raise ValueError(f"clique size must be at least 2, got {k}")
-    signed = signed_adjacency(g)
-    lam1 = float(sym_eigenvalues(signed)[0])
-    target = float(k - 1)
-    if abs(lam1 - target) <= _REFUTER_BAND:
-        shifted = (k - 1) * np.eye(g.n, dtype=np.int64) - signed.astype(np.int64)
-        return NO_CLIQUE if _is_positive_definite_exact(shifted) else YES
-    return YES if lam1 >= target else NO_CLIQUE
+    return YES if _lambda1_reaches(signed_adjacency(g), k)[1] else NO_CLIQUE
 
 
 def block_compose(a, b):
@@ -260,13 +264,14 @@ def run_distinguishing_experiment(
     """Two-arm planted-clique experiment against the reduction pipeline.
 
     Each trial draws a null graph G ~ G(n, 1/2) and an independent graph
-    with a planted clique of ``clique_size``; both are reduced (and, when
-    ``rect_cols`` is given, block-composed with an n x rect_cols Bernoulli
-    sensing matrix into a 2n x (n + rect_cols) frame).  The planted arm is
-    judged by its explicit clique witness; the null arm by the spectral
-    refuter at order ``k`` (``lambda1`` statistic, threshold k-1), or by
-    exhaustive enumeration with early exit at ``delta`` (``exact``
-    statistic) when the subset count fits the budget.
+    with a planted clique of ``clique_size``; both are reduced.  The planted
+    arm is judged by its explicit clique witness; the null arm by the
+    spectral refuter's rule at order ``k`` (``lambda1`` statistic, threshold
+    k-1), or by exhaustive enumeration with early exit at ``delta``
+    (``exact`` statistic) when the subset count fits the budget.  When
+    ``rect_cols`` is given, each matrix so judged is block-composed with an
+    n x rect_cols Bernoulli sensing matrix into a 2n x (n + rect_cols) frame;
+    the ``lambda1`` arm judges no matrix.
 
     A zero reduction matrix is always classed as a violation.  The planted
     arm is a guaranteed detection whenever delta < c*(min(clique_size,k)-1)/
@@ -312,19 +317,18 @@ def run_distinguishing_experiment(
         g0 = gen_gnp_half(n, null_seed)
         c0 = cholesky_reduce(g0, params)
         zero0 = not c0.any()
-        if rect_cols is not None:
-            c0 = block_compose(c0, gen_bernoulli_sensing(n, rect_cols, null_seed))
         if null_statistic == STAT_LAMBDA1:
-            stat0 = float(sym_eigenvalues(signed_adjacency(g0))[0])
-            flagged0 = zero0 or stat0 >= threshold
+            stat0, reaches = _lambda1_reaches(signed_adjacency(g0), k)
+            flagged0 = zero0 or reaches
+        elif zero0:
+            stat0 = 1.0
+            flagged0 = True
         else:
-            if zero0:
-                stat0 = 1.0
-                flagged0 = True
-            else:
-                rep0, _ = exact_rip(c0, k, threshold=delta, budget=budget)
-                stat0 = rep0.value
-                flagged0 = rep0.direction == LOWER_BOUND
+            if rect_cols is not None:
+                c0 = block_compose(c0, gen_bernoulli_sensing(n, rect_cols, null_seed))
+            rep0, _ = exact_rip(c0, k, threshold=delta, budget=budget)
+            stat0 = rep0.value
+            flagged0 = rep0.direction == LOWER_BOUND
         records.append(
             TrialRecord(null_seed, ARM_NULL, stat0, VIOLATES if flagged0 else PLAUSIBLE)
         )

@@ -11,6 +11,7 @@ from riplab.certify import (
     LOWER_BOUND,
     WITNESS_LB,
     BudgetExceededError,
+    RipReport,
     UnitColumnError,
     coherence,
     exact_rip,
@@ -312,6 +313,34 @@ def test_lazy_certify_orthonormal_hits_cap():
     cert, _ = lazy_certify(np.eye(6), 2, 0.5)
     assert cert.probe_parameter == 0.0
     assert cert.max_certified_order == 6
+
+
+def test_lazy_certify_boundary_orders_match_scan(monkeypatch):
+    """k_max equals a scan over every order k of the lifted bound as computed,
+    for probe parameters within two ulp of a boundary eps = delta(m-1)/(k-1),
+    at eps = delta and at eps = 0."""
+    cap = 24
+    checked = 0
+    for m in (2, 3, 5):
+        for delta in (0.1, 0.3, 1 / 3, 0.5, 0.7, 0.9, 0.999):
+            cases = {0.0, delta}
+            for k in range(m, cap + 2):
+                lo = hi = delta * (m - 1) / (k - 1)
+                cases.add(lo)
+                for _ in range(2):
+                    lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+                    cases.update((lo, hi))
+            for eps in sorted(cases):
+                probe = RipReport(m, eps, EXACT_MAX, EXHAUSTIVE, math.comb(cap, m))
+                monkeypatch.setattr(certify, "exact_rip", lambda a, k, budget: (probe, None))
+                want = 0 if eps > delta else max(
+                    (k for k in range(m + 1, cap + 1) if lift_order(eps, m, k) <= delta),
+                    default=m,
+                )
+                cert, _ = lazy_certify(np.eye(cap), m, delta)
+                assert cert.max_certified_order == want, (eps, m, delta)
+                checked += 1
+    assert checked > 2000
 
 
 def test_lazy_certify_requires_unit_columns():

@@ -294,6 +294,27 @@ def test_perfbench_tracer_finds_its_names(tmp_path, capsys, monkeypatch):
     assert rc == 0 and out.startswith("delta=")
 
 
+def test_perfbench_tracer_sees_one_eigensolve_per_null_trial(capsys, monkeypatch):
+    # the lambda1 null arm's one eigensolve is the refuter's, visible to
+    # perfbench's traced mode; with --rect-cols only the planted arms draw a
+    # sensing matrix, since only exact mode reads the null arm's frame
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracer = importlib.import_module("layers").make_tracer(riplab)
+    try:
+        with tracer.op(0):
+            rc, out, _ = run_cli(["experiment", "--n", "20", "--clique-size", "8",
+                                  "--order", "8", "--delta", "0.2", "--trials", "3",
+                                  "--rect-cols", "10", "--seed", "3"], capsys)
+    finally:
+        tracer.unpatch()
+    assert rc == 0 and out.startswith("tp=3 ")
+    names = [s[0] for s in tracer.spans
+             if s[0].startswith("randgen.") or s[0] == "linalg.sym_eigenvalues"]
+    null = ["randgen.gen_gnp_half", "linalg.sym_eigenvalues"]
+    planted = ["randgen.gen_gnp_half", "randgen.plant_clique", "randgen.gen_bernoulli_sensing"]
+    assert names == (null + planted) * 3
+
+
 # argv with {m} (matrix file), {g} (graph file), {o} (output file); report flag
 REPORT_CASES = {
     "exact": (["exact", "--matrix", "{m}", "--order", "2"], "--out"),

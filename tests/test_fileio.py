@@ -122,6 +122,34 @@ def test_graph_roundtrip_edgeless(tmp_path):
     assert back.n == 4 and len(back.edges()) == 0
 
 
+def _reference_table(header, rows):
+    # the file format spelled out row by row
+    return f"{header[0]} {header[1]}\n" + "".join(
+        " ".join(repr(x) for x in row) + "\n" for row in rows
+    )
+
+
+def test_writers_match_a_per_line_reference(tmp_path):
+    """Tables of more values than one write block (2**14), and rows wider
+    than one, are written with the bytes of a row-by-row formatter."""
+    p = tmp_path / "t.txt"
+    m = gen_bernoulli_sensing(300, 300, Seed(4)) * np.linspace(0.5, 3.0, 300)
+    m[0, :4] = [-0.0, 5e-324, 1e308, 0.1]
+    for a in (m, gen_bernoulli_sensing(2, 20000, Seed(5))):
+        write_matrix_file(p, a)
+        assert p.read_text() == _reference_table(a.shape, a.tolist())
+        assert np.array_equal(read_matrix_file(p), a)
+    n = 300
+    for g in (Graph(n, ~np.eye(n, dtype=bool)), gen_gnp_half(n, Seed(4)), Graph(n)):
+        write_graph_file(p, g)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if g.adj[u, v]]
+        assert p.read_text() == _reference_table((n, len(edges)), edges)
+        e = g.edges()
+        assert e.dtype == np.int64 and e.shape == (len(edges), 2)
+        assert Graph.from_edges(n, e) == g
+    assert p.read_text() == f"{n} 0\n"  # an edgeless graph writes its header only
+
+
 def test_graph_read_errors(tmp_path):
     cases = [
         "",  # no header
@@ -203,7 +231,7 @@ def test_graph_edge_checks_match_per_edge_rules(tmp_path):
         p.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
         want = _first_edge_error(n, edges)
         if want is None:
-            assert read_graph_file(p).edges() == [list(e) for e in edges]
+            assert read_graph_file(p).edges().tolist() == [list(e) for e in edges]
             continue
         faults += 1
         with pytest.raises(FileFormatError) as err:
@@ -215,7 +243,7 @@ def test_graph_edge_checks_match_per_edge_rules(tmp_path):
 def test_graph_from_edge_array():
     edges = np.array([[0, 1], [1, 3], [2, 3]], dtype=np.int64)
     g = Graph.from_edges(4, edges)
-    assert g.edges() == edges.tolist()
+    assert g.edges().tolist() == edges.tolist()
     assert g == Graph.from_edges(4, [(2, 3), (0, 1), (1, 3)])
     assert Graph.from_edges(3, np.empty((0, 2), dtype=np.int64)) == Graph(3)
     with pytest.raises(ValueError, match=r"self-loop at vertex 2"):

@@ -192,15 +192,15 @@ def test_gnp_small_graph_uniformity():
 def test_graph_validation_and_helpers():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert g.adj[0, 1] and g.adj[2, 1] and not g.adj[0, 3]
-    assert g.induces_clique((0, 1))
-    assert not g.induces_clique((0, 1, 2))
+    assert g.missing_edge((0, 1)) is None
+    assert g.missing_edge((0, 1, 2)) == (0, 2)
     assert g.missing_edge((2, 1, 0, 3)) == (0, 2)  # lexicographically first
     assert g.missing_edge((1, 2)) is None and g.missing_edge(()) is None
     with pytest.raises(ValueError, match="vertex -1 out of range for n=4"):
         g.missing_edge((-1, 0, 9))
-    assert g.induces_clique(v for v in (0, 1))  # a generator is read once
+    assert g.missing_edge(v for v in (0, 1)) is None  # a generator is read once
     with pytest.raises(ValueError, match="distinct"):
-        g.induces_clique(v for v in (1, 2, 1))
+        g.missing_edge(v for v in (1, 2, 1))
     assert g == Graph.from_edges(4, [(1, 2), (0, 1)])
     with pytest.raises(ValueError):
         Graph(0)
@@ -219,7 +219,7 @@ def test_plant_clique_examples():
     inst = plant_clique(g, 3, Seed(9))
     assert inst.planted == (1, 2, 3)
     assert len(inst.planted) == 3
-    assert inst.graph.induces_clique(inst.planted)
+    assert inst.graph.missing_edge(inst.planted) is None
     # planting only ever adds edges
     for u, v in g.edges():
         assert inst.graph.adj[u, v]

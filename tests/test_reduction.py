@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from riplab import reduction
 from riplab.randgen import Graph, Seed, gen_gnp_half, gen_model_a, plant_clique
 from riplab.reduction import (
     ARM_NULL,
@@ -299,6 +300,32 @@ def test_experiment_guaranteed_planted_detection():
     # reproducible end to end
     again = run_distinguishing_experiment(50, 12, 12, 0.2, trials=3, base_seed=Seed(5))
     assert [t.statistic for t in again.trials] == [t.statistic for t in rep.trials]
+
+
+def _complete_multipartite(parts, size):
+    labels = np.arange(parts * size) % parts  # interleaved parts
+    return Graph(parts * size, labels[:, None] != labels[None, :])
+
+
+def test_lambda1_null_arm_agrees_with_refuter_on_knife_edges(monkeypatch):
+    """Null graphs with lambda_1 = k-1 exactly: K_n at k = n, K_{a,a,a} at
+    k = a + 2 and K_n minus a perfect matching (lambda_1 = n - 3) at
+    k = n - 2, plus k = n - 1 for no-clique answers.  The lambda1 arm flags
+    a trial exactly when the refuter answers yes."""
+    cases = [(_complete_multipartite(n, 1), n, n - 1) for n in range(4, 41)]
+    cases += [(_complete_multipartite(3, a), a + 2, a + 1) for a in range(2, 13)]
+    cases += [(_complete_multipartite(n // 2, 2), n - d, n - 3)
+              for n in range(6, 31, 2) for d in (1, 2)]
+    answers = set()
+    for g, k, lam1 in cases:
+        monkeypatch.setattr(reduction, "gen_gnp_half", lambda n, seed: g)
+        rep = run_distinguishing_experiment(g.n, k, k, 0.1, trials=1, base_seed=Seed(0))
+        null = rep.trials[0]
+        assert null.arm == ARM_NULL and abs(null.statistic - lam1) <= 1e-9 * g.n
+        answer = spectral_clique_refuter(g, k)
+        assert (null.decision == VIOLATES) == (answer == YES), (g, k)
+        answers.add(answer)
+    assert answers == {YES, NO_CLIQUE}
 
 
 def test_experiment_two_sided_at_k35():
