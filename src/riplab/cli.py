@@ -264,6 +264,7 @@ def cmd_refute(args):
 
 
 def cmd_experiment(args):
+    _require_finite_c(args)
     if args.preset == "asym":
         if args.n is None or args.eps is None:
             raise ValueError("--preset asym requires --n and --eps")

@@ -1,16 +1,13 @@
-"""Dense symmetric linear algebra used everywhere else in the package.
+"""Dense symmetric linear algebra: eigenvalues, Gram matrices, PSD factors.
 
-All matrices are float64 numpy arrays.  Symmetric inputs are gated at a strict
-asymmetry tolerance and symmetrized before any factorization so that results
-do not depend on which triangle the caller filled in.
+All matrices are float64 numpy arrays.  A symmetric input must equal its
+transpose exactly, so the triangle a solver reads never changes a result;
+the input is passed on unchanged, never symmetrized.
 """
 
 import math
 
 import numpy as np
-
-# Inputs whose asymmetry exceeds this are rejected rather than silently fixed.
-SYMMETRY_TOL = 1e-12
 
 # An eigenvalue above -PSD_TOL counts as nonnegative for factorization purposes.
 PSD_TOL = 1e-10
@@ -28,24 +25,20 @@ def as_matrix(m, name="matrix"):
     return a
 
 
-def symmetric_part(m, name="matrix", tol=SYMMETRY_TOL):
-    """Return (M + M^T)/2 after checking that M is square and nearly symmetric."""
-    a = as_matrix(m, name)
+def _symmetric(m):
+    """M as a square float64 array, rejected unless M == M^T exactly."""
+    a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if asym > tol:
-        raise ValueError(
-            f"{name} is not symmetric: max |M - M^T| = {asym:.3e} exceeds {tol:.1e}"
-        )
-    return (a + a.T) / 2.0
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not np.array_equal(a, a.T):
+        asym = np.max(np.abs(a - a.T))
+        raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
+    return a
 
 
-def sym_eigenvalues(m, name="matrix"):
+def sym_eigenvalues(m):
     """All eigenvalues of a symmetric matrix, sorted descending."""
-    s = symmetric_part(m, name)
-    w = np.linalg.eigvalsh(s)
-    return w[::-1].copy()
+    return np.linalg.eigvalsh(_symmetric(m))[::-1].copy()
 
 
 def gram(phi):
@@ -62,7 +55,7 @@ def gram(phi):
     return a.T @ a
 
 
-def cholesky_psd(b, tol=PSD_TOL, name="matrix"):
+def cholesky_psd(b, tol=PSD_TOL):
     """Factor a symmetric PSD matrix as R^T R with R upper triangular.
 
     Tries the ordinary Cholesky factorization first.  If that fails but every
@@ -76,7 +69,7 @@ def cholesky_psd(b, tol=PSD_TOL, name="matrix"):
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-    s = symmetric_part(b, name)
+    s = _symmetric(b)
     try:
         lower = np.linalg.cholesky(s)
         return lower.T.copy()

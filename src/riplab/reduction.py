@@ -310,8 +310,6 @@ def run_distinguishing_experiment(
     threshold = float(k - 1) if null_statistic == STAT_LAMBDA1 else delta
 
     records = []
-    tp = 0
-    fp = 0
     for t in range(trials):
         null_seed = base_seed.child(t, 0)
         g0 = gen_gnp_half(n, null_seed)
@@ -332,8 +330,6 @@ def run_distinguishing_experiment(
         records.append(
             TrialRecord(null_seed, ARM_NULL, stat0, VIOLATES if flagged0 else PLAUSIBLE)
         )
-        if flagged0:
-            fp += 1
 
         planted_seed = base_seed.child(t, 1)
         instance = plant_clique(gen_gnp_half(n, planted_seed), clique_size, planted_seed)
@@ -347,9 +343,8 @@ def run_distinguishing_experiment(
         records.append(
             TrialRecord(planted_seed, ARM_PLANTED, stat1, VIOLATES if flagged1 else PLAUSIBLE)
         )
-        if flagged1:
-            tp += 1
 
+    flagged = [r.arm for r in records if r.decision == VIOLATES]
     return ExperimentReport(
         n=n,
         k=k,
@@ -361,7 +356,7 @@ def run_distinguishing_experiment(
         rect_cols=rect_cols,
         base_seed=base_seed,
         trials=tuple(records),
-        separation=Separation(true_positives=tp, false_positives=fp),
+        separation=Separation(flagged.count(ARM_PLANTED), flagged.count(ARM_NULL)),
     )
 
 

@@ -279,6 +279,22 @@ def test_non_finite_c_exits_two_and_writes_nothing(c, tmp_path, capsys):
         assert rc == 2 and out == ""
         assert f"--c must be finite, got {c}" in err
         assert not out_file.exists() and not rep.exists()
+    rc, out, err = run_cli(["experiment", "--preset", "desk-200", "--trials", "1", "--seed", "1",
+                            f"--c={c}", "--out", str(rep)], capsys)
+    assert rc == 2 and out == ""
+    assert f"--c must be finite, got {c}" in err
+    assert not rep.exists()
+
+
+def test_reduce_replays_its_golden_factor(tmp_path, capsys, monkeypatch):
+    # the factor file that reduce writes for a committed graph, byte for byte
+    tests = Path(__file__).parent
+    monkeypatch.chdir(tests)
+    out = tmp_path / "factor.txt"
+    rc, stdout, _ = run_cli(["reduce", "--graph", "golden/gnp_16_seed3.txt", "--out", str(out)],
+                            capsys)
+    assert rc == 0 and stdout == f"status=ok\nwrote={out}\n"
+    assert out.read_bytes() == (tests / "golden" / "reduce_gnp16_factor.txt").read_bytes()
 
 
 def test_perfbench_tracer_finds_its_names(tmp_path, capsys, monkeypatch):

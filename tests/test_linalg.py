@@ -8,7 +8,6 @@ from riplab.linalg import (
     cholesky_psd,
     gram,
     sym_eigenvalues,
-    symmetric_part,
 )
 from riplab.randgen import Seed, gen_model_a
 
@@ -73,10 +72,18 @@ def test_rejects_nonsquare_and_asymmetric_and_nonfinite():
         as_matrix(np.array([1.0, 2.0]))
 
 
-def test_symmetrize_averages_tiny_asymmetry():
-    m = np.array([[1.0, 0.5 + 1e-13], [0.5, 1.0]])
-    s = symmetric_part(m)
-    assert s[0, 1] == s[1, 0]
+def test_symmetry_gate_is_exact_and_passes_input_unchanged():
+    # one ulp of asymmetry is rejected
+    m = np.array([[1.0, np.nextafter(0.5, 1.0)], [0.5, 1.0]])
+    for f in (sym_eigenvalues, cholesky_psd):
+        with pytest.raises(ValueError, match="not symmetric"):
+            f(m)
+    # an exactly symmetric input reaches LAPACK as it is
+    n = 50
+    for seed in range(4):
+        b = np.eye(n) + (0.3 / np.sqrt(n)) * gen_model_a(n, Seed(seed))
+        np.testing.assert_array_equal(sym_eigenvalues(b), np.linalg.eigvalsh(b)[::-1])
+        np.testing.assert_array_equal(cholesky_psd(b), np.linalg.cholesky(b).T)
 
 
 def test_spectral_deviation_examples():
