@@ -280,9 +280,9 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET):
     whose deviation strictly exceeds it; the report then carries direction
     ``LowerBound`` and the examined-subset count at the stopping point.
 
-    ``budget`` bounds C(N, k); beyond it a :class:`BudgetExceededError` is
-    raised before any work is done.  The report carries no timing; the CLI
-    times whole commands.
+    ``budget``, a positive count that always applies, bounds C(N, k); beyond
+    it a :class:`BudgetExceededError` is raised before any work is done.
+    The report carries no timing; the CLI times whole commands.
     """
     a = as_matrix(phi, "phi")
     ncols = a.shape[1]
@@ -293,10 +293,10 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET):
         threshold = float(threshold)
         if not math.isfinite(threshold):
             raise ValueError(f"threshold must be finite, got {threshold}")
-    if budget is not None and budget < 1:
+    if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     total = math.comb(ncols, k)
-    if budget is not None and total > budget:
+    if total > budget:
         raise BudgetExceededError(
             f"C({ncols},{k}) = {total} subsets exceeds the enumeration budget {budget}"
         )
@@ -360,7 +360,8 @@ def lazy_certify(phi, m, delta, budget=DEFAULT_BUDGET):
     Computes eps = exact order-m parameter, then returns the largest
     k <= min(rows, cols) with eps*(k-1)/(m-1) <= delta (0 when even the
     probe order fails, i.e. eps > delta).  Requires unit columns within
-    1e-9.  Returns the certificate together with the probe report.
+    1e-9.  The probe scan is bounded by ``budget`` as in :func:`exact_rip`.
+    Returns the certificate together with the probe report.
     """
     a = require_unit_columns(phi, UNIT_COLUMN_TOL, "lazy certification")
     cap = min(a.shape)

@@ -140,8 +140,6 @@ def build_parser():
     pe.add_argument("--c", type=float, default=ReductionParams.c)
     pe.add_argument("--psd-tol", type=float, default=ReductionParams.psd_tol)
     pe.add_argument("--rect-cols", type=int, default=None)
-    pe.add_argument("--rect-aspect", type=float, default=None,
-                    help="total-width-to-n ratio; rect-cols = (aspect-1)*n")
     pe.add_argument("--null-stat", choices=["lambda1", "exact"], default="lambda1")
     pe.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     _add_seed_flags(pe)
@@ -264,60 +262,37 @@ def cmd_refute(args):
 
 
 def cmd_experiment(args):
+    """Run the two-arm experiment on the parameters of ``--preset`` (a named
+    desk preset, or ``asym`` from --n and --eps; none at all without it),
+    each overridden by its flag when given.  ``trials`` defaults as in
+    `run_distinguishing_experiment`."""
     _require_finite_c(args)
     if args.preset == "asym":
         if args.n is None or args.eps is None:
             raise ValueError("--preset asym requires --n and --eps")
-        base = asym_preset(args.n, args.eps)
-    elif args.preset is not None:
-        base = dict(PRESETS[args.preset])
+        run = asym_preset(args.n, args.eps)
     else:
-        base = {}
-
-    def pick(flag, key, fallback=None):
-        if flag is not None:
-            return flag
-        if key in base:
-            return base[key]
-        return fallback
-
-    n = pick(args.n, "n")
-    clique_size = pick(args.clique_size, "clique_size")
-    order = pick(args.order, "k")
-    delta = pick(args.delta, "delta")
-    trials = pick(args.trials, "trials", 20)
-    missing = [
-        name
-        for name, v in [("--n", n), ("--clique-size", clique_size),
-                        ("--order", order), ("--delta", delta)]
-        if v is None
-    ]
+        run = dict(PRESETS.get(args.preset, {}))
+    given = {"n": args.n, "clique_size": args.clique_size, "k": args.order,
+             "delta": args.delta, "trials": args.trials}
+    run.update({key: v for key, v in given.items() if v is not None})
+    required = {"--n": "n", "--clique-size": "clique_size", "--order": "k", "--delta": "delta"}
+    missing = [flag for flag, key in required.items() if key not in run]
     if missing:
         raise ValueError(f"missing required experiment parameters: {', '.join(missing)}")
-
-    rect_cols = args.rect_cols
-    if args.rect_aspect is not None:
-        if rect_cols is not None:
-            raise ValueError("give either --rect-cols or --rect-aspect, not both")
-        if not 1 < args.rect_aspect < math.inf:
-            raise ValueError(f"--rect-aspect must be finite and exceed 1, got {args.rect_aspect}")
-        rect_cols = int(round((args.rect_aspect - 1) * int(n)))
 
     params = ReductionParams(c=args.c, psd_tol=args.psd_tol)
     seed = Seed(args.seed, args.stream)
     report = run_distinguishing_experiment(
-        n,
-        clique_size,
-        order,
-        delta,
+        **run,
         params=params,
-        trials=trials,
         base_seed=seed,
-        rect_cols=rect_cols,
+        rect_cols=args.rect_cols,
         null_statistic=args.null_stat,
         budget=args.budget,
     )
     sep = report.separation
+    trials = len(report.trials) // 2
     print(f"tp={sep.true_positives} fp={sep.false_positives} trials={trials}")
     run_params = {
         "preset": args.preset,
@@ -328,7 +303,7 @@ def cmd_experiment(args):
         "trials": trials,
         "c": params.c,
         "psd_tol": params.psd_tol,
-        "rect_cols": rect_cols,
+        "rect_cols": report.rect_cols,
         "null_statistic": args.null_stat,
         "budget": args.budget,
     }

@@ -3,8 +3,8 @@
 Matrix files: a header line "rows cols", then one line per row of
 space-separated floats in shortest round-trip representation, so
 parse(serialize(M)) reproduces M bit for bit.  Graph files: a header line
-"n m" with n <= MAX_GRAPH_VERTICES, then m lines "u v" with 0 <= u < v < n
-in lexicographic order.
+"n m" with n <= randgen.MAX_GRAPH_VERTICES, then m lines "u v" with
+0 <= u < v < n in lexicographic order.
 Reports are JSON documents carrying the tool version, the invoked command,
 the seed, the full parameter set, and a results object — everything needed
 to reproduce the run.  Each part of ``results`` is ``dataclasses.asdict`` of
@@ -20,17 +20,13 @@ from dataclasses import asdict
 import numpy as np
 
 from .linalg import as_matrix
-from .randgen import Graph
+from .randgen import MAX_GRAPH_VERTICES, Graph
 
 VERSION = "0.1.0"
 
 
 class FileFormatError(ValueError):
     """Raised when an input file does not match its documented format."""
-
-
-# A graph file's n sizes an n x n adjacency before any edge is read.
-MAX_GRAPH_VERTICES = 1 << 14
 
 
 def _fail(path, lineno, msg):

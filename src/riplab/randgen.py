@@ -75,8 +75,6 @@ def _philox(seed, label):
 
 def _raw_words(seed, label, count):
     """``count`` Philox words for this seed/label, always the same ones."""
-    if count == 0:
-        return np.empty(0, dtype=np.uint64)
     return _philox(seed, label).random_raw(count)
 
 
@@ -86,6 +84,11 @@ def _signs(seed, label, count):
     return np.where(words & np.uint64(1), 1.0, -1.0)
 
 
+# A graph's n sizes an n x n adjacency (and a generator's n(n-1)/2 sign
+# words) before anything else is done with it.
+MAX_GRAPH_VERTICES = 1 << 14
+
+
 class Graph:
     """Undirected simple graph on vertices 0..n-1 with dense adjacency."""
 
@@ -93,8 +96,8 @@ class Graph:
 
     def __init__(self, n, adj=None):
         n = int(n)
-        if n <= 0:
-            raise ValueError(f"graph needs at least one vertex, got n={n}")
+        if not 1 <= n <= MAX_GRAPH_VERTICES:
+            raise ValueError(f"graph needs 1 to {MAX_GRAPH_VERTICES} vertices, got n={n}")
         if adj is None:
             adj = np.zeros((n, n), dtype=bool)
         else:
@@ -119,9 +122,9 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        adj = np.zeros((n, n), dtype=bool)
-        adj[e, e[:, ::-1]] = True  # (u, v) and (v, u) for every edge
-        return cls(n, adj)
+        g = cls(n)
+        g.adj[e, e[:, ::-1]] = True  # (u, v) and (v, u) for every edge
+        return g
 
     def edge_count(self):
         return int(np.count_nonzero(self.adj) // 2)
@@ -209,15 +212,14 @@ def gen_gnp_half(n, seed):
     An edge is present exactly where the model-A entry is +1, so downstream
     code may convert between the two without re-drawing randomness.
     """
-    n = int(n)
-    if n <= 0:
-        raise ValueError(f"graph needs at least one vertex, got n={n}")
-    adj = np.zeros((n, n), dtype=bool)
-    iu = np.triu_indices(n, 1)
-    words = _raw_words(seed, _LABEL_SYM, len(iu[0]))
-    adj[iu] = (words & np.uint64(1)).astype(bool)
-    adj |= adj.T
-    return Graph(n, adj)
+    g = Graph(n)  # checks n before anything of its size is allocated
+    # a boolean mask visits the upper triangle in row-major order
+    upper = np.triu(np.ones((g.n, g.n), dtype=bool), 1)
+    words = _raw_words(seed, _LABEL_SYM, g.n * (g.n - 1) // 2)
+    words &= np.uint64(1)  # in place: the low bit of each word is its edge
+    g.adj[upper] = words
+    g.adj |= g.adj.T
+    return g
 
 
 def plant_clique(graph, size, seed):

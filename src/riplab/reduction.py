@@ -271,9 +271,12 @@ def run_distinguishing_experiment(
     (``exact`` statistic) when the subset count fits the budget.  When
     ``rect_cols`` is given, each matrix so judged is block-composed with an
     n x rect_cols Bernoulli sensing matrix into a 2n x (n + rect_cols) frame;
-    the ``lambda1`` arm judges no matrix.
+    the ``lambda1`` arm judges no matrix.  ``budget`` bounds every exact null
+    scan, that of a zero reduction too.
 
-    A zero reduction matrix is always classed as a violation.  The planted
+    A zero reduction matrix is always classed as a violation: the ``lambda1``
+    arm tests for it, and the ``exact`` scan of it stops at its first subset
+    with deviation exactly 1, a ``LowerBound`` over any delta < 1.  The planted
     arm is a guaranteed detection whenever delta < c*(min(clique_size,k)-1)/
     sqrt(n); outside that range a warning is issued and the one-sided
     guarantee no longer applies.
@@ -314,13 +317,9 @@ def run_distinguishing_experiment(
         null_seed = base_seed.child(t, 0)
         g0 = gen_gnp_half(n, null_seed)
         c0 = cholesky_reduce(g0, params)
-        zero0 = not c0.any()
         if null_statistic == STAT_LAMBDA1:
             stat0, reaches = _lambda1_reaches(signed_adjacency(g0), k)
-            flagged0 = zero0 or reaches
-        elif zero0:
-            stat0 = 1.0
-            flagged0 = True
+            flagged0 = reaches or not c0.any()
         else:
             if rect_cols is not None:
                 c0 = block_compose(c0, gen_bernoulli_sensing(n, rect_cols, null_seed))

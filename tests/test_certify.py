@@ -141,6 +141,8 @@ def test_budget_error_names_the_count():
     phi = gen_bernoulli_sensing(4, 30, Seed(0))
     with pytest.raises(BudgetExceededError, match=r"C\(30,5\) = 142506"):
         exact_rip(phi, 5, budget=1000)
+    with pytest.raises(TypeError):  # there is no unbounded scan
+        exact_rip(phi, 2, budget=None)
     with pytest.raises(ValueError):
         exact_rip(phi, 0)
     with pytest.raises(ValueError):

@@ -11,7 +11,15 @@ import pytest
 import riplab
 from riplab.cli import main
 from riplab.fileio import read_matrix_file, read_report, results_bytes, write_matrix_file
-from riplab.randgen import Seed, gen_bernoulli_sensing, gen_model_a, gen_model_b
+from riplab.randgen import (
+    MAX_GRAPH_VERTICES,
+    Seed,
+    gen_bernoulli_sensing,
+    gen_gnp_half,
+    gen_model_a,
+    gen_model_b,
+)
+from riplab.reduction import ReductionParams, asym_preset, cholesky_reduce
 
 
 def run_cli(args, capsys):
@@ -146,10 +154,6 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
     bad.write_text("not a matrix\n")
     rc, _, err = run_cli(["exact", "--matrix", str(bad), "--order", "2"], capsys)
     assert rc == 2 and "expected header" in err
-    for aspect in ("inf", "nan", "1"):
-        rc, _, err = run_cli(["experiment", "--preset", "desk-200", "--trials", "1",
-                              "--seed", "1", "--rect-aspect", aspect], capsys)
-        assert rc == 2 and "--rect-aspect must be finite and exceed 1" in err
 
 
 def test_oversized_headers_exit_two(tmp_path, capsys):
@@ -198,6 +202,92 @@ def test_experiment_asym_needs_n_and_eps(capsys):
     rc, _, err = run_cli(["experiment", "--preset", "asym", "--seed", "1"], capsys)
     assert rc == 2
     assert "requires --n and --eps" in err
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_experiment_flags_override_the_preset(tmp_path, capsys):
+    rep = str(tmp_path / "e.json")
+
+    def run_params(argv):
+        rc, _, err = run_cli(["experiment"] + argv + ["--out", rep], capsys)
+        assert rc == 0, err
+        p = read_report(rep)["params"]
+        return p["n"], p["clique_size"], p["order"], p["delta"], p["trials"]
+
+    assert run_params(["--preset", "desk-200", "--n", "100", "--order", "10",
+                       "--trials", "1", "--seed", "2"]) == (100, 14, 10, 0.2, 1)
+    asym = asym_preset(64, 0.1)
+    assert run_params(["--preset", "asym", "--n", "64", "--eps", "0.1", "--order", "5",
+                       "--trials", "1", "--seed", "4"]) == (64, asym["clique_size"], 5,
+                                                            asym["delta"], 1)
+    # without a preset or --trials, the library's default trial count
+    assert run_params(["--n", "12", "--clique-size", "6", "--order", "3", "--delta", "0.3",
+                       "--seed", "2"]) == (12, 6, 3, 0.3, 20)
+
+
+def test_experiment_names_missing_parameters_in_flag_order(capsys):
+    for argv, missing in ((["--seed", "1"], "--n, --clique-size, --order, --delta"),
+                          (["--n", "20", "--order", "3", "--seed", "1"], "--clique-size, --delta"),
+                          (["--preset", "desk-200", "--n", "20", "--seed", "1"], None)):
+        rc, out, err = run_cli(["experiment", "--trials", "0"] + argv, capsys)
+        assert rc == 2 and out == ""
+        if missing is None:  # a preset supplies them all; the library refuses 0 trials
+            assert err == "error: need at least one trial, got 0\n"
+        else:
+            assert err == f"error: missing required experiment parameters: {missing}\n"
+
+
+# every G(16, 1/2) draw of seed 1's three trials fails to factor at c = 0.9
+ZERO_NULL_RUN = ["experiment", "--null-stat", "exact", "--n", "16", "--clique-size", "4",
+                 "--order", "3", "--delta", "0.5", "--c", "0.9", "--trials", "3", "--seed", "1"]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("rect", [[], ["--rect-cols", "5"]])
+def test_exact_null_arm_scans_zero_reductions(rect, tmp_path, capsys):
+    rep = str(tmp_path / "e.json")
+    rc, out, err = run_cli(ZERO_NULL_RUN + rect + ["--out", rep], capsys)
+    assert rc == 0, err
+    assert out == "tp=3 fp=3 trials=3\n"
+    null = [t for t in read_report(rep)["results"]["trials"] if t["arm"] == "null"]
+    assert len(null) == 3
+    params = ReductionParams(c=0.9)
+    for t in null:
+        g = gen_gnp_half(16, Seed(**t["seed"]))
+        assert not cholesky_reduce(g, params).any()
+        # exact_rip's first subset lies in the zero block: deviation exactly 1
+        assert (t["statistic"], t["decision"]) == (1.0, "violates-rip")
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("rect, subsets", [([], "C(16,3) = 560"),
+                                           (["--rect-cols", "5"], "C(21,3) = 1330")])
+def test_budget_bounds_exact_scans_of_zero_reductions(rect, subsets, tmp_path, capsys):
+    rep = tmp_path / "e.json"
+    rc, out, err = run_cli(ZERO_NULL_RUN + rect + ["--budget", "100", "--out", str(rep)],
+                           capsys)
+    assert rc == 3 and out == ""
+    assert err.endswith(f"error: {subsets} subsets exceeds the enumeration budget 100\n")
+    assert not rep.exists()
+
+
+def test_generator_sizes_above_the_vertex_cap_exit_two(tmp_path, capsys):
+    # refused before the n x n adjacency or n(n-1)/2 sign words are allocated
+    n = str(MAX_GRAPH_VERTICES + 1)
+    out_file = tmp_path / "o.txt"
+    rep = tmp_path / "r.json"
+    for model in (["gnp"], ["planted", "--t", "3"], ["model-a"], ["model-b"]):
+        rc, out, err = run_cli(["generate", *model, "--n", n, "--seed", "1",
+                                "--out", str(out_file), "--report", str(rep)], capsys)
+        assert rc == 2 and out == ""
+        assert f"graph needs 1 to {MAX_GRAPH_VERTICES} vertices, got n={n}" in err
+    assert not out_file.exists() and not rep.exists()
+    rc, out, err = run_cli(["experiment", "--n", n, "--clique-size", "4", "--order", "3",
+                            "--delta", "0.001", "--trials", "1", "--seed", "1",
+                            "--out", str(rep)], capsys)
+    assert rc == 2 and out == ""
+    assert f"got n={n}" in err
+    assert not rep.exists()
 
 
 def test_report_results_deterministic(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from riplab.randgen import (
+    MAX_GRAPH_VERTICES,
     Graph,
     Seed,
     _raw_words,
@@ -204,6 +205,10 @@ def test_graph_validation_and_helpers():
     assert g == Graph.from_edges(4, [(1, 2), (0, 1)])
     with pytest.raises(ValueError):
         Graph(0)
+    for too_big in (lambda n: Graph(n), lambda n: Graph.from_edges(n, [(0, 1)]),
+                    lambda n: gen_gnp_half(n, Seed(0))):
+        with pytest.raises(ValueError, match=f"1 to {MAX_GRAPH_VERTICES} vertices"):
+            too_big(MAX_GRAPH_VERTICES + 1)
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
