@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand prints a small stable ``key=value`` line (or a bare
-decision word) on stdout and returns ``(seed, params, results)``; `main`
-times it and writes the JSON report (tool version, command, seed, parameters,
-results and wall time) when one is asked for.  Exit codes: 0 success,
+decision word) on stdout and returns ``(seed, params, results,
+diagnostics)``; `main` times it and writes the JSON report (tool version,
+command, seed, parameters, results, wall time and, when a command returns
+them, diagnostics) when one is asked for.  Exit codes: 0 success,
 1 internal error, 2 bad arguments or unreadable/invalid input files,
 3 enumeration budget exceeded, 4 matrix does not have unit columns.
 
@@ -166,14 +167,14 @@ def cmd_exact(args):
         "rows": phi.shape[0],
         "cols": phi.shape[1],
     }
-    return None, params, {"report": asdict(report), "witness": witness_dict(witness)}
+    return None, params, {"report": asdict(report), "witness": witness_dict(witness)}, None
 
 
 def cmd_coherence(args):
     phi = read_matrix_file(args.matrix)
     mu = coherence(phi)
     print(f"mu={mu!r}")
-    return None, {"rows": phi.shape[0], "cols": phi.shape[1]}, {"mu": mu}
+    return None, {"rows": phi.shape[0], "cols": phi.shape[1]}, {"mu": mu}, None
 
 
 def cmd_lazy(args):
@@ -201,7 +202,7 @@ def cmd_lazy(args):
         "naive_plan_subsets": naive,
         "lazy_vs_naive_ratio": ratio,
     }
-    return None, params, results
+    return None, params, results, None
 
 
 def cmd_generate(args):
@@ -239,7 +240,7 @@ def cmd_generate(args):
             "clique": list(inst.planted),
         }
     print(f"wrote={args.out}")
-    return seed, params, results
+    return seed, params, results, None
 
 
 def cmd_reduce(args):
@@ -251,14 +252,16 @@ def cmd_reduce(args):
     write_matrix_file(args.out, c_matrix)
     print("status=not-psd" if not_psd else "status=ok")
     print(f"wrote={args.out}")
-    return None, {"n": g.n, "c": args.c, "psd_tol": args.psd_tol}, {"n": g.n, "not_psd": not_psd}
+    params = {"n": g.n, "c": args.c, "psd_tol": args.psd_tol}
+    return None, params, {"n": g.n, "not_psd": not_psd}, None
 
 
 def cmd_refute(args):
     g = read_graph_file(args.graph)
-    decision = spectral_clique_refuter(g, args.k)
+    diagnostics = {}
+    decision = spectral_clique_refuter(g, args.k, diagnostics)
     print(decision)
-    return None, {"n": g.n, "k": args.k}, {"decision": decision}
+    return None, {"n": g.n, "k": args.k}, {"decision": decision}, diagnostics
 
 
 def cmd_experiment(args):
@@ -307,7 +310,7 @@ def cmd_experiment(args):
         "null_statistic": args.null_stat,
         "budget": args.budget,
     }
-    return seed, run_params, asdict(report)
+    return seed, run_params, asdict(report), None
 
 
 def main(argv=None):
@@ -317,7 +320,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         t0 = time.perf_counter_ns()
-        seed, params, results = args.func(args)
+        seed, params, results, diagnostics = args.func(args)
         if args.report:
             write_report(
                 args.report,
@@ -326,6 +329,7 @@ def main(argv=None):
                 params=params,
                 results=results,
                 wall_time_ns=time.perf_counter_ns() - t0,
+                diagnostics=diagnostics,
             )
         return 0
     except BudgetExceededError as exc:

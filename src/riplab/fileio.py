@@ -134,7 +134,9 @@ def witness_dict(witness):
     }
 
 
-def write_report(path, command, seed, params, results, wall_time_ns):
+def write_report(path, command, seed, params, results, wall_time_ns, diagnostics=None):
+    """Write a JSON run report.  ``diagnostics``, when given, becomes a
+    top-level key beside ``results``, whose bytes it never changes."""
     doc = {
         "tool_version": VERSION,
         "command": command,
@@ -143,6 +145,8 @@ def write_report(path, command, seed, params, results, wall_time_ns):
         "results": results,
         "wall_time_ns": int(wall_time_ns),
     }
+    if diagnostics is not None:
+        doc["diagnostics"] = diagnostics
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

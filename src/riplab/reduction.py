@@ -182,11 +182,12 @@ def _image_norm_sq(mat, witness, n, c, from_clique):
     return value
 
 
-# When the computed lambda_1 is this close to the threshold, floating point
-# cannot be trusted to sort out the comparison (complete graphs land on the
-# boundary and LAPACK rounds a few ulp either way); such cases escalate to
-# exact integer arithmetic.
-_REFUTER_BAND = 1e-6
+# Names of the proofs that can decide lambda_1(A) >= k-1, recorded in a
+# refute report's diagnostics.
+PROOF_K_GT_N = "k>n"
+PROOF_CHOLESKY = "cholesky"
+PROOF_VECTOR = "vector"
+PROOF_BAREISS = "bareiss"
 
 
 def _is_positive_definite_exact(m):
@@ -205,31 +206,161 @@ def _is_positive_definite_exact(m):
     return True
 
 
-def _lambda1_reaches(signed, k):
-    """(lambda_1, lambda_1 >= k-1) for a signed adjacency matrix, the
-    comparison decided as :func:`spectral_clique_refuter` describes."""
-    lam1 = float(sym_eigenvalues(signed)[0])
-    if abs(lam1 - (k - 1)) <= _REFUTER_BAND:
-        shifted = (k - 1) * np.eye(len(signed), dtype=np.int64) - signed.astype(np.int64)
-        return lam1, not _is_positive_definite_exact(shifted)
-    return lam1, lam1 >= k - 1
+def _rump_shift(n, k):
+    """Shift c for which a Cholesky factorisation of fl(M - cI) that runs to
+    completion proves M = (k-1)I - A positive definite (Rump, "Verification
+    of positive definiteness", BIT 2006), for n x n signed adjacency A and
+    2 <= k <= n <= 2^14.
+
+    Write d = k-1 and u = 2^-53.  The diagonal of the factored matrix is
+    s = fl(d - c) <= d (rounding is monotone and d is a double), with
+    |s - (d - c)| <= u d, so it is exactly M - c'I for c' = d - s >= c - u d;
+    the off-diagonal entries +-1 are exact.  A Cholesky factorisation that
+    runs to completion gives R'^T R' = M - c'I + E with
+    |E| <= g |R'|^T |R'| and g = (n+1)u / (1 - (n+1)u), whatever the order
+    of summation, provided the BLAS is not Strassen-like (Demmel 1989;
+    Higham, "Accuracy and Stability of Numerical Algorithms", Thm 10.3).
+    Cauchy-Schwarz bounds (|R'|^T |R'|)_ij by the product of column norms,
+    each at most sqrt(s / (1 - g)), so |E_ij| <= g s / (1 - g) and
+    ||E||_2 <= n s g / (1 - g).  R'^T R' is positive definite, so
+    lambda_min(M) > c' - n s g / (1 - g) >= c - d u (1 + n(n+1)/(1 - 2(n+1)u)),
+    and 1/(1 - 2(n+1)u) <= 2 makes c = 2u d (n+1)^2 enough.  Underflow adds
+    only a term of order n^2 2^-1074 to Rump's bound, far inside the spare
+    u d (2n + 1) > 2^-52.  The shift is an integer below 2^53 times 2^-52,
+    so exact, and below d, so s > 0.
+    """
+    return math.ldexp((k - 1) * (n + 1) ** 2, -52)
 
 
-def spectral_clique_refuter(g, k):
+def _rump_shifted(signed, k):
+    """(k-1)I - A shifted down by :func:`_rump_shift`, as float64."""
+    f = np.negative(signed)
+    np.fill_diagonal(f, (k - 1) - _rump_shift(len(f), k))
+    return f
+
+
+def _factors(f):
+    """True when a Cholesky factorisation of f runs to completion."""
+    try:
+        np.linalg.cholesky(f)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _failing_order(f):
+    """The order m of a leading block of f that does not factor while the
+    block of order m - 1 does, or None when all of f factors.
+
+    Orders 32, 64, ... up to n/2 are probed while their blocks factor, then
+    f itself, so a proof that f factors costs at most a seventh more than
+    one factorisation and an early failure much less.  When f fails, order
+    n - 1 is tried (knife edges fail only at the last pivot), then the gap
+    is bisected.
+    """
+    n = len(f)
+    lo, hi = 0, n + 1  # orders known to factor and not to (n + 1: none yet)
+    while hi - lo > 1:
+        if hi > n:
+            mid = max(2 * lo, 32)
+            if mid > n // 2:
+                mid = n
+        elif hi == n:
+            mid = n - 1
+        else:
+            mid = (lo + hi) // 2
+        if _factors(f[:mid, :mid]):
+            lo = mid
+        else:
+            hi = mid
+    return None if lo == n else hi
+
+
+# Scales of the rounded certificate vector: 1 rounds a null vector with
+# entries in {-1, 0, 1}, such as the all-ones vector of K_n, exactly; 2^32
+# keeps a strictly negative direction negative after rounding.
+_VECTOR_SCALES = (1, 1 << 32)
+
+
+def _vector_proves_reach(signed, k, f, m):
+    """True when an integer x != 0 with x^T ((k-1)I - A) x <= 0 is found from
+    the Schur complement of f = (k-1-c)I - A at a failing pivot, the last of
+    its leading block of order m: x is (-F11^-1 f12, 1) on the leading m
+    coordinates, that is L^-T e_m for the unit triangular L of the block's
+    LDL^T factorisation, normalised to max |x_i| = 1, scaled and rounded.
+
+    The check is exact.  |x_i| <= 2^32 and m <= 2^14, so every partial sum of
+    A x is an integer below 2^53 and the float product is exact in any
+    summation order; x^T x and x^T A x are summed in Python ints.
+    """
+    x = np.zeros(m)
+    x[-1] = 1.0
+    if m > 1:
+        try:
+            x[:-1] = -np.linalg.solve(f[: m - 1, : m - 1], f[: m - 1, m - 1])
+        except np.linalg.LinAlgError:  # a singular block gives no vector
+            return False
+    x /= np.max(np.abs(x))
+    if not np.all(np.isfinite(x)):
+        return False
+    block = signed[:m, :m]
+    for scale in _VECTOR_SCALES:
+        xi = np.rint(scale * x)
+        ax = (block @ xi).astype(np.int64).astype(object)
+        xo = xi.astype(np.int64).astype(object)
+        if (k - 1) * (xo @ xo) - xo @ ax <= 0:
+            return True
+    return False
+
+
+def _lambda1_reaches(g, k, signed=None):
+    """(lambda_1(A) >= k-1, name of the proof) for the signed adjacency A of
+    g, decided as :func:`spectral_clique_refuter` describes; ``signed`` is A
+    when the caller has it already."""
+    n = g.n
+    if k > n:  # lambda_1 <= n - 1 < k - 1
+        return False, PROOF_K_GT_N
+    if signed is None:
+        signed = signed_adjacency(g)
+    f = _rump_shifted(signed, k)
+    m = _failing_order(f)
+    if m is None:
+        return False, PROOF_CHOLESKY
+    if _vector_proves_reach(signed, k, f, m):
+        return True, PROOF_VECTOR
+    shifted = (k - 1) * np.eye(n, dtype=np.int64) - signed.astype(np.int64)
+    return not _is_positive_definite_exact(shifted), PROOF_BAREISS
+
+
+def spectral_clique_refuter(g, k, diagnostics=None):
     """Refuter with exact soundness: "yes" iff lambda_1(A) >= k-1.
 
     A k-clique forces lambda_1 >= k-1 through its witness vector, so
     "no-clique" is only ever returned for graphs that really have no
-    k-clique.  The eigenvalue itself comes from floating point; when it
-    lands within 1e-6 of the threshold the comparison is re-decided exactly,
-    in integer arithmetic (fraction-free elimination), as "(k-1)*I - A
-    positive definite?" — so knife-edge inputs (complete graphs, say) still
-    get the mathematically exact answer rather than a rounding accident.
+    k-clique.  The comparison is proved, never estimated, as "is
+    M = (k-1)I - A positive definite?", by the first of four certificates
+    that applies:
+
+    - ``k>n``: lambda_1 <= n-1 < k-1, "no-clique" before any matrix is built;
+    - ``cholesky``: a floating-point Cholesky factorisation of M, shifted
+      down by Rump's rigorous constant, runs to completion, so M is positive
+      definite: "no-clique";
+    - ``vector``: an integer vector x != 0 from the Schur complement at the
+      failing pivot has x^T M x <= 0, checked exactly in integers: "yes"
+      (for K_n at k = n, x is the all-ones vector);
+    - ``bareiss``: fraction-free elimination of M in Python ints decides,
+      only when both proofs above fail.
+
+    When a ``diagnostics`` dict is given, its ``"proof"`` key is set to the
+    name of the certificate that decided.
     """
     k = int(k)
     if k < 2:
         raise ValueError(f"clique size must be at least 2, got {k}")
-    return YES if _lambda1_reaches(signed_adjacency(g), k)[1] else NO_CLIQUE
+    reaches, proof = _lambda1_reaches(g, k)
+    if diagnostics is not None:
+        diagnostics["proof"] = proof
+    return YES if reaches else NO_CLIQUE
 
 
 def block_compose(a, b):
@@ -318,8 +449,9 @@ def run_distinguishing_experiment(
         g0 = gen_gnp_half(n, null_seed)
         c0 = cholesky_reduce(g0, params)
         if null_statistic == STAT_LAMBDA1:
-            stat0, reaches = _lambda1_reaches(signed_adjacency(g0), k)
-            flagged0 = reaches or not c0.any()
+            signed0 = signed_adjacency(g0)
+            stat0 = float(sym_eigenvalues(signed0)[0])
+            flagged0 = _lambda1_reaches(g0, k, signed0)[0] or not c0.any()
         else:
             if rect_cols is not None:
                 c0 = block_compose(c0, gen_bernoulli_sensing(n, rect_cols, null_seed))

@@ -115,6 +115,22 @@ def test_reduce_and_refute(tmp_path, capsys):
     assert rc == 0 and out == "yes\n"
 
 
+def test_refute_order_above_n_needs_no_matrix(tmp_path, capsys):
+    # lambda_1 <= n - 1 < k - 1: no-clique before (k-1)I could overflow int64
+    from riplab.fileio import write_graph_file
+    from riplab.randgen import Graph
+
+    g = str(tmp_path / "k60.txt")
+    write_graph_file(g, Graph(60, ~np.eye(60, dtype=bool)))
+    rep = str(tmp_path / "r.json")
+    huge = str(2**63 + 1)
+    rc, out, _ = run_cli(["refute", "--graph", g, "--k", huge, "--report", rep], capsys)
+    assert rc == 0 and out == "no-clique\n"
+    doc = read_report(rep)
+    assert doc["params"]["k"] == 2**63 + 1
+    assert doc["diagnostics"] == {"proof": "k>n"}
+
+
 def test_reduce_not_psd(tmp_path, capsys):
     from riplab.fileio import write_graph_file
     from riplab.randgen import Graph
@@ -458,8 +474,12 @@ def test_every_command_writes_the_same_report_shape(case, tmp_path, capsys):
     rc, out_with_report, _ = run_cli(argv + [flag, rep], capsys)
     assert rc == 0 and out_with_report == out
     doc = read_report(rep)
-    assert sorted(doc) == ["command", "params", "results", "seed", "tool_version",
-                           "wall_time_ns"]
+    # only refute has diagnostics: the proof that decided, outside results
+    diagnostics = ["diagnostics"] if case == "refute" else []
+    assert sorted(doc) == sorted(["command", "params", "results", "seed", "tool_version",
+                                  "wall_time_ns"] + diagnostics)
+    if diagnostics:
+        assert doc["diagnostics"] == {"proof": "vector"}  # the planted 4-clique, k = 3
     assert (doc["seed"] is not None) == (argv[0] in ("generate", "experiment"))
     assert doc["command"] == argv + [flag, rep]
     assert doc["wall_time_ns"] > 0

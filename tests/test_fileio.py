@@ -272,6 +272,7 @@ def test_report_roundtrip(tmp_path):
     assert doc["params"] == {"order": 3}
     assert doc["results"] == {"value": 0.25}
     assert doc["wall_time_ns"] == 12345
+    assert "diagnostics" not in doc  # written only when given
     text = p.read_text()
     assert text.endswith("\n")
     # keys are sorted, so serialization is stable
@@ -292,7 +293,10 @@ def test_results_bytes_ignores_timing(tmp_path):
     first = results_bytes(read_report(p))
     write_report(p, "x", None, {}, results, wall_time_ns=99999)
     second = results_bytes(read_report(p))
-    assert first == second
+    write_report(p, "x", None, {}, results, wall_time_ns=1, diagnostics={"proof": "vector"})
+    doc = read_report(p)
+    assert doc["diagnostics"] == {"proof": "vector"}
+    assert first == second == results_bytes(doc)
     assert first == b'{"a": [1, 2], "b": 2}'
 
 

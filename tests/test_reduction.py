@@ -233,33 +233,116 @@ def test_refuter_soundness_bruteforce():
     assert refuted  # the assertion above ran
 
 
-def _knife_edge_graphs():
-    """(graph, k) pairs whose lambda_1 lies on or next to the threshold k - 1:
-    K_n at k = n (on it) and n + 1, K_{a,a,a} at k = a + 2 (on it) and K_n
-    minus a perfect matching at k = n - 2 (on it) and n - 1."""
-    for n in range(2, 41):
+def _knife_edge_graphs(n_max=40, a_max=12, m_max=30):
+    """(graph, k, lambda_1 >= k - 1) triples with lambda_1 on or next to the
+    threshold k - 1: K_n at k = n (lambda_1 = n - 1, on it) and n + 1, K_{a,a,a}
+    at k = a + 2 (lambda_1 = a + 1, on it) and K_n minus a perfect matching at
+    k = n - 2 (lambda_1 = n - 3, on it) and n - 1."""
+    for n in range(2, n_max + 1):
         complete = Graph(n, ~np.eye(n, dtype=bool))
-        yield complete, n
-        yield complete, n + 1
-    for a in range(1, 13):
+        yield complete, n, True
+        yield complete, n + 1, False
+    for a in range(1, a_max + 1):
         part = np.arange(3 * a) // a
-        yield Graph(3 * a, part[:, None] != part[None, :]), a + 2
-    for n in range(4, 31, 2):
+        yield Graph(3 * a, part[:, None] != part[None, :]), a + 2, True
+    for n in range(4, m_max + 1, 2):
         adj = ~np.eye(n, dtype=bool)
         adj[np.arange(n), np.arange(n) ^ 1] = False  # drop the matching {2i, 2i + 1}
-        yield Graph(n, adj), n - 2
-        yield Graph(n, adj), n - 1
+        yield Graph(n, adj), n - 2, True
+        yield Graph(n, adj), n - 1, False
 
 
 def test_exact_definiteness_matches_rational_elimination():
     """The exact fallback agrees with elimination over the rationals on the
     refuter's knife edges, and the refuter answers "yes" exactly when
     (k-1)I - A is not positive definite, i.e. when lambda_1 >= k - 1."""
-    for g, k in _knife_edge_graphs():
+    for g, k, reaches in _knife_edge_graphs():
         shifted = (k - 1) * np.eye(g.n, dtype=np.int64) - signed_adjacency(g).astype(np.int64)
         definite = is_positive_definite_rational(shifted.tolist())
+        assert definite == (not reaches), (g, k)
         assert _is_positive_definite_exact(shifted) == definite, (g, k)
         assert spectral_clique_refuter(g, k) == (NO_CLIQUE if definite else YES), (g, k)
+
+
+def _forbid_bareiss(monkeypatch):
+    def fail(m):
+        raise AssertionError("reached Bareiss elimination")
+
+    monkeypatch.setattr(reduction, "_is_positive_definite_exact", fail)
+
+
+LARGE_KNIFE_EDGES = dict(n_max=400, a_max=40, m_max=200)
+
+
+def test_certificates_decide_every_knife_edge(monkeypatch):
+    """On K_n up to n = 400, K_{a,a,a} up to a = 40 and K_n minus a matching
+    up to n = 200, the k > n, Cholesky or integer-vector proof decides and
+    Bareiss elimination is never reached."""
+    _forbid_bareiss(monkeypatch)
+    proofs = set()
+    for g, k, reaches in _knife_edge_graphs(**LARGE_KNIFE_EDGES):
+        diagnostics = {}
+        assert spectral_clique_refuter(g, k, diagnostics) == (YES if reaches else NO_CLIQUE), (g, k)
+        proofs.add(diagnostics["proof"])
+    assert proofs == {"k>n", "cholesky", "vector"}
+
+
+def test_rump_step_never_factors_a_singular_psd_matrix():
+    """(k-1)I - A is singular and PSD on every knife edge that sits on the
+    threshold (nI - J for K_n at k = n); the shifted Cholesky must fail on all
+    of them, where the unshifted one succeeds for many."""
+    on_threshold = [(g, k) for g, k, reaches in _knife_edge_graphs(**LARGE_KNIFE_EDGES)
+                    if reaches]
+    on_threshold += [(Graph(n), 2) for n in range(2, 60)]  # (k-1)I - A = J
+    for g, k in on_threshold:
+        assert not reduction._factors(reduction._rump_shifted(signed_adjacency(g), k)), (g, k)
+
+
+def test_refuter_decides_k1000_knife_edges_without_bareiss(monkeypatch):
+    # Bareiss on K_1000 would in effect never return
+    _forbid_bareiss(monkeypatch)
+    n = 1000
+    adj = ~np.eye(n, dtype=bool)
+    diagnostics = {}
+    assert spectral_clique_refuter(Graph(n, adj), n, diagnostics) == YES
+    assert diagnostics == {"proof": "vector"}
+    adj[np.arange(n), np.arange(n) ^ 1] = False  # lambda_1 = n - 3 < k - 1
+    assert spectral_clique_refuter(Graph(n, adj), n - 1, diagnostics) == NO_CLIQUE
+    assert diagnostics == {"proof": "cholesky"}
+
+
+def _eigvalsh_decision(g, k):
+    # the rule the certificates replaced: a float lambda_1 against k - 1,
+    # re-decided by Bareiss elimination within 1e-6 of it
+    signed = signed_adjacency(g)
+    lam1 = float(np.linalg.eigvalsh(signed)[-1])
+    if abs(lam1 - (k - 1)) <= 1e-6:
+        shifted = (k - 1) * np.eye(g.n, dtype=np.int64) - signed.astype(np.int64)
+        return NO_CLIQUE if _is_positive_definite_exact(shifted) else YES
+    return YES if lam1 >= k - 1 else NO_CLIQUE
+
+
+def test_refuter_matches_eigenvalue_rule_on_random_graphs(monkeypatch):
+    """G(n, 1/2) with and without a planted clique of size ceil(2 sqrt n), at
+    every k from 2 to ceil(2 sqrt n) + 5: the certified decision equals the
+    eigenvalue rule, and solves no eigenproblem."""
+    cases = []
+    for n in (12, 60, 200):
+        top = math.ceil(2 * math.sqrt(n))
+        for s in range(2):
+            graphs = (gen_gnp_half(n, Seed(s)),
+                      plant_clique(gen_gnp_half(n, Seed(s, 1)), top, Seed(s, 2)).graph)
+            cases += [(g, k, _eigvalsh_decision(g, k)) for g in graphs for k in range(2, top + 6)]
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("the refuter solved an eigenproblem")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, no_eigensolve)
+    monkeypatch.setattr(reduction, "sym_eigenvalues", no_eigensolve)
+    for g, k, want in cases:
+        assert spectral_clique_refuter(g, k) == want, (g.n, k)
+    assert {want for _, _, want in cases} == {YES, NO_CLIQUE}
 
 
 def test_exact_definiteness_on_random_integer_matrices():
