@@ -80,17 +80,15 @@ class LazyCertificate:
     max_certified_order: int
 
 
-def require_unit_columns(phi, tol=UNIT_COLUMN_TOL, context="this operation"):
+def require_unit_columns(phi, context="this operation"):
     """phi as a float matrix; UnitColumnError naming the column whose norm is
-    farthest from 1 when that distance exceeds tol."""
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+    farthest from 1 when that distance exceeds UNIT_COLUMN_TOL."""
     a = as_matrix(phi, "phi")
     norms = np.linalg.norm(a, axis=0)
     worst = int(np.argmax(np.abs(norms - 1.0)))
-    if abs(norms[worst] - 1.0) > tol:
+    if abs(norms[worst] - 1.0) > UNIT_COLUMN_TOL:
         raise UnitColumnError(
-            f"{context} requires unit columns within {tol:.1e}; "
+            f"{context} requires unit columns within {UNIT_COLUMN_TOL:.1e}; "
             f"column {worst} has norm {float(norms[worst])!r}"
         )
     return a
@@ -280,7 +278,7 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET):
     whose deviation strictly exceeds it; the report then carries direction
     ``LowerBound`` and the examined-subset count at the stopping point.
 
-    ``budget``, a positive count that always applies, bounds C(N, k); beyond
+    ``budget``, a finite count of at least 1, always bounds C(N, k); beyond
     it a :class:`BudgetExceededError` is raised before any work is done.
     The report carries no timing; the CLI times whole commands.
     """
@@ -293,8 +291,8 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET):
         threshold = float(threshold)
         if not math.isfinite(threshold):
             raise ValueError(f"threshold must be finite, got {threshold}")
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
+    if not 1 <= budget < math.inf:  # a NaN budget would bound nothing
+        raise ValueError(f"budget must be a positive finite count, got {budget}")
     total = math.comb(ncols, k)
     if total > budget:
         raise BudgetExceededError(
@@ -363,7 +361,7 @@ def lazy_certify(phi, m, delta, budget=DEFAULT_BUDGET):
     1e-9.  The probe scan is bounded by ``budget`` as in :func:`exact_rip`.
     Returns the certificate together with the probe report.
     """
-    a = require_unit_columns(phi, UNIT_COLUMN_TOL, "lazy certification")
+    a = require_unit_columns(phi, "lazy certification")
     cap = min(a.shape)
     m = int(m)
     if not 2 <= m <= cap:

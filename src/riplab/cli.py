@@ -36,6 +36,7 @@ from .fileio import (
     write_matrix_file,
     write_report,
 )
+from .linalg import PSD_TOL
 from .randgen import (
     Seed,
     gen_bernoulli_sensing,
@@ -118,7 +119,6 @@ def build_parser():
     pr = sub.add_parser("reduce", help="graph -> factor of I + c*A/sqrt(n), or zero")
     pr.add_argument("--graph", required=True)
     pr.add_argument("--c", type=float, default=ReductionParams.c)
-    pr.add_argument("--psd-tol", type=float, default=ReductionParams.psd_tol)
     pr.add_argument("--out", required=True, help="output matrix file")
     pr.add_argument("--report", default=None)
     pr.set_defaults(func=cmd_reduce)
@@ -139,7 +139,6 @@ def build_parser():
     pe.add_argument("--delta", type=float, default=None)
     pe.add_argument("--trials", type=int, default=None)
     pe.add_argument("--c", type=float, default=ReductionParams.c)
-    pe.add_argument("--psd-tol", type=float, default=ReductionParams.psd_tol)
     pe.add_argument("--rect-cols", type=int, default=None)
     pe.add_argument("--null-stat", choices=["lambda1", "exact"], default="lambda1")
     pe.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
@@ -246,13 +245,13 @@ def cmd_generate(args):
 def cmd_reduce(args):
     _require_finite_c(args)
     g = read_graph_file(args.graph)
-    params = ReductionParams(c=args.c, psd_tol=args.psd_tol)
-    c_matrix = cholesky_reduce(g, params)
+    c_matrix = cholesky_reduce(g, ReductionParams(c=args.c))
     not_psd = not c_matrix.any()
     write_matrix_file(args.out, c_matrix)
     print("status=not-psd" if not_psd else "status=ok")
     print(f"wrote={args.out}")
-    params = {"n": g.n, "c": args.c, "psd_tol": args.psd_tol}
+    # psd_tol: the fixed tolerance the run used, kept so reports replay unchanged
+    params = {"n": g.n, "c": args.c, "psd_tol": PSD_TOL}
     return None, params, {"n": g.n, "not_psd": not_psd}, None
 
 
@@ -284,7 +283,7 @@ def cmd_experiment(args):
     if missing:
         raise ValueError(f"missing required experiment parameters: {', '.join(missing)}")
 
-    params = ReductionParams(c=args.c, psd_tol=args.psd_tol)
+    params = ReductionParams(c=args.c)
     seed = Seed(args.seed, args.stream)
     report = run_distinguishing_experiment(
         **run,
@@ -305,7 +304,7 @@ def cmd_experiment(args):
         "delta": report.delta,
         "trials": trials,
         "c": params.c,
-        "psd_tol": params.psd_tol,
+        "psd_tol": PSD_TOL,  # the fixed tolerance the run used, as in cmd_reduce
         "rect_cols": report.rect_cols,
         "null_statistic": args.null_stat,
         "budget": args.budget,

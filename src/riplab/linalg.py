@@ -5,8 +5,6 @@ transpose exactly, so the triangle a solver reads never changes a result;
 the input is passed on unchanged, never symmetrized.
 """
 
-import math
-
 import numpy as np
 
 # An eigenvalue above -PSD_TOL counts as nonnegative for factorization purposes.
@@ -55,20 +53,19 @@ def gram(phi):
     return a.T @ a
 
 
-def cholesky_psd(b, tol=PSD_TOL):
+def cholesky_psd(b):
     """Factor a symmetric PSD matrix as R^T R with R upper triangular.
 
     Tries the ordinary Cholesky factorization first.  If that fails but every
-    eigenvalue is above ``-tol``, tiny negative eigenvalues are clipped to zero
-    and a triangular factor is recovered by QR-factoring the eigenvalue square
-    root.  Returns ``None`` when some eigenvalue is below ``-tol``, i.e. the
-    matrix is genuinely not positive semi-definite at this tolerance.
+    eigenvalue is at least ``-PSD_TOL``, tiny negative eigenvalues are clipped
+    to zero and a triangular factor is recovered by QR-factoring the
+    eigenvalue square root; singular PSD inputs take this path.  Returns
+    ``None`` when some eigenvalue is below ``-PSD_TOL``, i.e. the matrix is
+    not positive semi-definite.
 
     The returned factor has a nonnegative diagonal and satisfies
     ``R.T @ R == b`` up to roundoff.
     """
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     s = _symmetric(b)
     try:
         lower = np.linalg.cholesky(s)
@@ -76,7 +73,7 @@ def cholesky_psd(b, tol=PSD_TOL):
     except np.linalg.LinAlgError:
         pass
     w, q = np.linalg.eigh(s)
-    if w[0] < -tol:
+    if w[0] < -PSD_TOL:
         return None
     root = np.sqrt(np.clip(w, 0.0, None))[:, None] * q.T
     r = np.linalg.qr(root, mode="r")

@@ -135,7 +135,7 @@ class Graph:
 
     def signed_adjacency(self):
         """Symmetric float matrix with zero diagonal, +1 on edges, -1 on non-edges."""
-        a = np.where(self.adj, 1.0, -1.0)
+        a = self.adj * 2.0 - 1.0
         np.fill_diagonal(a, 0.0)
         return a
 
@@ -175,11 +175,14 @@ def gen_bernoulli_sensing(n, cols, seed):
     """n x cols sensing matrix with i.i.d. entries +-1/sqrt(n).
 
     Every column has unit Euclidean norm (exactly when sqrt(n) is a power of
-    two, to within a few ulp otherwise).
+    two, to within a few ulp otherwise).  Sizes above MAX_GRAPH_VERTICES**2
+    entries, those of the largest model-A matrix, are refused before drawing.
     """
     n, cols = int(n), int(cols)
     if n <= 0 or cols <= 0:
         raise ValueError(f"matrix dimensions must be positive, got {n}x{cols}")
+    if n * cols > (cap := MAX_GRAPH_VERTICES**2):
+        raise ValueError(f"sensing matrix needs at most {cap} entries, got {n}x{cols}")
     signs = _signs(seed, _LABEL_DENSE, n * cols)
     return signs.reshape(n, cols) / np.sqrt(float(n))
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import DEFAULT_BUDGET, LOWER_BOUND, Witness, exact_rip
-from .linalg import PSD_TOL, as_matrix, cholesky_psd, sym_eigenvalues
+from .linalg import as_matrix, cholesky_psd, sym_eigenvalues
 from .randgen import Seed, gen_bernoulli_sensing, gen_gnp_half, plant_clique
 
 YES = "yes"
@@ -44,21 +44,19 @@ CLIQUE_IDENTITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ReductionParams:
-    """Reduction constant and PSD tolerance.
+    """Reduction constant c, finite and nonnegative.
 
     The default c = 0.3 keeps 3c < 1, the regime where I + c*A/sqrt(n) from a
     random graph is almost surely factorable; values at or above 1/3 are
-    allowed but draw a warning.
+    allowed but draw a warning.  The PSD tolerance is fixed at
+    :data:`riplab.linalg.PSD_TOL`.
     """
 
     c: float = 0.3
-    psd_tol: float = PSD_TOL
 
     def __post_init__(self):
         if not 0 <= self.c < math.inf:
             raise ValueError(f"reduction constant must be finite and nonnegative, got {self.c}")
-        if not 0 <= self.psd_tol < math.inf:
-            raise ValueError(f"psd tolerance must be finite and nonnegative, got {self.psd_tol}")
         if not 0 < self.c < 1 / 3:
             warnings.warn(
                 f"reduction constant c = {self.c} is outside the standard range "
@@ -109,14 +107,14 @@ def cholesky_reduce(g, params=None):
     """Map a graph to its reduction matrix C with C^T C = I + c*A/sqrt(n).
 
     Returns the n x n zero matrix when I + c*A/sqrt(n) has an eigenvalue
-    below -psd_tol; downstream checks treat that as an automatic isometry
-    violation.
+    below -PSD_TOL (see :func:`riplab.linalg.cholesky_psd`); downstream checks
+    treat that as an automatic isometry violation.
     """
     if params is None:
         params = ReductionParams()
     n = g.n
     b = np.eye(n) + (params.c / math.sqrt(n)) * signed_adjacency(g)
-    factor = cholesky_psd(b, tol=params.psd_tol)
+    factor = cholesky_psd(b)
     if factor is None:
         return np.zeros((n, n))
     return factor
@@ -144,15 +142,13 @@ def clique_witness(g, members, params=None):
     return Witness(subset, vec, deviation)
 
 
-def verify_violation(c_matrix, witness, delta, n, c, from_clique=False):
+def verify_violation(c_matrix, witness, delta):
     """True iff the witness exhibits | ||C x||^2 - 1 | > delta.
 
-    When ``from_clique`` is set and the columns of C touching the witness
-    support are not all zero, additionally insists that ||C x||^2 equals the
-    clique identity value 1 + c(k-1)/sqrt(n) within 1e-8, raising otherwise
-    — a wrong identity means the inputs are inconsistent, not a negative
-    verdict.  A support wiped out by the zero-matrix convention gives
-    ||C x||^2 = 0, deviation 1, hence a violation for every delta < 1.
+    The deviation must be the one the witness claims (see
+    :func:`_witness_deviation`); a mismatch means inconsistent inputs, not a
+    negative verdict.  A support wiped out by the zero-matrix convention
+    gives ||C x||^2 = 0, deviation 1, a violation for every delta < 1.
     """
     mat = as_matrix(c_matrix, "reduction matrix")
     if len(witness.vector) != mat.shape[1]:
@@ -163,22 +159,24 @@ def verify_violation(c_matrix, witness, delta, n, c, from_clique=False):
     delta = float(delta)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return abs(_image_norm_sq(mat, witness, n, c, from_clique) - 1.0) > delta
+    return _witness_deviation(mat, witness) > delta
 
 
-def _image_norm_sq(mat, witness, n, c, from_clique):
-    """||C x||^2 for the witness vector x, checked against the clique identity
-    as :func:`verify_violation` describes."""
+def _witness_deviation(mat, witness):
+    """| ||C x||^2 - 1 | for the witness vector x; ValueError unless it is
+    within CLIQUE_IDENTITY_TOL of ``witness.deviation`` or C is zero on the
+    support.  A clique witness claims c(k-1)/sqrt(n), by the clique identity;
+    an :func:`exact_rip` witness |lambda - 1| = | ||Phi x||^2 - 1 | for its
+    unit eigenvector x.
+    """
     image = mat @ witness.vector
-    value = float(image @ image)
-    if from_clique and np.any(mat[:, list(witness.subset)]):
-        k = len(witness.subset)
-        expected = 1.0 + float(c) * (k - 1) / math.sqrt(int(n))
-        if abs(value - expected) > CLIQUE_IDENTITY_TOL:
-            raise ValueError(
-                f"clique witness identity failed: ||Cx||^2 = {value!r}, "
-                f"expected {expected!r} for k={k}, n={n}, c={c}"
-            )
+    value = abs(float(image @ image) - 1.0)
+    off = not abs(value - witness.deviation) <= CLIQUE_IDENTITY_TOL  # NaN is off
+    if off and np.any(mat[:, list(witness.subset)]):
+        raise ValueError(
+            f"witness identity failed: | ||Cx||^2 - 1 | = {value!r}, "
+            f"the witness claims {witness.deviation!r}"
+        )
     return value
 
 
@@ -469,7 +467,7 @@ def run_distinguishing_experiment(
         if rect_cols is not None:
             c1 = block_compose(c1, gen_bernoulli_sensing(n, rect_cols, planted_seed))
             witness = _pad_columns(witness, n + rect_cols)
-        stat1 = abs(_image_norm_sq(c1, witness, n, params.c, from_clique=True) - 1.0)
+        stat1 = _witness_deviation(c1, witness)
         flagged1 = stat1 > delta
         records.append(
             TrialRecord(planted_seed, ARM_PLANTED, stat1, VIOLATES if flagged1 else PLAUSIBLE)

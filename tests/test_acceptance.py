@@ -138,7 +138,7 @@ def test_criterion_05_clique_witness_identity():
             nonzero += 1
             img = cm @ w.vector
             worst = max(worst, abs(float(img @ img) - expected))
-        if verify_violation(cm, w, delta, n, c_par, from_clique=True):
+        if verify_violation(cm, w, delta):
             flagged += 1
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and flagged == 20 and elapsed < 60.0

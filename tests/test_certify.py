@@ -376,8 +376,16 @@ def test_block_compose_shapes_and_law():
         assert abs(dc - max(da, db)) <= 1e-10
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
-def test_unit_column_checks_reject_bad_tolerance(tol):
-    # with a NaN tolerance "distance > tol" is false for every column
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        require_unit_columns(2.0 * np.eye(3), tol)
+@pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+def test_non_finite_budget_is_refused_before_any_scan(budget, monkeypatch):
+    # "nan < 1" and "C(N, k) > nan" are both false, so a NaN budget bounded nothing
+    def no_scan(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(certify, "gram", no_scan)
+    monkeypatch.setattr(certify, "_subset_blocks", no_scan)
+    phi = gen_bernoulli_sensing(6, 12, Seed(0))
+    with pytest.raises(ValueError, match=f"positive finite count, got {budget}"):
+        exact_rip(phi, 3, budget=budget)
+    with pytest.raises(ValueError, match=f"positive finite count, got {budget}"):
+        lazy_certify(phi, 2, 0.9, budget=budget)

@@ -304,6 +304,18 @@ def test_generator_sizes_above_the_vertex_cap_exit_two(tmp_path, capsys):
     assert rc == 2 and out == ""
     assert f"got n={n}" in err
     assert not rep.exists()
+    # Bernoulli sizes are capped at the entry count of the largest sign matrix
+    rc, out, err = run_cli(["generate", "bernoulli", "--dims", "16385", "16384", "--seed", "1",
+                            "--out", str(out_file), "--report", str(rep)], capsys)
+    assert rc == 2 and out == ""
+    assert f"at most {2**28} entries, got 16385x16384" in err
+    assert not out_file.exists() and not rep.exists()
+    rc, out, err = run_cli(["experiment", "--n", "16", "--clique-size", "4", "--order", "3",
+                            "--delta", "0.001", "--trials", "1", "--seed", "1",
+                            "--rect-cols", "16777217", "--out", str(rep)], capsys)
+    assert rc == 2 and out == ""
+    assert f"at most {2**28} entries, got 16x16777217" in err
+    assert not rep.exists()
 
 
 def test_report_results_deterministic(tmp_path, capsys):
@@ -350,24 +362,29 @@ def test_lazy_ratio_is_null_when_it_overflows_a_double(tmp_path, capsys):
     assert res["lazy_vs_naive_ratio"] is None
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10", "0.5"])
 def test_bad_psd_tolerance_exits_two_and_writes_nothing(tol, tmp_path, capsys):
+    # the PSD tolerance is a constant, so no --psd-tol is accepted: at 0.5 this
+    # graph's "factor" would have max |C^T C - B| = 0.09 (lambda_min(B) = -0.459)
     from riplab.fileio import write_graph_file
-    from riplab.randgen import Graph
 
-    g = str(tmp_path / "e.txt")
-    write_graph_file(g, Graph(100))  # lambda_min(I + cA/sqrt(n)) = -1.97: not PSD
+    g = str(tmp_path / "g.txt")
+    write_graph_file(g, gen_gnp_half(16, Seed(1)))
     c = tmp_path / "c.txt"
     rep = tmp_path / "r.json"
-    rc, out, err = run_cli(["reduce", "--graph", g, f"--psd-tol={tol}", "--out", str(c),
-                            "--report", str(rep)], capsys)
-    assert rc == 2 and out == ""
-    assert "psd tolerance must be finite and nonnegative" in err
+    commands = (
+        ["reduce", "--graph", g, "--c", "0.9", f"--psd-tol={tol}", "--out", str(c),
+         "--report", str(rep)],
+        ["experiment", "--n", "16", "--clique-size", "4", "--order", "3", "--delta", "0.5",
+         "--c", "0.9", "--trials", "3", "--seed", "1", f"--psd-tol={tol}", "--out", str(rep)],
+    )
+    for argv in commands:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --psd-tol" in captured.err
     assert not c.exists() and not rep.exists()
-    rc, _, err = run_cli(["experiment", "--preset", "desk-200", "--trials", "1",
-                          "--seed", "1", f"--psd-tol={tol}", "--out", str(rep)], capsys)
-    assert rc == 2 and "psd tolerance" in err
-    assert not rep.exists()
 
 
 @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])

@@ -104,6 +104,40 @@ def test_bernoulli_rejects_bad_shapes():
         gen_bernoulli_sensing(4, 0, Seed(0))
 
 
+def test_bernoulli_refuses_more_entries_than_the_largest_sign_matrix(monkeypatch):
+    # the size check comes before the draw: a drawing stub stands in for the
+    # 2^28 words (2 GiB) that the largest allowed size would take
+    from riplab import randgen
+
+    class Drawn(Exception):
+        pass
+
+    def no_draw(seed, label, count):
+        raise Drawn(count)
+
+    monkeypatch.setattr(randgen, "_signs", no_draw)
+    cap = MAX_GRAPH_VERTICES
+    assert cap * cap == 2**28
+    for rows, cols in ((cap + 1, cap), (cap, cap + 1), (16, 2**24 + 1), (10**5, 10**5)):
+        with pytest.raises(ValueError, match=f"at most {2**28} entries, got {rows}x{cols}"):
+            gen_bernoulli_sensing(rows, cols, Seed(0))
+    for rows, cols in ((cap, cap), (16, 2**24)):
+        with pytest.raises(Drawn):
+            gen_bernoulli_sensing(rows, cols, Seed(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 400])
+def test_signed_adjacency_matches_the_where_reference(n):
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.random((n, n)) < 0.5, 1)
+    for adj in (np.zeros((n, n), dtype=bool), ~np.eye(n, dtype=bool), upper | upper.T):
+        g = Graph(n, adj)
+        want = np.where(adj, 1.0, -1.0)
+        np.fill_diagonal(want, 0.0)
+        got = g.signed_adjacency()
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 def test_model_a_basic_properties():
     a = gen_model_a(5, Seed(7))
     assert a.shape == (5, 5)

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from riplab import reduction
-from riplab.randgen import Graph, Seed, gen_gnp_half, gen_model_a, plant_clique
+from riplab.certify import exact_rip
+from riplab.randgen import (
+    Graph,
+    Seed,
+    gen_bernoulli_sensing,
+    gen_gnp_half,
+    gen_model_a,
+    plant_clique,
+)
 from riplab.reduction import (
     ARM_NULL,
     ARM_PLANTED,
@@ -146,9 +154,9 @@ def test_verify_violation_on_k3():
     w = clique_witness(K3, (0, 1, 2))
     img = c @ w.vector
     assert abs(float(img @ img) - (1 + 0.3 * 2 / math.sqrt(3))) <= 1e-8
-    assert verify_violation(c, w, 0.2, 3, 0.3, from_clique=True)
+    assert verify_violation(c, w, 0.2)
     # deviation is ~0.3464, so delta at or above it is not violated
-    assert not verify_violation(c, w, 0.5, 3, 0.3, from_clique=True)
+    assert not verify_violation(c, w, 0.5)
 
 
 def test_verify_violation_planted_200():
@@ -159,26 +167,41 @@ def test_verify_violation_planted_200():
     img = c @ w.vector
     # ||Cx||^2 = 1 + 0.3*13/sqrt(200) ~ 1.2758
     assert abs(float(img @ img) - 1.2757716446627535) <= 1e-8
-    assert verify_violation(c, w, 0.2, 200, 0.3, from_clique=True)
-    assert not verify_violation(c, w, 0.3, 200, 0.3, from_clique=True)
+    assert verify_violation(c, w, 0.2)
+    assert not verify_violation(c, w, 0.3)
 
 
 def test_verify_violation_zero_matrix():
     w = clique_witness(K3, (0, 1, 2))
     zero = np.zeros((3, 3))
-    assert verify_violation(zero, w, 0.2, 3, 0.3)
-    assert verify_violation(zero, w, 0.99, 3, 0.3, from_clique=True)
+    assert verify_violation(zero, w, 0.2)
+    assert verify_violation(zero, w, 0.99)
 
 
 def test_verify_violation_rejects_inconsistency():
     c = cholesky_reduce(K3)
     w = clique_witness(K3, (0, 1, 2))
+    wrong_c = clique_witness(K3, (0, 1, 2), ReductionParams(c=0.25))
     with pytest.raises(ValueError, match="identity failed"):
-        verify_violation(c, w, 0.2, 3, 0.9, from_clique=True)  # wrong c
+        verify_violation(c, wrong_c, 0.2)  # claims 0.25*2/sqrt(3), C has c = 0.3
     with pytest.raises(ValueError):
-        verify_violation(c, clique_witness(Graph.from_edges(4, [(0, 1)]), (0, 1)), 0.2, 3, 0.3)
+        verify_violation(c, clique_witness(Graph.from_edges(4, [(0, 1)]), (0, 1)), 0.2)
     with pytest.raises(ValueError):
-        verify_violation(c, w, 0.0, 3, 0.3)
+        verify_violation(c, w, 0.0)
+
+
+def test_verify_violation_checks_exact_rip_witnesses():
+    # an exact_rip witness claims |lambda - 1| = | ||Phi x||^2 - 1 | for its
+    # unit eigenvector x, so the same check applies to it
+    phi = gen_bernoulli_sensing(32, 24, Seed(5))
+    report, w = exact_rip(phi, 3)
+    assert 0 < report.value < 1 and abs(w.deviation - report.value) <= 1e-12
+    assert verify_violation(phi, w, report.value - 1e-9)
+    assert not verify_violation(phi, w, report.value + 1e-9)
+    other = gen_bernoulli_sensing(32, 24, Seed(6))
+    assert np.all(other[:, list(w.subset)] != 0)
+    with pytest.raises(ValueError, match="identity failed"):
+        verify_violation(other, w, 0.5)
 
 
 def test_monotone_order_padding():
@@ -190,11 +213,11 @@ def test_monotone_order_padding():
     c = cholesky_reduce(inst.graph)
     assert c.any()
     w = clique_witness(inst.graph, inst.planted)
-    assert verify_violation(c, w, 0.3, 30, 0.3, from_clique=True)
+    assert verify_violation(c, w, 0.3)
     wide = block_compose(c, np.eye(5))
     padded = _pad_columns(w, 35)
     assert padded.subset == w.subset
-    assert verify_violation(wide, padded, 0.3, 30, 0.3, from_clique=True)
+    assert verify_violation(wide, padded, 0.3)
 
 
 def test_refuter_complete_graphs():
@@ -465,9 +488,3 @@ def test_asym_preset():
         asym_preset(2, 0.1)
     with pytest.raises(ValueError):
         asym_preset(1000, 0.6)
-
-
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
-def test_reduction_params_reject_bad_psd_tolerance(tol):
-    with pytest.raises(ValueError, match="psd tolerance must be finite and nonnegative"):
-        ReductionParams(psd_tol=tol)
