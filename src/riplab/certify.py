@@ -63,11 +63,17 @@ class RipReport:
 
 @dataclass(frozen=True)
 class Witness:
-    """A column subset and unit vector exhibiting the reported deviation."""
+    """A column subset and unit vector x exhibiting the reported deviation
+    |excess|; ``excess`` is the signed claim ||Phi x||^2 - 1: lambda - 1 for
+    an eigenvector of eigenvalue lambda, c(k-1)/sqrt(n) for a clique witness."""
 
     subset: tuple
     vector: np.ndarray
-    deviation: float
+    excess: float
+
+    @property
+    def deviation(self):
+        return abs(self.excess)
 
 
 @dataclass(frozen=True)
@@ -260,8 +266,7 @@ def _build_witness(g, phi, subset):
     vec /= np.linalg.norm(vec)
     full = np.zeros(phi.shape[1])
     full[idx] = vec
-    deviation = abs(float(w[which]) - 1.0)
-    return Witness(tuple(subset), full, deviation)
+    return Witness(tuple(subset), full, float(w[which]) - 1.0)
 
 
 def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET):

@@ -28,7 +28,6 @@ from .certify import (
     lazy_certify,
 )
 from .fileio import (
-    FileFormatError,
     read_graph_file,
     read_matrix_file,
     witness_dict,
@@ -312,11 +311,14 @@ def cmd_experiment(args):
     return seed, run_params, asdict(report), None
 
 
+# shared by every main() call: its defaults are immutable and parsing mutates no state
+_PARSER = build_parser()
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         t0 = time.perf_counter_ns()
         seed, params, results, diagnostics = args.func(args)
@@ -337,7 +339,7 @@ def main(argv=None):
     except UnitColumnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (FileFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FileFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

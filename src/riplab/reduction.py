@@ -61,7 +61,7 @@ class ReductionParams:
             warnings.warn(
                 f"reduction constant c = {self.c} is outside the standard range "
                 "(0, 1/3); the factorable-with-high-probability regime needs 3c < 1",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
 
@@ -103,15 +103,13 @@ def signed_adjacency(g):
     return g.signed_adjacency()
 
 
-def cholesky_reduce(g, params=None):
+def cholesky_reduce(g, params=ReductionParams()):
     """Map a graph to its reduction matrix C with C^T C = I + c*A/sqrt(n).
 
     Returns the n x n zero matrix when I + c*A/sqrt(n) has an eigenvalue
     below -PSD_TOL (see :func:`riplab.linalg.cholesky_psd`); downstream checks
     treat that as an automatic isometry violation.
     """
-    if params is None:
-        params = ReductionParams()
     n = g.n
     b = np.eye(n) + (params.c / math.sqrt(n)) * signed_adjacency(g)
     factor = cholesky_psd(b)
@@ -120,16 +118,13 @@ def cholesky_reduce(g, params=None):
     return factor
 
 
-def clique_witness(g, members, params=None):
+def clique_witness(g, members, params=ReductionParams()):
     """Witness vector x_i = 1/sqrt(k) on a k-clique, zero elsewhere.
 
     Verifies that ``members`` induces a clique (so x^T A x = k-1 holds
     exactly, by counting: k(k-1) ordered pairs, every entry +1, divided
-    by k) and records the implied deviation c(k-1)/sqrt(n) of
-    ||C(G) x||^2 from 1.
+    by k) and records the implied excess ||C(G) x||^2 - 1 = c(k-1)/sqrt(n).
     """
-    if params is None:
-        params = ReductionParams()
     subset = tuple(sorted(int(v) for v in members))
     if len(subset) < 2:
         raise ValueError(f"a clique witness needs at least 2 vertices, got {len(subset)}")
@@ -138,17 +133,17 @@ def clique_witness(g, members, params=None):
     k = len(subset)
     vec = np.zeros(g.n)
     vec[list(subset)] = 1.0 / math.sqrt(k)
-    deviation = params.c * (k - 1) / math.sqrt(g.n)
-    return Witness(subset, vec, deviation)
+    return Witness(subset, vec, params.c * (k - 1) / math.sqrt(g.n))
 
 
 def verify_violation(c_matrix, witness, delta):
     """True iff the witness exhibits | ||C x||^2 - 1 | > delta.
 
-    The deviation must be the one the witness claims (see
-    :func:`_witness_deviation`); a mismatch means inconsistent inputs, not a
-    negative verdict.  A support wiped out by the zero-matrix convention
-    gives ||C x||^2 = 0, deviation 1, a violation for every delta < 1.
+    ||C x||^2 - 1 must be the signed excess the witness claims (see
+    :func:`_witness_deviation`); a mismatch, in sign too, means inconsistent
+    inputs, not a negative verdict.  A support wiped out by the zero-matrix
+    convention gives ||C x||^2 = 0, deviation 1, a violation for every
+    delta < 1.
     """
     mat = as_matrix(c_matrix, "reduction matrix")
     if len(witness.vector) != mat.shape[1]:
@@ -163,21 +158,21 @@ def verify_violation(c_matrix, witness, delta):
 
 
 def _witness_deviation(mat, witness):
-    """| ||C x||^2 - 1 | for the witness vector x; ValueError unless it is
-    within CLIQUE_IDENTITY_TOL of ``witness.deviation`` or C is zero on the
-    support.  A clique witness claims c(k-1)/sqrt(n), by the clique identity;
-    an :func:`exact_rip` witness |lambda - 1| = | ||Phi x||^2 - 1 | for its
-    unit eigenvector x.
+    """| ||C x||^2 - 1 | for the witness vector x; ValueError unless the signed
+    ||C x||^2 - 1 is within CLIQUE_IDENTITY_TOL of ``witness.excess`` or C is
+    zero on the support.  A clique witness claims c(k-1)/sqrt(n), by the
+    clique identity; an :func:`exact_rip` witness lambda - 1 =
+    ||Phi x||^2 - 1 for its unit eigenvector x.
     """
     image = mat @ witness.vector
-    value = abs(float(image @ image) - 1.0)
-    off = not abs(value - witness.deviation) <= CLIQUE_IDENTITY_TOL  # NaN is off
+    excess = float(image @ image) - 1.0
+    off = not abs(excess - witness.excess) <= CLIQUE_IDENTITY_TOL  # NaN is off
     if off and np.any(mat[:, list(witness.subset)]):
         raise ValueError(
-            f"witness identity failed: | ||Cx||^2 - 1 | = {value!r}, "
-            f"the witness claims {witness.deviation!r}"
+            f"witness identity failed: ||Cx||^2 - 1 = {excess!r}, "
+            f"the witness claims {witness.excess!r}"
         )
-    return value
+    return abs(excess)
 
 
 # Names of the proofs that can decide lambda_1(A) >= k-1, recorded in a
@@ -293,11 +288,10 @@ def _vector_proves_reach(signed, k, f, m):
     """
     x = np.zeros(m)
     x[-1] = 1.0
-    if m > 1:
-        try:
-            x[:-1] = -np.linalg.solve(f[: m - 1, : m - 1], f[: m - 1, m - 1])
-        except np.linalg.LinAlgError:  # a singular block gives no vector
-            return False
+    try:  # m >= 2: the order-1 block (k-1) - _rump_shift(n, k) is positive
+        x[:-1] = -np.linalg.solve(f[: m - 1, : m - 1], f[: m - 1, m - 1])
+    except np.linalg.LinAlgError:  # a singular block gives no vector
+        return False
     x /= np.max(np.abs(x))
     if not np.all(np.isfinite(x)):
         return False
@@ -375,7 +369,7 @@ def _pad_columns(witness, total_cols):
     # same support, zeros on the appended coordinates
     full = np.zeros(total_cols)
     full[: len(witness.vector)] = witness.vector
-    return Witness(witness.subset, full, witness.deviation)
+    return Witness(witness.subset, full, witness.excess)
 
 
 def run_distinguishing_experiment(
@@ -383,24 +377,26 @@ def run_distinguishing_experiment(
     clique_size,
     k,
     delta,
-    params=None,
+    params=ReductionParams(),
     trials=20,
-    base_seed=None,
+    *,
+    base_seed,
     rect_cols=None,
     null_statistic=STAT_LAMBDA1,
     budget=DEFAULT_BUDGET,
 ):
     """Two-arm planted-clique experiment against the reduction pipeline.
 
-    Each trial draws a null graph G ~ G(n, 1/2) and an independent graph
-    with a planted clique of ``clique_size``; both are reduced.  The planted
-    arm is judged by its explicit clique witness; the null arm by the
+    Trial t draws a null graph G ~ G(n, 1/2) from the required keyword
+    ``base_seed``'s child (t, 0), and from its child (t, 1) an independent
+    graph with a planted clique of ``clique_size``; both are reduced.  The
+    planted arm is judged by its explicit clique witness; the null arm by the
     spectral refuter's rule at order ``k`` (``lambda1`` statistic, threshold
-    k-1), or by exhaustive enumeration with early exit at ``delta``
-    (``exact`` statistic) when the subset count fits the budget.  When
-    ``rect_cols`` is given, each matrix so judged is block-composed with an
-    n x rect_cols Bernoulli sensing matrix into a 2n x (n + rect_cols) frame;
-    the ``lambda1`` arm judges no matrix.  ``budget`` bounds every exact null
+    k-1), or by exhaustive enumeration with early exit at ``delta`` (``exact``
+    statistic) when the subset count fits the budget.  When ``rect_cols`` is
+    given, each matrix so judged is block-composed with an n x rect_cols
+    Bernoulli sensing matrix into a 2n x (n + rect_cols) frame; the
+    ``lambda1`` arm judges no matrix.  ``budget`` bounds every exact null
     scan, that of a zero reduction too.
 
     A zero reduction matrix is always classed as a violation: the ``lambda1``
@@ -410,10 +406,6 @@ def run_distinguishing_experiment(
     sqrt(n); outside that range a warning is issued and the one-sided
     guarantee no longer applies.
     """
-    if params is None:
-        params = ReductionParams()
-    if base_seed is None:
-        raise ValueError("base_seed is required; randomness only enters through seeds")
     n, clique_size, k, trials = int(n), int(clique_size), int(k), int(trials)
     if not 2 <= clique_size <= n:
         raise ValueError(f"clique size must be in [2, {n}], got {clique_size}")

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import math
@@ -204,6 +205,37 @@ def test_exit_code_four_on_unit_columns(tmp_path, capsys):
                           "--delta", "0.5"], capsys)
     assert rc == 4
     assert "requires unit columns" in err
+
+
+def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    m = make_matrix(tmp_path, capsys)
+    assert run_cli(["coherence", "--matrix", m], capsys)[0] == 0
+    assert run_cli(["exact", "--matrix", m, "--order", "2"], capsys)[0] == 0
+    assert len(built) <= 1
+
+
+def test_shared_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    m = make_matrix(tmp_path, capsys)
+    reports = [str(tmp_path / f"r{i}.json") for i in range(4)]
+    argvs = [["exact", "--matrix", m, "--order", "2", "--threshold", "0.5"],
+             ["exact", "--matrix", m, "--order", "2"],
+             ["experiment", "--preset", "desk-200", "--trials", "1", "--seed", "1"],
+             ["experiment", "--n", "20", "--clique-size", "8", "--order", "8",
+              "--delta", "0.2", "--trials", "1", "--seed", "1"]]
+    for argv, rep in zip(argvs, reports):
+        rc, _, err = run_cli(argv + ["--out", rep], capsys)
+        assert rc == 0, err
+    params = [read_report(rep)["params"] for rep in reports]
+    assert [p["threshold"] for p in params[:2]] == [0.5, None]
+    assert [p["preset"] for p in params[2:]] == ["desk-200", None]
 
 
 def test_argparse_rejects_unknown(capsys):

@@ -306,7 +306,7 @@ def test_dict_builders():
                     subsets_examined=10)
     d = asdict(rep)
     assert d["order"] == 2 and d["value"] == 0.5
-    w = Witness(subset=(0, 2), vector=np.array([0.6, 0.0, 0.8]), deviation=0.1)
+    w = Witness(subset=(0, 2), vector=np.array([0.6, 0.0, 0.8]), excess=-0.1)
     wd = witness_dict(w)
     assert wd == {"subset": [0, 2], "vector": [0.6, 0.0, 0.8], "deviation": 0.1}
     cert = LazyCertificate(probe_order=2, probe_parameter=0.1,

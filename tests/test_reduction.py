@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from riplab import reduction
-from riplab.certify import exact_rip
+from riplab.certify import Witness, exact_rip
 from riplab.randgen import (
     Graph,
     Seed,
@@ -106,6 +106,9 @@ def test_reduction_params_validation():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ReductionParams(c=0.2)  # in range: silent
+    with pytest.warns(UserWarning) as caught:
+        ReductionParams(c=0.9)
+    assert caught[0].filename == __file__  # the caller, not the generated __init__
 
 
 def test_clique_witness_k3():
@@ -188,6 +191,10 @@ def test_verify_violation_rejects_inconsistency():
         verify_violation(c, clique_witness(Graph.from_edges(4, [(0, 1)]), (0, 1)), 0.2)
     with pytest.raises(ValueError):
         verify_violation(c, w, 0.0)
+    # the empty graph's C shrinks ||Cx||^2 to 1 - 0.3*2/sqrt(3): the same
+    # deviation as the clique's claim, with the opposite sign
+    with pytest.raises(ValueError, match="witness identity failed"):
+        verify_violation(cholesky_reduce(Graph(3)), w, 0.2)
 
 
 def test_verify_violation_checks_exact_rip_witnesses():
@@ -202,6 +209,18 @@ def test_verify_violation_checks_exact_rip_witnesses():
     assert np.all(other[:, list(w.subset)] != 0)
     with pytest.raises(ValueError, match="identity failed"):
         verify_violation(other, w, 0.5)
+
+
+@pytest.mark.parametrize("rho", [0.4, -0.4])
+def test_exact_rip_witness_claims_a_signed_excess(rho):
+    # three unit columns with pairwise inner product rho: the worst
+    # eigenvalue is 1 + 2*rho = 1.8 or 0.2, so lambda - 1 = +-0.8
+    phi = np.linalg.cholesky((1 - rho) * np.eye(3) + rho).T
+    report, w = exact_rip(phi, 3)
+    assert abs(w.excess - 2 * rho) <= 1e-12 and abs(w.deviation - report.value) <= 1e-12
+    assert verify_violation(phi, w, 0.7)
+    with pytest.raises(ValueError, match="identity failed"):
+        verify_violation(phi, Witness(w.subset, w.vector, -w.excess), 0.7)
 
 
 def test_monotone_order_padding():
@@ -308,6 +327,11 @@ def test_certificates_decide_every_knife_edge(monkeypatch):
         assert spectral_clique_refuter(g, k, diagnostics) == (YES if reaches else NO_CLIQUE), (g, k)
         proofs.add(diagnostics["proof"])
     assert proofs == {"k>n", "cholesky", "vector"}
+    # the smallest knife edge, K_2 at k = 2, fails at order 2, the least
+    # order _failing_order can return
+    diagnostics = {}
+    assert spectral_clique_refuter(Graph.from_edges(2, [(0, 1)]), 2, diagnostics) == YES
+    assert diagnostics == {"proof": "vector"}
 
 
 def test_rump_step_never_factors_a_singular_psd_matrix():
@@ -464,7 +488,7 @@ def test_experiment_rect_composition():
 
 
 def test_experiment_validation_and_warning():
-    with pytest.raises(ValueError, match="base_seed"):
+    with pytest.raises(TypeError, match="base_seed"):
         run_distinguishing_experiment(20, 8, 8, 0.2)
     with pytest.raises(ValueError):
         run_distinguishing_experiment(20, 1, 8, 0.2, base_seed=Seed(0))
