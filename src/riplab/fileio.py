@@ -14,6 +14,7 @@ and diagnostics such as timings or fallback counts must stay out of them.
 """
 
 import json
+import warnings
 from array import array
 from dataclasses import asdict
 
@@ -49,11 +50,34 @@ def _write_table(path, header, table):
             fh.write("\n".join(map(" ".join, zip(*[it] * width))) + "\n")
 
 
+def _parse_lines(path, lines, width, parse):
+    """The values of ``lines`` (file lines 2, 3, ...) as a (len(lines),
+    width) array, each line checked before its values are stored; the first
+    bad line raises its ``path:line:`` message."""
+    values = array("d" if parse is float else "q")
+    for lineno, line in enumerate(lines, start=2):
+        tokens = line.split()
+        if len(tokens) != width:
+            _fail(path, lineno, f"expected {width} values, got {len(tokens)}")
+        try:
+            values.extend(map(parse, tokens))
+        except (ValueError, OverflowError):  # not a number, or beyond int64
+            _fail(path, lineno, f"invalid {parse.__name__} value in {line!r}")
+    return np.asarray(values).reshape(-1, width)  # a view: a copy doubles the peak
+
+
 def _read_table(path, header, shape, parse):
     """Header integers a, b and the rows of a table file as a 2-D float64 or
     int64 array (``parse`` is float or int).  ``shape(path, a, b)`` checks the
-    header and gives (rows, width).  Each line is checked before its values
-    are stored, 8 bytes each, so a header alone allocates nothing."""
+    header and gives (rows, width).  Values are allocated only for the lines
+    present, never from the header's counts.
+
+    The data rows are parsed by one ``np.loadtxt`` call.  Its result is kept
+    only when it has exactly ``rows`` rows of ``width`` values and it neither
+    raised nor warned; anything else re-reads the rows with
+    :func:`_parse_lines`, which names the first bad line or accepts what
+    Python's ``int``/``float`` accept and ``loadtxt`` refuses (``1_000``).
+    ``loadtxt`` skips blank lines, which the shape check catches."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     try:
@@ -63,19 +87,22 @@ def _read_table(path, header, shape, parse):
     rows, width = shape(path, a, b)
     if len(lines) < rows + 1:
         _fail(path, len(lines), f"expected {rows} data rows, file ends early")
-    values = array("d" if parse is float else "q")
-    for lineno, line in enumerate(lines[1 : rows + 1], start=2):
-        tokens = line.split()
-        if len(tokens) != width:
-            _fail(path, lineno, f"expected {width} values, got {len(tokens)}")
+    data = lines[1 : rows + 1]
+    table = None
+    if rows > 0:
         try:
-            values.extend(map(parse, tokens))
-        except (ValueError, OverflowError):  # not a number, or beyond int64
-            _fail(path, lineno, f"invalid {parse.__name__} value in {line!r}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(data, dtype=np.float64 if parse is float else np.int64,
+                                   ndmin=2, comments=None)
+        except (ValueError, OverflowError, Warning):  # the line loop decides
+            pass
+    if table is None or table.shape != (rows, width):
+        table = _parse_lines(path, data, width, parse)
     for lineno, line in enumerate(lines[rows + 1 :], start=rows + 2):
         if line.strip():
             _fail(path, lineno, f"unexpected trailing content {line!r}")
-    return a, b, np.asarray(values).reshape(rows, width)  # a view: a copy doubles the peak
+    return a, b, table
 
 
 def write_matrix_file(path, m):

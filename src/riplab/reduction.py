@@ -21,6 +21,7 @@ the explicit clique witness.
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -273,6 +274,23 @@ def _failing_order(f):
 # entries in {-1, 0, 1}, such as the all-ones vector of K_n, exactly; 2^32
 # keeps a strictly negative direction negative after rounding.
 _VECTOR_SCALES = (1, 1 << 32)
+# Largest denominator of the fractions :func:`_rational_scale` fits to x.
+_VECTOR_DENOMINATOR = 1 << 16
+
+
+def _rational_scale(x):
+    """The least common multiple of the denominators of x's entries, each
+    fitted by the nearest fraction of denominator at most
+    ``_VECTOR_DENOMINATOR``, or None when it exceeds 2^32.  x scaled by it
+    rounds a rational null vector, such as that of a complete multipartite
+    graph with unequal parts (entries proportional to 1/(lambda_1 + 2 s_i - 1)
+    for part sizes s_i), to integers exactly."""
+    scale = 1
+    for v in np.unique(x).tolist():
+        scale = math.lcm(scale, Fraction(v).limit_denominator(_VECTOR_DENOMINATOR).denominator)
+        if scale > _VECTOR_SCALES[-1]:
+            return None
+    return scale
 
 
 def _vector_proves_reach(signed, k, f, m):
@@ -281,6 +299,7 @@ def _vector_proves_reach(signed, k, f, m):
     its leading block of order m: x is (-F11^-1 f12, 1) on the leading m
     coordinates, that is L^-T e_m for the unit triangular L of the block's
     LDL^T factorisation, normalised to max |x_i| = 1, scaled and rounded.
+    The scales tried are ``_VECTOR_SCALES``, then :func:`_rational_scale`.
 
     The check is exact.  |x_i| <= 2^32 and m <= 2^14, so every partial sum of
     A x is an integer below 2^53 and the float product is exact in any
@@ -296,13 +315,17 @@ def _vector_proves_reach(signed, k, f, m):
     if not np.all(np.isfinite(x)):
         return False
     block = signed[:m, :m]
-    for scale in _VECTOR_SCALES:
+
+    def proves(scale):
         xi = np.rint(scale * x)
         ax = (block @ xi).astype(np.int64).astype(object)
         xo = xi.astype(np.int64).astype(object)
-        if (k - 1) * (xo @ xo) - xo @ ax <= 0:
-            return True
-    return False
+        return (k - 1) * (xo @ xo) - xo @ ax <= 0
+
+    if any(proves(scale) for scale in _VECTOR_SCALES):
+        return True
+    scale = _rational_scale(x)
+    return scale is not None and proves(scale)
 
 
 def _lambda1_reaches(g, k, signed=None):

@@ -1,8 +1,12 @@
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from riplab import fileio
 from riplab.certify import LazyCertificate, RipReport, Witness, exact_rip
 from riplab.fileio import (
     MAX_GRAPH_VERTICES,
@@ -211,6 +215,18 @@ def _first_edge_error(n, edges):
     return None
 
 
+def _inject_edge_faults(rng, n, edges):
+    """``edges`` with up to two rows replaced by ones the edge checks refuse."""
+    for _ in range(int(rng.integers(0, 3))):
+        if not edges:
+            break
+        i = int(rng.integers(len(edges)))
+        u, v = edges[i]
+        edges[i] = [(v, u), (u, u), (u, n), (-1, v), (u + 2**61, v),  # u * n wraps
+                    edges[i - 1], (u + 1, v)][int(rng.integers(7))]
+    return edges
+
+
 def test_graph_edge_checks_match_per_edge_rules(tmp_path):
     """The array checks report the same first bad row as checking edge by
     edge, for edge lists with injected faults."""
@@ -220,14 +236,7 @@ def test_graph_edge_checks_match_per_edge_rules(tmp_path):
         rng = np.random.default_rng(s)
         n = int(rng.integers(2, 9))
         g = gen_gnp_half(n, Seed(s))
-        edges = [tuple(e) for e in g.edges()]
-        for _ in range(int(rng.integers(0, 3))):
-            if not edges:
-                break
-            i = int(rng.integers(len(edges)))
-            u, v = edges[i]
-            edges[i] = [(v, u), (u, u), (u, n), (-1, v), (u + 2**61, v),  # u * n wraps
-                        edges[i - 1], (u + 1, v)][int(rng.integers(7))]
+        edges = _inject_edge_faults(rng, n, [tuple(e) for e in g.edges()])
         p.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
         want = _first_edge_error(n, edges)
         if want is None:
@@ -238,6 +247,130 @@ def test_graph_edge_checks_match_per_edge_rules(tmp_path):
             read_graph_file(p)
         assert str(err.value) == f"{p}:{want[0]}: {want[1]}"
     assert faults > 100
+
+
+def _read_outcome(read, p):
+    """What ``read`` makes of file ``p``: the message of its FileFormatError,
+    or the dtype, shape and bytes of the array it gives."""
+    try:
+        out = read(p)
+    except FileFormatError as exc:
+        return str(exc)
+    a = out.edges() if isinstance(out, Graph) else out
+    return a.dtype, a.shape, a.tobytes()
+
+
+def test_bulk_parse_divergences_keep_the_line_loop_outcome(tmp_path):
+    """Where np.loadtxt and Python's int/float disagree, a file reads to the
+    array or the message of the line-by-line reader."""
+    p = tmp_path / "t.txt"
+    graph_errors = [
+        ("3 2\n0 1\n\n0 2\n", "3: expected 2 values, got 0"),  # loadtxt skips blanks
+        ("3 2\n0 1\n \t \n", "3: expected 2 values, got 0"),
+        ("3 2\n\n0 1\n", "2: expected 2 values, got 0"),
+        ("3 2\n0 1\x0b0 2\n\n", "2: expected 2 values, got 4"),  # one row of 4
+        ("3 1\n0 1.0\n", "2: invalid int value in '0 1.0'"),
+        ("3 1\n0 9223372036854775808\n", "2: invalid int value in '0 9223372036854775808'"),
+        ("3 1\n-9223372036854775809 1\n", "2: invalid int value in '-9223372036854775809 1'"),
+        ("3 1\n0 9223372036854775807\n",
+         "2: edge (0, 9223372036854775807) violates 0 <= u < v < n=3"),
+        ("3 1\n0 \uff10\n", "2: edge (0, 0) violates 0 <= u < v < n=3"),  # fullwidth 0
+    ]
+    for text, msg in graph_errors:
+        p.write_text(text, encoding="utf-8")
+        assert _read_outcome(read_graph_file, p) == f"{p}:{msg}"
+    for text in ("2 2\n1.0 2.0\n\n3.0 4.0\n", "2 2\n1.0 2.0\n\t\n"):
+        p.write_text(text, encoding="utf-8")
+        assert _read_outcome(read_matrix_file, p) == f"{p}:3: expected 2 values, got 0"
+    graphs = [
+        ("1001 2\n0 1_000\n1 \uff12\n", [[0, 1000], [1, 2]]),  # Python's int only
+        ("3 2\n0\t1\n0\x0b2\n", [[0, 1], [0, 2]]),
+    ]
+    for text, edges in graphs:
+        p.write_text(text, encoding="utf-8")
+        assert read_graph_file(p).edges().tolist() == edges
+    p.write_text("1 3\n1_0.5\t-2\x0b\uff13\n", encoding="utf-8")
+    assert read_matrix_file(p).tolist() == [[10.5, -2.0, 3.0]]
+
+
+def test_all_blank_data_region_prints_only_the_error(tmp_path):
+    """np.loadtxt warns on input with no data; the reader's message is all
+    that reaches stderr."""
+    g = tmp_path / "g.txt"
+    g.write_text("3 2\n\n \n")
+    r = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "riplab.cli", "refute",
+         "--graph", str(g), "--k", "2"],
+        capture_output=True, text=True,
+    )
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: {g}:2: expected 2 values, got 0\n"
+
+
+_TOKEN_FAULTS = ["1_0", "\uff11", "1.0", "x", "", "9223372036854775808", "1e3", "nan", "-0"]
+_SEPARATORS = [" ", "\t", "\x0b", "\x0c", "\x85", "\u3000", "  "]
+
+
+def _inject_text_faults(rng, lines):
+    """``lines`` with up to two token, separator or blank-line faults."""
+    for _ in range(int(rng.integers(0, 3))):
+        i = int(rng.integers(len(lines)))
+        kind = int(rng.integers(4))
+        if kind == 0:  # one token replaced
+            tokens = lines[i].split(" ")
+            j = int(rng.integers(len(tokens)))
+            tokens[j] = _TOKEN_FAULTS[int(rng.integers(len(_TOKEN_FAULTS)))]
+            lines[i] = " ".join(tokens)
+        elif kind == 1:  # other whitespace between values
+            sep = _SEPARATORS[int(rng.integers(len(_SEPARATORS)))]
+            lines[i] = lines[i].replace(" ", sep)
+        elif kind == 2:  # a blank or whitespace-only line
+            lines.insert(i, ["", " ", "\t"][int(rng.integers(3))])
+        else:  # a line joined to the next
+            lines[i : i + 2] = [" ".join(lines[i : i + 2])]
+    return lines
+
+
+def test_bulk_parse_matches_the_line_loop(tmp_path, monkeypatch):
+    """Well-formed and fault-injected files read to the same array or
+    message whether or not np.loadtxt is available."""
+    p = tmp_path / "t.txt"
+
+    def refused(*args, **kwargs):
+        raise ValueError("bulk parse refused")
+
+    for s in range(300):
+        rng = np.random.default_rng(s)
+        if s % 2:
+            n = int(rng.integers(2, 9))
+            edges = [tuple(e) for e in gen_gnp_half(n, Seed(s)).edges()]
+            edges = _inject_edge_faults(rng, n, edges)
+            read, header = read_graph_file, f"{n} {len(edges)}"
+            body = [f"{u} {v}" for u, v in edges]
+        else:
+            m = rng.standard_normal((rng.integers(1, 5), rng.integers(1, 5)))
+            read, header = read_matrix_file, f"{m.shape[0]} {m.shape[1]}"
+            body = [" ".join(map(repr, row)) for row in m.tolist()]
+        lines = [header] + (_inject_text_faults(rng, body) if body else [])
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        bulk = _read_outcome(read, p)
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "loadtxt", refused)
+            assert _read_outcome(read, p) == bulk
+
+
+def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):
+    def line_loop(*args, **kwargs):
+        raise AssertionError("the line loop ran on a well-formed file")
+
+    monkeypatch.setattr(fileio, "_parse_lines", line_loop)
+    golden = Path(__file__).parent / "golden"
+    assert read_graph_file(golden / "gnp_16_seed3.txt").n == 16
+    assert read_matrix_file(golden / "matrix_6x12.txt").shape == (6, 12)
+    p = tmp_path / "g.txt"
+    g = gen_gnp_half(300, Seed(1))
+    write_graph_file(p, g)
+    assert read_graph_file(p) == g
 
 
 def test_graph_from_edge_array():

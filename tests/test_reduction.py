@@ -334,6 +334,24 @@ def test_certificates_decide_every_knife_edge(monkeypatch):
     assert diagnostics == {"proof": "vector"}
 
 
+def test_vector_proves_unequal_multipartite_knife_edges(monkeypatch):
+    """Complete multipartite graphs with unequal parts and integer lambda_1 =
+    k-1 have a null vector with entries proportional to
+    1/(lambda_1 + 2 s_i - 1), not in {-1, 0, 1}; its rational scale proves
+    "yes" without Bareiss elimination."""
+    _forbid_bareiss(monkeypatch)
+    cases = [((1, 2, 5), 4), ((1, 6, 6), 5), ((1, 1, 1, 6), 5), ((2, 2, 2, 5), 7),
+             ((2, 5, 5, 5), 10)]
+    for parts, k in cases:
+        labels = np.repeat(np.arange(len(parts)), parts)
+        g = Graph(len(labels), labels[:, None] != labels[None, :])
+        diagnostics = {}
+        assert spectral_clique_refuter(g, k, diagnostics) == YES, parts
+        assert diagnostics == {"proof": "vector"}, parts
+        assert spectral_clique_refuter(g, k + 1, diagnostics) == NO_CLIQUE, parts
+        assert diagnostics == {"proof": "cholesky"}, parts
+
+
 def test_rump_step_never_factors_a_singular_psd_matrix():
     """(k-1)I - A is singular and PSD on every knife edge that sits on the
     threshold (nI - J for K_n at k = n); the shifted Cholesky must fail on all
