@@ -254,7 +254,7 @@ def _block_deviations(g, block):
     return np.maximum(np.abs(w[:, 0] - 1.0), np.abs(w[:, -1] - 1.0))
 
 
-def _build_witness(g, phi, subset):
+def _build_witness(g, subset):
     idx = np.asarray(subset, dtype=np.intp)
     sub = g[np.ix_(idx, idx)]
     w, v = np.linalg.eigh(sub)
@@ -264,7 +264,7 @@ def _build_witness(g, phi, subset):
     if vec[peak] < 0.0:
         vec = -vec
     vec /= np.linalg.norm(vec)
-    full = np.zeros(phi.shape[1])
+    full = np.zeros(len(g))
     full[idx] = vec
     return Witness(tuple(subset), full, float(w[which]) - 1.0)
 
@@ -328,7 +328,7 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET):
             best_dev = float(devs[top])
             best_subset = block[rows[top]].tolist()
 
-    witness = _build_witness(g, a, best_subset)
+    witness = _build_witness(g, best_subset)
     if stopped:
         direction, method = LOWER_BOUND, WITNESS_LB
     else:

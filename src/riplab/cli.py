@@ -205,23 +205,20 @@ def cmd_lazy(args):
 
 def cmd_generate(args):
     seed = Seed(args.seed, args.stream)
-    if args.model == "bernoulli":
-        rows, cols = args.dims
-        m = gen_bernoulli_sensing(rows, cols, seed)
+    if args.model in ("bernoulli", "model-a", "model-b"):
+        if args.model == "bernoulli":
+            rows, cols = args.dims
+            m = gen_bernoulli_sensing(rows, cols, seed)
+            params = {"model": "bernoulli", "rows": rows, "cols": cols}
+        elif args.model == "model-a":
+            m = gen_model_a(args.n, seed)
+            params = {"model": "model-a", "n": args.n}
+        else:
+            _require_finite_c(args)
+            m = gen_model_b(args.n, args.c, seed)
+            params = {"model": "model-b", "n": args.n, "c": args.c}
         write_matrix_file(args.out, m)
-        params = {"model": "bernoulli", "rows": rows, "cols": cols}
-        results = {"rows": rows, "cols": cols}
-    elif args.model == "model-a":
-        m = gen_model_a(args.n, seed)
-        write_matrix_file(args.out, m)
-        params = {"model": "model-a", "n": args.n}
-        results = {"rows": args.n, "cols": args.n}
-    elif args.model == "model-b":
-        _require_finite_c(args)
-        m = gen_model_b(args.n, args.c, seed)
-        write_matrix_file(args.out, m)
-        params = {"model": "model-b", "n": args.n, "c": args.c}
-        results = {"rows": args.n, "cols": args.n}
+        results = {"rows": m.shape[0], "cols": m.shape[1]}
     elif args.model == "gnp":
         g = gen_gnp_half(args.n, seed)
         write_graph_file(args.out, g)

@@ -120,8 +120,9 @@ def _matrix_shape(path, rows, cols):
 
 def read_matrix_file(path):
     out = _read_table(path, "rows cols", _matrix_shape, float)[2]
-    if not np.all(np.isfinite(out)):
-        _fail(path, 1, "matrix contains non-finite entries")
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if len(bad):
+        _fail(path, int(bad[0]) + 2, "matrix contains non-finite entries")
     return out
 
 

@@ -46,11 +46,16 @@ def gram(phi):
     update that mirrors one triangle; a strided a is made contiguous first,
     as its product need not be symmetric.  The exact-scan screen reads the
     upper triangle and eigvalsh the lower, so the scan relies on that.
+    ValueError when the product overflows, detected by its min and max.
     """
     a = as_matrix(phi, "phi")
     if not (a.flags.c_contiguous or a.flags.f_contiguous):
         a = np.ascontiguousarray(a)
-    return a.T @ a
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with a message
+        g = a.T @ a
+    if not (np.isfinite(g.min()) and np.isfinite(g.max())):
+        raise ValueError("Gram matrix Phi^T Phi overflows: the matrix entries are too large")
+    return g
 
 
 def cholesky_psd(b):

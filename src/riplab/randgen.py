@@ -157,8 +157,6 @@ class Graph:
             return NotImplemented
         return self.n == other.n and bool(np.array_equal(self.adj, other.adj))
 
-    __hash__ = None
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
@@ -193,9 +191,6 @@ def gen_model_a(k, seed):
     It is the signed adjacency of ``gen_gnp_half(k, seed)``: +1 exactly on
     that graph's edges.
     """
-    k = int(k)
-    if k <= 0:
-        raise ValueError(f"order must be positive, got {k}")
     return gen_gnp_half(k, seed).signed_adjacency()
 
 
@@ -253,9 +248,8 @@ def plant_clique(graph, size, seed):
         order[i], order[j] = order[j], order[i]
     members = tuple(sorted(order[:size]))
 
-    adj = graph.adj.copy()
+    g = Graph(n, graph.adj)  # validates and copies graph.adj, which stays as it was
     idx = np.asarray(members, dtype=np.intp)
-    block = np.ix_(idx, idx)
-    adj[block] = True
-    adj[idx, idx] = False
-    return PlantedInstance(Graph(n, adj), members)
+    g.adj[np.ix_(idx, idx)] = True
+    g.adj[idx, idx] = False
+    return PlantedInstance(g, members)

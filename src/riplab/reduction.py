@@ -20,7 +20,7 @@ the explicit clique witness.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -328,22 +328,17 @@ def _vector_proves_reach(signed, k, f, m):
     return scale is not None and proves(scale)
 
 
-def _lambda1_reaches(g, k, signed=None):
-    """(lambda_1(A) >= k-1, name of the proof) for the signed adjacency A of
-    g, decided as :func:`spectral_clique_refuter` describes; ``signed`` is A
-    when the caller has it already."""
-    n = g.n
-    if k > n:  # lambda_1 <= n - 1 < k - 1
-        return False, PROOF_K_GT_N
-    if signed is None:
-        signed = signed_adjacency(g)
+def _lambda1_reaches(signed, k):
+    """(lambda_1(A) >= k-1, name of the proof) for an n x n signed adjacency
+    A and 2 <= k <= n, decided by the last three certificates that
+    :func:`spectral_clique_refuter` describes."""
     f = _rump_shifted(signed, k)
     m = _failing_order(f)
     if m is None:
         return False, PROOF_CHOLESKY
     if _vector_proves_reach(signed, k, f, m):
         return True, PROOF_VECTOR
-    shifted = (k - 1) * np.eye(n, dtype=np.int64) - signed.astype(np.int64)
+    shifted = (k - 1) * np.eye(len(signed), dtype=np.int64) - signed.astype(np.int64)
     return not _is_positive_definite_exact(shifted), PROOF_BAREISS
 
 
@@ -372,7 +367,10 @@ def spectral_clique_refuter(g, k, diagnostics=None):
     k = int(k)
     if k < 2:
         raise ValueError(f"clique size must be at least 2, got {k}")
-    reaches, proof = _lambda1_reaches(g, k)
+    if k > g.n:  # lambda_1 <= n - 1 < k - 1
+        reaches, proof = False, PROOF_K_GT_N
+    else:
+        reaches, proof = _lambda1_reaches(signed_adjacency(g), k)
     if diagnostics is not None:
         diagnostics["proof"] = proof
     return YES if reaches else NO_CLIQUE
@@ -386,13 +384,6 @@ def block_compose(a, b):
     out[: a.shape[0], : a.shape[1]] = a
     out[a.shape[0] :, a.shape[1] :] = b
     return out
-
-
-def _pad_columns(witness, total_cols):
-    # same support, zeros on the appended coordinates
-    full = np.zeros(total_cols)
-    full[: len(witness.vector)] = witness.vector
-    return Witness(witness.subset, full, witness.excess)
 
 
 def run_distinguishing_experiment(
@@ -464,7 +455,7 @@ def run_distinguishing_experiment(
         if null_statistic == STAT_LAMBDA1:
             signed0 = signed_adjacency(g0)
             stat0 = float(sym_eigenvalues(signed0)[0])
-            flagged0 = _lambda1_reaches(g0, k, signed0)[0] or not c0.any()
+            flagged0 = _lambda1_reaches(signed0, k)[0] or not c0.any()
         else:
             if rect_cols is not None:
                 c0 = block_compose(c0, gen_bernoulli_sensing(n, rect_cols, null_seed))
@@ -481,7 +472,7 @@ def run_distinguishing_experiment(
         witness = clique_witness(instance.graph, instance.planted[:witness_size], params)
         if rect_cols is not None:
             c1 = block_compose(c1, gen_bernoulli_sensing(n, rect_cols, planted_seed))
-            witness = _pad_columns(witness, n + rect_cols)
+            witness = replace(witness, vector=np.pad(witness.vector, (0, rect_cols)))
         stat1 = _witness_deviation(c1, witness)
         flagged1 = stat1 > delta
         records.append(

@@ -191,6 +191,18 @@ def test_oversized_headers_exit_two(tmp_path, capsys):
     assert f"{m}:2: expected 100000000000 values, got 1" in err
 
 
+def test_overflowing_gram_exits_two_and_writes_nothing(tmp_path, capsys):
+    m = tmp_path / "big.txt"
+    m.write_text("2 3\n1e200 1e200 1.0\n1e200 -1e200 2.0\n")
+    rep = tmp_path / "r.json"
+    for argv in (["exact", "--matrix", str(m), "--order", "2"],
+                 ["coherence", "--matrix", str(m)]):
+        rc, out, err = run_cli(argv + ["--out", str(rep)], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: Gram matrix")
+    assert not rep.exists()
+
+
 def test_exit_code_three_on_budget(tmp_path, capsys):
     m = make_matrix(tmp_path, capsys)
     rc, _, err = run_cli(["exact", "--matrix", m, "--order", "3", "--budget", "10"], capsys)

@@ -100,6 +100,9 @@ def test_matrix_error_names_position(tmp_path):
     p.write_text("2 2\n1.0 2.0\n3.0\n")
     with pytest.raises(FileFormatError, match=r"bad\.txt:3: expected 2 values"):
         read_matrix_file(p)
+    p.write_text("2 2\n1.0 2.0\n3.0 nan\n")
+    with pytest.raises(FileFormatError, match=r"bad\.txt:3: matrix contains non-finite"):
+        read_matrix_file(p)
 
 
 def test_graph_roundtrip(tmp_path):

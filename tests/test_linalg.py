@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riplab.certify import subset_deviation
+from riplab.certify import coherence, exact_rip, subset_deviation
 from riplab.linalg import (
     PSD_TOL,
     as_matrix,
@@ -121,6 +121,15 @@ def test_gram_is_exactly_symmetric(layout):
     }[layout]
     g = gram(a)
     assert (g == g.T).all()
+
+
+def test_gram_refuses_an_overflowing_product():
+    # finite entries whose Gram overflows: inf on the diagonal, and
+    # 1e400 - 1e400 = inf - inf = NaN between the first two columns
+    phi = np.array([[1e200, 1e200, 1.0], [1e200, -1e200, 2.0]])
+    for call in (gram, coherence, lambda m: exact_rip(m, 2)):
+        with pytest.raises(ValueError, match="Gram matrix"):
+            call(phi)
 
 
 def test_gram_unit_column():

@@ -267,6 +267,21 @@ def test_plant_clique_examples():
     ]
 
 
+def test_plant_clique_copies_its_input_once():
+    g = gen_gnp_half(8, Seed(3))
+    before = g.adj.copy()
+    inst = plant_clique(g, 5, Seed(4))
+    assert np.array_equal(g.adj, before)  # the input graph is not modified
+    assert not np.shares_memory(inst.graph.adj, g.adj)
+    assert inst.graph.missing_edge(inst.planted) is None
+
+
+def test_graph_is_unhashable():
+    # Graph defines __eq__ over its mutable adjacency, so it has no hash
+    with pytest.raises(TypeError):
+        hash(Graph(2))
+
+
 def test_plant_clique_full_and_single():
     g = gen_gnp_half(5, Seed(2))
     full = plant_clique(g, 5, Seed(0))

@@ -226,7 +226,7 @@ def test_exact_rip_witness_claims_a_signed_excess(rho):
 def test_monotone_order_padding():
     """A violation at support k survives embedding into a wider frame with
     zeros on the new coordinates."""
-    from riplab.reduction import _pad_columns, block_compose
+    from riplab.reduction import block_compose
 
     inst = plant_clique(gen_gnp_half(30, Seed(1)), 8, Seed(2))
     c = cholesky_reduce(inst.graph)
@@ -234,7 +234,7 @@ def test_monotone_order_padding():
     w = clique_witness(inst.graph, inst.planted)
     assert verify_violation(c, w, 0.3)
     wide = block_compose(c, np.eye(5))
-    padded = _pad_columns(w, 35)
+    padded = Witness(w.subset, np.pad(w.vector, (0, 5)), w.excess)
     assert padded.subset == w.subset
     assert verify_violation(wide, padded, 0.3)
 
@@ -254,6 +254,16 @@ def test_refuter_empty_graph_boundary():
     assert spectral_clique_refuter(Graph(4), 3) == NO_CLIQUE
     with pytest.raises(ValueError):
         spectral_clique_refuter(Graph(4), 1)
+
+
+def test_refuter_answers_k_above_n_before_building_a_matrix(monkeypatch):
+    def no_matrix(g):
+        raise AssertionError("signed adjacency built for k > n")
+
+    monkeypatch.setattr(reduction, "signed_adjacency", no_matrix)
+    diagnostics = {}
+    assert spectral_clique_refuter(Graph(60), 61, diagnostics) == NO_CLIQUE
+    assert diagnostics["proof"] == "k>n"
 
 
 def test_refuter_planted_cliques_always_flagged():
