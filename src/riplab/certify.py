@@ -6,17 +6,19 @@ all eigenvalues of each k x k Gram submatrix lie in [1-delta, 1+delta].  The
 exact parameter is the max over all C(N, k) column subsets of the spectral
 deviation of the Gram submatrix from the identity.
 
-`exact_rip` computes that max in one serial scan over subsets in
-lexicographic order, chunk by chunk.  A chunk's subsets are built as a block
-of index rows from a table of all d-subsets (d < k, made once per scan): the
-subsets sharing a (k-d)-prefix are that prefix followed by a contiguous run
-of table rows, so Python steps through prefixes, not subsets.  Each chunk is
-bounded first: the Gershgorin bound max_i sum_j |(G_S - I)_ij| caps a
-subset's deviation, and only subsets whose bound can still reach the running
-best go to a batched eigensolve.  The screen discards no subset that could be
-the maximum or the first one over a threshold, so the reported value, the
-witness (always the lexicographically smallest argmax subset) and the
-rank-defined examined-subset count are those of the unscreened scan.
+`exact_rip` computes that max in one serial depth-first walk over column
+prefixes in lexicographic order, one slice of prefixes per array operation,
+so Python steps through slices, not prefixes or subsets.  Before the walk a
+few greedy seed subsets are solved; the prune level is the larger of their
+best deviation and the running best, capped at the threshold of a threshold
+scan.  A prefix whose bound on every completion's Gershgorin bound
+(max_i sum_j |(G_S - I)_ij|, which caps a subset's deviation) lies below the
+level is skipped with all its completions; the completions of the last
+prefixes are bounded one by one, and only subsets whose bound reaches the
+level go to a batched eigensolve.  Nothing skipped could be the maximum or
+the first subset over a threshold, so the reported value, the witness
+(always the lexicographically smallest argmax subset) and the rank-defined
+examined-subset count are those of a scan that solves every subset.
 `lazy_certify` probes a small order m exhaustively, then lifts the measured
 parameter to larger orders via the bound delta_k <= eps*(k-1)/(m-1).
 """
@@ -132,120 +134,258 @@ def subset_deviation(phi, subset):
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-# Scan chunks start at _FIRST_ROWS subsets, so a threshold hit near the start
-# materialises little, and double up to _MAX_ROWS, fewer for k > 8: a chunk
-# whose every subset passes the screen stacks its k x k Gram submatrices for
-# the eigensolve, and that stack stays within _CHUNK_DOUBLES doubles (4 MB).
+# A slice of prefixes holds their row sums, at most _SLICE_DOUBLES values
+# (256 kB, cache-sized: larger slices measured slower).  Batches of
+# completions start at _FIRST_ROWS subsets, so a threshold hit near the start
+# materialises little, and double up to _SLICE_DOUBLES.
+# The top-q tables hold at most about _TABLE_DOUBLES values (1 MB): exact for
+# n <= 209 at k = 3, on a coarser grid of prefix ends beyond.
+# A batch whose every subset passes the screen stacks its k x k Gram
+# submatrices for the eigensolve, and that stack stays within _CHUNK_DOUBLES
+# doubles (4 MB).
 _FIRST_ROWS = 256
-_MAX_ROWS = 8192
+_SLICE_DOUBLES = 1 << 15
 _CHUNK_DOUBLES = 1 << 19
+_TABLE_DOUBLES = 1 << 17
 
-# Screening margin, per unit of k*k*(1 + best).  For a subset S let M = G_S - I,
+# Subsets solved by the greedy seed before the walk.
+_SEEDS = 8
+
+# Screening margin, per unit of k*k*(1 + level).  For a subset S let M = G_S - I,
 # d = rho(M) its deviation and b = max_i sum_j |M_ij| its Gershgorin bound, so
-# d <= b in exact arithmetic.  The computed bound b' rounds G_ii - 1 once and
-# adds k nonnegative terms, so b <= b' (1 + k u) with u = eps/2.  eigvalsh is
-# backward stable, |w' - w| <= p(k) u ||G_S||_2 with p(k) a modest polynomial,
-# taken here as k^2 (observed errors are a few k ulps); ||G_S||_2 <= 1 + d,
-# and |w' - 1| rounds once more.
-# So the computed deviation d' <= b' + (k^2 + k + 2) u (1 + b'), and
-# 16 k^2 u = 8 eps k^2 covers that for every k >= 1: a subset whose b' lies
-# below best - margin has d' < best.  It can be neither the first argmax nor
-# the first subset over a threshold, which the running best never exceeds.
+# d <= b in exact arithmetic.  Each bound the walk computes and compares for
+# S, whether S's own Gershgorin bound, the cheaper s_q + most of
+# `_Walk.leaves` or a bound on all completions of a prefix of S, is a
+# computed sum b' of at most 2k nonnegative pieces: |M_ij| values, D_i =
+# |fl(G_ii - 1)|, prefix row sums s_i, and top-r table entries, each at
+# least a computed sum of the r values it stands for.  Every row sum of M is
+# at most the exact sum of the values behind those pieces, and summing at
+# most 2k terms in any order rounds by a factor of at most 1 + 2k u, so
+# b <= b' (1 + 2k u) with u = eps/2.  eigvalsh
+# is backward stable, |w' - w| <= p(k) u ||G_S||_2 with p(k) a modest
+# polynomial, taken here as k^2 (observed errors are a few k ulps);
+# ||G_S||_2 <= 1 + d, and |w' - 1| rounds once more.
+# So the computed deviation d' <= b' + (k^2 + 2k + 2) u (1 + b'), and
+# 16 k^2 u = 8 eps k^2 covers that for every k >= 1: a subset or prefix whose
+# b' lies below level - margin has no subset with d' >= level.  The level is
+# a computed deviation of some subset (the seed's or the running best),
+# capped at the threshold in a threshold scan, so nothing screened or pruned
+# can be the first argmax or the first subset over the threshold.
 _SCREEN_MARGIN = 8 * np.finfo(np.float64).eps
 
 
-def _chunks(k, total):
-    """(start rank, row count) of consecutive scan chunks covering all ranks."""
-    cap = max(1, min(_MAX_ROWS, _CHUNK_DOUBLES // (k * k)))
-    rows = min(_FIRST_ROWS, cap)
-    start = 0
-    while start < total:
-        count = min(rows, total - start)
-        yield start, count
-        start += count
-        rows = min(2 * rows, cap)
+def _seed_level(g, k):
+    """Largest deviation among up to _SEEDS greedy k-subsets.
 
-
-# The suffix table holds at most _SUFFIX_ROWS rows (1.3 MB at width 5) and at
-# most a 16th of the scan's subsets, so a scan that stops in its first chunk
-# does not pay for a table larger than the work it saves.
-_SUFFIX_ROWS = 1 << 15
-
-
-def _suffix_width(n, k):
-    """Largest d whose table of C(n, d) rows stays within both caps, or 0
-    (a one-row table); always d < k, as C(n, k) exceeds a 16th of the scan."""
-    total = math.comb(n, k)
-    return max((d for d in range(1, k)
-                if math.comb(n, d) <= _SUFFIX_ROWS and 16 * math.comb(n, d) <= total),
-               default=0)
-
-
-def _suffix_table(n, d):
-    """All d-subsets of range(n) in lexicographic order, one per row.
-
-    Built column by column: the rows of width w starting at index a are a
-    followed by each (w-1)-subset whose first index exceeds a, which are the
-    last rows of the narrower table.
+    Each starts from a row's largest off-diagonal |G_ij| (the rows with the
+    largest such entries; the largest diagonal deviations when k = 1) and
+    grows by the column whose Gershgorin row sum over the subset so far is
+    largest.  Solved with the scan's own kernel, the value is a deviation the
+    scan reaches, so it may serve as the prune level from the start.
     """
-    if d == 0:
-        return np.empty((1, 0), dtype=np.int64)  # the one empty subset
-    table = np.arange(n).reshape(n, 1)
-    for width in range(2, d + 1):
-        firsts = np.arange(n - width + 1)
-        tails = len(table) - np.searchsorted(table[:, 0], firsts, side="right")
-        src = len(table) - tails  # where each first index's tail starts
-        dst = np.cumsum(tails) - tails  # where its rows go
-        picks = np.arange(tails.sum()) + np.repeat(src - dst, tails)
-        table = np.column_stack((np.repeat(firsts, tails), table[picks]))
-    return table
+    n = len(g)
+    diag = np.abs(np.diagonal(g) - 1.0)
+    if k == 1:
+        members = np.argsort(-diag, kind="stable")[:_SEEDS, None]
+    else:
+        top_j = np.empty(n, dtype=np.intp)
+        top_v = np.empty(n)
+        step = max(1, _SLICE_DOUBLES // n)
+        for lo in range(0, n, step):  # row blocks: no n x n temporary
+            blk = np.abs(g[lo:lo + step])
+            r = np.arange(len(blk))
+            blk[r, lo + r] = -1.0
+            top_j[lo:lo + step] = blk.argmax(axis=1)
+            top_v[lo:lo + step] = blk[r, top_j[lo:lo + step]]
+        rows = np.argsort(-top_v, kind="stable")[:_SEEDS]
+        members = np.empty((len(rows), k), dtype=np.intp)
+        members[:, 0], members[:, 1] = rows, top_j[rows]
+        # a member's own |G_jj| lands on a member column, which is never picked
+        sums = np.abs(g[rows]) + np.abs(g[top_j[rows]])
+        r = np.arange(len(rows))[:, None]
+        for m in range(2, k):
+            score = sums + diag
+            score[r, members[:, :m]] = -np.inf
+            members[:, m] = score.argmax(axis=1)
+            sums += np.abs(g[members[:, m]])
+    return float(_block_deviations(g, np.sort(members, axis=1)).max())
 
 
-def _subset_blocks(n, k):
-    """(start rank, block) for each scan chunk: ``block`` holds, one per row,
-    the k-subsets of range(n) of ranks start, start + 1, ... (int64, column
-    major, so the bound gathers from contiguous index columns).
+def _top_tables(g, k):
+    """(t, step): t[q, b, i] is at least the sum of the q largest |G_ij| over
+    j >= b * step, j != i (0 where there are fewer), for q < k; the tables
+    hold about _TABLE_DOUBLES values, so step is 1 for small n and the grid
+    coarser beyond.  A prefix ending at p reads cell (p + 1) // step, whose
+    columns include all j > p.  None when prefixes of length 1 to k - 2 do
+    not exist (k < 3) or a prefix's completion count C(n-1-p, q) may
+    overflow an int64.
 
-    In lexicographic order the completions of a (k-d)-prefix whose last
-    index is p are the last C(n-1-p, d) rows of the d-subset table, so each
-    block is a few prefixes broadcast beside contiguous table slices and
-    Python walks C(n, k-d) prefixes, not C(n, k) subsets.
+    The best q-sum whose smallest index is j is |G_ij| plus the best
+    (q-1)-sum beyond j, which is at most the previous table at cell
+    (j + 1) // step; so each table is a suffix maximum over j of the
+    previous one shifted by |G_ij|, formed in row blocks of G (which is
+    exactly symmetric) from the last block to the first.
     """
-    d = _suffix_width(n, k)
-    table = _suffix_table(n, d)
-    rows = len(table)
-    prefixes = itertools.combinations(range(n - d), k - d)
-    at = rows  # next table row to emit; rows means "fetch the next prefix"
-    for start, count in _chunks(k, math.comb(n, k)):
-        block = np.empty((count, k), dtype=np.int64, order="F")
-        filled = 0
-        while filled < count:
-            if at == rows:
-                prefix = next(prefixes)
-                at = rows - math.comb(n - 1 - prefix[-1], d)
-            take = min(count - filled, rows - at)
-            block[filled:filled + take, : k - d] = prefix
-            block[filled:filled + take, k - d :] = table[at:at + take]
-            filled += take
-            at += take
-        yield start, block
+    n = len(g)
+    if k < 3 or math.comb(n - 1, min(k - 1, (n - 1) // 2)) >= 2**63:
+        return None
+    step = -(-k * n * n // _TABLE_DOUBLES)
+    cells = -(-n // step)
+    t = np.zeros((k, cells + 1, n))  # the last cell, beyond every j, stays 0
+    rows = max(1, _SLICE_DOUBLES // (n * step)) * step  # whole cells per block
+    for lo in reversed(range(0, n, rows)):  # later cells first: X reads beyond j
+        j = np.arange(lo, min(lo + rows, n))
+        a = np.abs(g[j])
+        a[np.arange(len(j)), j] = 0.0
+        nxt = (j + 1) // step
+        c0, c1 = lo // step, lo // step + -(-len(j) // step)
+        for q in range(1, k):
+            cell = a + t[q - 1][nxt]
+            if step > 1:
+                cell = np.maximum.reduceat(cell, np.arange(0, len(j), step))
+            np.maximum.accumulate(cell[::-1], axis=0, out=cell[::-1])
+            np.maximum(cell, t[q, c1], out=t[q, c0:c1])
+    return t, step
 
 
-def _gershgorin_bounds(g, block):
-    """max_i sum_j |(G_S - I)_ij| for each subset S (row) of ``block``.
+def _lex_rank(subset, n):
+    """Lexicographic rank of a k-subset of range(n) among all k-subsets."""
+    k = len(subset)
+    rank, prev = 0, -1
+    for m, c in enumerate(subset):
+        # subsets agreeing before position m whose m-th index lies in (prev, c)
+        rank += math.comb(n - 1 - prev, k - m) - math.comb(n - c, k - m)
+        prev = c
+    return rank
 
-    Summed pair by pair from the flat Gram, which is exactly symmetric, so
-    each off-diagonal entry is gathered once and no k x k stack is built.
+
+def _subset_blocks(g, k, cutoff, counts):
+    """Blocks of k-subsets of range(n) (one per int64 row) whose Gershgorin
+    bound is not below ``cutoff()``, in lexicographic order.
+
+    A depth-first walk over column prefixes, one slice of prefixes per array
+    operation.  A prefix P (last index p, r indices to go) carries the row
+    sums s_i = sum_{j in P} |(G - I)_ij| over all n columns; with
+    D_i = |G_ii - 1|, every completion's Gershgorin bound is at most
+      max( max_{i in P} s_i + top_r(i, p),  max_{i > p} D_i + s_i + top_{r-1}(i, p) ),
+    top_q(i, p) being the sum of the q largest |G_ij| over j > p.  The walk
+    bounds prefixes of lengths 1 to k-2 when `_top_tables` gives the tables
+    and skips each prefix whose bound lies below ``cutoff()``.  A prefix of
+    length k-1 gets the exact bound of each completion,
+    max(s_q + D_q, max_{i in P} s_i + |G_iq|), from its row sums.
+    ``counts["pruned"]`` and ``counts["screened"]`` add up the subsets
+    skipped each way; ``counts["prefixes"][m]`` the prefixes of length m
+    pruned.
     """
-    n = g.shape[0]
-    flat = g.ravel()
-    cols = block.T  # contiguous rows: _subset_blocks builds column-major blocks
-    sums = [np.abs(flat.take(c * (n + 1)) - 1.0) for c in cols]
-    for i, j in itertools.combinations(range(len(cols)), 2):
-        off = np.abs(flat.take(cols[i] * n + cols[j]))
-        sums[i] += off
-        sums[j] += off
-    return np.maximum.reduce(sums)
+    root = np.empty((1, 0), dtype=np.int64)
+    return _Walk(g, k, cutoff, counts).descend(root, np.zeros((1, len(g))))
+
+
+class _Walk:
+    """One scan's walk state (see `_subset_blocks`).  The walk's generators
+    reach it through ``self``, which holds no reference back to them, so an
+    abandoned walk frees G and its tables at once, not at the next cyclic
+    garbage collection."""
+
+    def __init__(self, g, k, cutoff, counts):
+        self.g, self.k, self.n, self.cutoff, self.counts = g, k, len(g), cutoff, counts
+        self.diag = np.abs(np.diagonal(g) - 1.0)
+        self.cols = np.arange(self.n)
+        self.tables = _top_tables(g, k)
+        if self.tables is not None:
+            # comb[r, m] = C(m, r), so a prefix ending at p with r indices to
+            # go has comb[r, n-1-p] completions: C(m, r) = sum_{j < m} C(j, r-1)
+            self.comb = np.zeros((k, self.n), dtype=np.int64)
+            self.comb[0] = 1
+            for r in range(1, k):
+                np.cumsum(self.comb[r - 1, :-1], out=self.comb[r, 1:])
+        # values in the next slice of prefixes and batch of completions: each
+        # doubles up to _SLICE_DOUBLES, from _FIRST_ROWS subsets, or eight
+        # times as many prefix row sums (cheap values: fewer, larger slices
+        # measured faster on early threshold hits)
+        self.batch = {"prefixes": 8 * _FIRST_ROWS, "subsets": _FIRST_ROWS}
+
+    def take(self, kind, cap=_SLICE_DOUBLES):
+        """Prefixes (of n values each) in the next slice of this kind."""
+        size = min(self.batch[kind], cap)
+        self.batch[kind] = min(2 * self.batch[kind], _SLICE_DOUBLES)
+        return max(1, size // self.n)
+
+    def prune(self, idx, s):
+        """The prefixes, with their row sums, whose bound reaches the cutoff."""
+        n, k, (tops, step) = self.n, self.k, self.tables
+        r = k - idx.shape[1]
+        p = idx[:, -1]
+        f = np.arange(len(p))
+        cell = (p + 1) // step
+        inner = (s[f[:, None], idx] + tops[r][cell[:, None], idx]).max(axis=1)
+        # terms are nonnegative and some i > p exists: zeros mask the others
+        outer = np.where(self.cols > p[:, None], s + self.diag + tops[r - 1][cell], 0.0)
+        keep = np.maximum(inner, outer.max(axis=1)) >= self.cutoff()
+        self.counts["pruned"] += int(self.comb[r, n - 1 - p[~keep]].sum())
+        self.counts["prefixes"][k - r] += len(p) - int(keep.sum())
+        return idx[keep], s[keep]
+
+    def leaves(self, idx, s):
+        """Blocks of the completions of prefixes of length k-1 whose own
+        Gershgorin bound reaches the cutoff."""
+        g, n, k, diag = self.g, self.n, self.k, self.diag
+        p = idx[:, -1] if idx.shape[1] else np.full(len(idx), -1)
+        # s_q >= |G_iq| for i in P, so the bound of the completion by q,
+        # max(s_q + D_q, max_{i in P} s_i + |G_iq|), is at most s_q + most
+        most = np.maximum(s[np.arange(len(idx))[:, None], idx].max(axis=1, initial=0.0),
+                          diag.max())
+        slots = np.cumsum(n - 1 - p)  # completions of the prefixes up to each
+        f0 = 0
+        while f0 < len(idx):
+            f1 = min(f0 + self.take("subsets", _CHUNK_DOUBLES // (k * k)), len(idx))
+            lo = int(p[f0:f1].min()) + 1
+            level = self.cutoff()
+            rows, q = np.nonzero(s[f0:f1, lo:] + most[f0:f1, None] >= level)
+            rows += f0
+            q += lo
+            live = q > p[rows]
+            rows, q = rows[live], q[live]
+            bound = s[rows, q] + diag[q]
+            for i in idx[rows].T:
+                np.maximum(bound, s[rows, i] + np.abs(g[i, q]), out=bound)
+            keep = np.flatnonzero(bound >= level)
+            self.counts["screened"] += int(slots[f1 - 1] - (slots[f0 - 1] if f0 else 0)) - len(keep)
+            if len(keep):
+                block = np.empty((len(keep), k), dtype=np.int64)
+                block[:, :-1] = idx[rows[keep]]
+                block[:, -1] = q[keep]
+                yield block
+            f0 = f1
+
+    def descend(self, idx, s):
+        """The walk below prefixes ``idx`` (all of one length, in order)
+        with row sums ``s``."""
+        n, k = self.n, self.k
+        depth = idx.shape[1]
+        if depth == k - 1:
+            yield from self.leaves(idx, s)
+            return
+        if self.tables is not None and depth:
+            idx, s = self.prune(idx, s)
+        p = idx[:, -1] if depth else np.full(len(idx), -1)
+        kids = n - k + depth - p  # the next index runs over p+1 .. n-k+depth
+        ends = np.cumsum(kids)
+        total = int(ends[-1]) if len(ends) else 0
+        c0 = 0
+        while c0 < total:  # slices of children, a node's may split
+            c = np.arange(c0, min(c0 + self.take("prefixes"), total))
+            c0 += len(c)
+            rep = np.searchsorted(ends, c, side="right")
+            child = np.empty((len(c), depth + 1), dtype=np.int64)
+            child[:, :-1] = idx[rep]
+            child[:, -1] = q = p[rep] + 1 + c - (ends[rep] - kids[rep])
+            rows = self.g[q]  # rows q of |G - I| plus the parents' row sums
+            rows[np.arange(len(q)), q] -= 1.0
+            np.abs(rows, out=rows)
+            if depth:
+                rows += s[rep]
+            yield from self.descend(child, rows)
 
 
 def _block_deviations(g, block):
@@ -269,23 +409,29 @@ def _build_witness(g, subset):
     return Witness(tuple(subset), full, float(w[which]) - 1.0)
 
 
-def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET):
+def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, diagnostics=None):
     """Exact restricted isometry parameter of order k by full enumeration.
 
     Scans all C(N, k) column subsets of ``phi`` in lexicographic order and
     returns the report together with a witness for the worst subset (ties
     broken toward the lexicographically smallest subset).  Subsets whose
-    Gershgorin bound lies below the running best by more than the rounding
-    of the bound and of the eigensolve are counted as examined but not
-    solved; they can change neither the value nor the witness.
+    Gershgorin bound, or whose prefix's bound, lies below the prune level by
+    more than the rounding of the bound and of the eigensolve are counted as
+    examined but not solved; they can change neither the value nor the
+    witness.  The level is the larger of the running best and the best of a
+    few greedy seed subsets solved first, capped at ``threshold``.
 
     If ``threshold`` (finite) is given, the scan stops at the first subset
     whose deviation strictly exceeds it; the report then carries direction
-    ``LowerBound`` and the examined-subset count at the stopping point.
+    ``LowerBound`` and the examined-subset count at the stopping point, that
+    subset's rank plus one.
 
     ``budget``, a finite count of at least 1, always bounds C(N, k); beyond
     it a :class:`BudgetExceededError` is raised before any work is done.
-    The report carries no timing; the CLI times whole commands.
+    The report carries no timing; the CLI times whole commands.  When a
+    ``diagnostics`` dict is given, the scan records in it the seed's level,
+    the prefixes pruned by length (1 to k-2), and the subsets pruned with a
+    prefix, screened by their own Gershgorin bound and solved.
     """
     a = as_matrix(phi, "phi")
     ncols = a.shape[1]
@@ -305,29 +451,42 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET):
         )
 
     g = gram(a)
+    seed = _seed_level(g, k)
+    # a threshold scan must not prune its first hit: the seed may lie above it
+    level = seed if threshold is None else min(seed, threshold)
     best_dev = -1.0
     examined = total
     stopped = False
-    for start, block in _subset_blocks(ncols, k):
-        bounds = _gershgorin_bounds(g, block)
-        # "not below" keeps a NaN bound in the solved set
-        rows = np.flatnonzero(~(bounds < best_dev - _SCREEN_MARGIN * k * k * (1.0 + best_dev)))
-        if not len(rows):
-            continue
-        devs = _block_deviations(g, block[rows])
+    counts = {"pruned": 0, "screened": 0, "prefixes": [0] * k}
+    solved = 0
+
+    def cutoff():
+        top = max(level, best_dev)
+        bound = top - _SCREEN_MARGIN * k * k * (1.0 + top)
+        # an infinite level (the eigenvalues of huge entries overflow) is NaN
+        # here and must skip nothing
+        return bound if math.isfinite(bound) else -math.inf
+
+    for block in _subset_blocks(g, k, cutoff, counts):
+        devs = _block_deviations(g, block)
+        solved += len(block)
         if threshold is not None:
             over = np.flatnonzero(devs > threshold)
             if len(over):
                 best_dev = float(devs[over[0]])
-                best_subset = block[rows[over[0]]].tolist()
-                examined = start + int(rows[over[0]]) + 1
+                best_subset = block[over[0]].tolist()
+                examined = _lex_rank(best_subset, ncols) + 1
                 stopped = True
                 break
         top = int(np.argmax(devs))
         if float(devs[top]) > best_dev:
             best_dev = float(devs[top])
-            best_subset = block[rows[top]].tolist()
+            best_subset = block[top].tolist()
 
+    if diagnostics is not None:
+        diagnostics.update(seed_level=seed, prefixes_pruned=counts["prefixes"][1:-1],
+                           subsets_pruned=counts["pruned"],
+                           subsets_screened=counts["screened"], subsets_solved=solved)
     witness = _build_witness(g, best_subset)
     if stopped:
         direction, method = LOWER_BOUND, WITNESS_LB
@@ -357,14 +516,15 @@ def lift_order(eps, m, k):
     return eps * (k - 1) / (m - 1)
 
 
-def lazy_certify(phi, m, delta, budget=DEFAULT_BUDGET):
+def lazy_certify(phi, m, delta, budget=DEFAULT_BUDGET, diagnostics=None):
     """Certify the largest order reachable from an exhaustive probe at order m.
 
     Computes eps = exact order-m parameter, then returns the largest
     k <= min(rows, cols) with eps*(k-1)/(m-1) <= delta (0 when even the
     probe order fails, i.e. eps > delta).  Requires unit columns within
-    1e-9.  The probe scan is bounded by ``budget`` as in :func:`exact_rip`.
-    Returns the certificate together with the probe report.
+    1e-9.  The probe scan is bounded by ``budget`` and fills ``diagnostics``
+    as in :func:`exact_rip`.  Returns the certificate together with the
+    probe report.
     """
     a = require_unit_columns(phi, "lazy certification")
     cap = min(a.shape)
@@ -375,7 +535,7 @@ def lazy_certify(phi, m, delta, budget=DEFAULT_BUDGET):
     if not 0.0 < delta < 1.0:
         raise ValueError(f"target parameter must lie in (0, 1), got {delta}")
 
-    report, _ = exact_rip(a, m, budget=budget)
+    report, _ = exact_rip(a, m, budget=budget, diagnostics=diagnostics)
     eps = report.value
     # lift_order is nondecreasing in k, so the orders above m whose lifted
     # bound, as computed, stays within delta form a prefix of m+1..cap

@@ -4,7 +4,9 @@ Every subcommand prints a small stable ``key=value`` line (or a bare
 decision word) on stdout and returns ``(seed, params, results,
 diagnostics)``; `main` times it and writes the JSON report (tool version,
 command, seed, parameters, results, wall time and, when a command returns
-them, diagnostics) when one is asked for.  Exit codes: 0 success,
+them or warns, diagnostics) when one is asked for.  Library warnings reach
+stderr as ``warning: <message>`` lines and the report as
+``diagnostics["warnings"]``.  Exit codes: 0 success,
 1 internal error, 2 bad arguments or unreadable/invalid input files,
 3 enumeration budget exceeded, 4 matrix does not have unit columns.
 
@@ -17,6 +19,7 @@ import math
 import sys
 import time
 import traceback
+import warnings
 from dataclasses import asdict
 
 from .certify import (
@@ -156,7 +159,9 @@ def _require_finite_c(args):
 
 def cmd_exact(args):
     phi = read_matrix_file(args.matrix)
-    report, witness = exact_rip(phi, args.order, threshold=args.threshold, budget=args.budget)
+    diagnostics = {}
+    report, witness = exact_rip(phi, args.order, threshold=args.threshold, budget=args.budget,
+                                diagnostics=diagnostics)
     print(f"delta={report.value!r}")
     params = {
         "order": args.order,
@@ -165,7 +170,8 @@ def cmd_exact(args):
         "rows": phi.shape[0],
         "cols": phi.shape[1],
     }
-    return None, params, {"report": asdict(report), "witness": witness_dict(witness)}, None
+    return (None, params, {"report": asdict(report), "witness": witness_dict(witness)},
+            diagnostics)
 
 
 def cmd_coherence(args):
@@ -177,7 +183,9 @@ def cmd_coherence(args):
 
 def cmd_lazy(args):
     phi = read_matrix_file(args.matrix)
-    cert, probe = lazy_certify(phi, args.probe_order, args.delta, budget=args.budget)
+    diagnostics = {}
+    cert, probe = lazy_certify(phi, args.probe_order, args.delta, budget=args.budget,
+                               diagnostics=diagnostics)
     print(f"epsilon={cert.probe_parameter!r} k_max={cert.max_certified_order}")
     cols = phi.shape[1]
     naive = ratio = None
@@ -200,7 +208,7 @@ def cmd_lazy(args):
         "naive_plan_subsets": naive,
         "lazy_vs_naive_ratio": ratio,
     }
-    return None, params, results, None
+    return None, params, results, diagnostics
 
 
 def cmd_generate(args):
@@ -312,13 +320,30 @@ def cmd_experiment(args):
 _PARSER = build_parser()
 
 
+def _run(args):
+    """``args.func(args)``, its library warnings printed as ``warning: ...``
+    lines on stderr (each message once, before any error) and listed under
+    its diagnostics' ``"warnings"`` key."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            seed, params, results, diagnostics = args.func(args)
+        finally:
+            messages = list(dict.fromkeys(str(w.message) for w in caught))
+            for message in messages:
+                print(f"warning: {message}", file=sys.stderr)
+    if messages:
+        diagnostics = {**(diagnostics or {}), "warnings": messages}
+    return seed, params, results, diagnostics
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     args = _PARSER.parse_args(argv)
     try:
         t0 = time.perf_counter_ns()
-        seed, params, results, diagnostics = args.func(args)
+        seed, params, results, diagnostics = _run(args)
         if args.report:
             write_report(
                 args.report,

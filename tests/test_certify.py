@@ -21,8 +21,8 @@ from riplab.certify import (
     subset_deviation,
 )
 from riplab.linalg import gram
-from riplab.randgen import Seed, gen_bernoulli_sensing
-from riplab.reduction import block_compose
+from riplab.randgen import Seed, gen_bernoulli_sensing, gen_gnp_half
+from riplab.reduction import ReductionParams, block_compose, cholesky_reduce
 
 from oracles import rayleigh_lower_bound, svd_rip_oracle
 
@@ -149,6 +149,17 @@ def test_budget_error_names_the_count():
         exact_rip(phi, 31)
 
 
+def test_overflowing_deviations_skip_nothing():
+    # G is finite, but 2 x 1e308 overflows: every deviation is inf, so the
+    # level is too, and the scan still solves every subset and returns the first
+    phi = np.array([[1e154, 1e154, -1e154, 1e154]])
+    for k, subset in ((2, (0, 1)), (3, (0, 1, 2))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep, wit = exact_rip(phi, k)
+        assert rep.value == math.inf and wit.subset == subset
+        assert rep.subsets_examined == math.comb(4, k) and rep.direction == EXACT_MAX
+
+
 def _reference_scans(phi, k):
     """Unscreened scans: batched eigvalsh over all C(N, k) subsets, then for
     each threshold (none, negative, below the max, between the top two
@@ -187,24 +198,36 @@ def _sweep_matrices():
         yield base[:, rng.integers(0, 8, 16)]  # duplicated columns: exact ties
         yield block_compose(np.eye(3), gen_bernoulli_sensing(4, 12, Seed(20 + s)))
         yield block_compose(gen_bernoulli_sensing(5, 10, Seed(30 + s)), 1.5 * np.eye(4))
-        # near-duplicate pairs at ranks 0 and C(24,2) - 1, in different chunks:
-        # the closer, later pair beats the earlier by far less than 1e-3, and
-        # its bound is nearly tight
+        # near-duplicate pairs at ranks 0 and C(24,2) - 1, at the two ends of
+        # the walk: the closer, later pair beats the earlier by far less than
+        # 1e-3, and its bound is nearly tight
         near = rng.standard_normal((5, 24))
         near[:, 1] = near[:, 0] + 1e-3 * rng.standard_normal(5)
         near[:, 23] = near[:, 22] + 1e-4 * rng.standard_normal(5)
         yield near / np.linalg.norm(near, axis=0)
+        # C(G) reductions: every off-diagonal |G_ij| of the graph block is
+        # c/sqrt(n), so bounds tie everywhere and rounding picks the witness;
+        # with and without a Bernoulli block beside them (--rect-cols)
+        reduced = cholesky_reduce(gen_gnp_half(12, Seed(40 + s)), ReductionParams())
+        yield reduced
+        yield block_compose(reduced, gen_bernoulli_sensing(12, 5, Seed(50 + s)))
+
+
+def _walk(g, k, cutoff):
+    counts = {"pruned": 0, "screened": 0, "prefixes": [0] * k}
+    blocks = list(certify._subset_blocks(g, k, lambda: cutoff, counts))
+    for block in blocks:
+        assert block.dtype == np.int64 and block.shape[1] == k and len(block)
+    return (np.concatenate(blocks) if blocks else np.empty((0, k), dtype=np.int64)), counts
 
 
 def _assert_blocks_are_combinations(n, k):
-    combos = itertools.combinations(range(n), k)
-    next_start = 0
-    for start, block in certify._subset_blocks(n, k):
-        assert start == next_start and block.dtype == np.int64
-        want = np.array(list(itertools.islice(combos, len(block))), dtype=np.int64)
-        assert np.array_equal(block, want.reshape(len(block), k))
-        next_start += len(block)
-    assert next_start == math.comb(n, k) and next(combos, None) is None
+    # with nothing below the cutoff, the walk yields every subset once, in order
+    rng = np.random.default_rng(n * 100 + k)
+    walked, counts = _walk(gram(rng.standard_normal((3, n))), k, -np.inf)
+    want = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+    assert np.array_equal(walked, want.reshape(math.comb(n, k), k))
+    assert counts["pruned"] == counts["screened"] == 0
 
 
 def test_subset_blocks_match_itertools_small():
@@ -213,29 +236,54 @@ def test_subset_blocks_match_itertools_small():
             _assert_blocks_are_combinations(n, k)
 
 
-@pytest.mark.parametrize("n, k, width", [
-    (49, 3, 1), (50, 3, 2),  # 16 C(50, 2) = C(50, 3): the scan-size cap, just above and at
-    (31, 6, 4), (32, 6, 3),  # C(31, 4) = 31465 and C(32, 4) = 35960 around the 2^15-row cap
-])
-def test_subset_blocks_match_itertools_at_table_caps(n, k, width):
-    assert certify._suffix_width(n, k) == width
-    assert len(certify._suffix_table(n, width)) == math.comb(n, width) <= certify._SUFFIX_ROWS
-    _assert_blocks_are_combinations(n, k)
+def _gershgorin_bounds(g, subsets):
+    m = np.abs(g - np.eye(len(g)))
+    return m[subsets[:, :, None], subsets[:, None, :]].sum(axis=2).max(axis=1)
+
+
+@pytest.mark.parametrize("tables", ["exact", "grid", "none"])
+@pytest.mark.parametrize("n, k", [(9, 1), (30, 2), (200, 2), (24, 3), (110, 3), (20, 4),
+                                  (14, 6), (11, 9)])
+def test_subset_blocks_keep_exactly_the_subsets_over_the_cutoff(n, k, tables, monkeypatch):
+    """At a fixed cutoff the walk yields, in lexicographic order, exactly the
+    subsets whose Gershgorin bound reaches it and counts every other subset
+    once, pruned with a prefix or screened on its own, whether the top-q
+    tables bound the prefixes at every prefix end, on a coarser grid of them
+    or not at all; its first batches hold one prefix's completions (n = 200)."""
+    if tables == "grid":
+        monkeypatch.setattr(certify, "_TABLE_DOUBLES", 512)
+    elif tables == "none":
+        monkeypatch.setattr(certify, "_top_tables", lambda g, k: None)
+    rng = np.random.default_rng(n + k)
+    phi = rng.standard_normal((6, n)) * rng.uniform(0.5, 1.5, n)
+    g = gram(phi)
+    combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+    bounds = _gershgorin_bounds(g, combos)
+    values = np.unique(bounds)
+    i = int(0.9 * (len(values) - 1))
+    cutoff = (values[i] + values[i + 1]) / 2  # far from every bound, in ulps
+    walked, counts = _walk(g, k, cutoff)
+    assert np.array_equal(walked, combos[bounds >= cutoff])
+    assert counts["pruned"] + counts["screened"] + len(walked) == len(combos)
+    assert (counts["pruned"] > 0) == (tables != "none" and k >= 3)
 
 
 def test_screened_scan_matches_unscreened_reference(monkeypatch):
-    """The Gershgorin screen changes no value, witness, direction or count
-    for any threshold, and does skip eigensolves."""
+    """Pruning and screening change no value, witness, direction or count
+    for any threshold, and do skip eigensolves: also on C(G) knife edges,
+    with the seed above a threshold that an earlier subset crosses, and with
+    prefixes pruned at two or more lengths."""
     solved = []
     solve = certify._block_deviations
     monkeypatch.setattr(certify, "_block_deviations",
                         lambda g, block: solved.append(len(block)) or solve(g, block))
-    full_examined = full_solved = 0
+    full_examined = full_solved = seed_above = multi_level = 0
     for phi in _sweep_matrices():
         for k in range(1, 6):
             for threshold, value, subset, vector, direction, examined in _reference_scans(phi, k):
                 del solved[:]
-                rep, wit = exact_rip(phi, k, threshold=threshold)
+                diagnostics = {}
+                rep, wit = exact_rip(phi, k, threshold=threshold, diagnostics=diagnostics)
                 assert rep.value == value
                 assert wit.subset == subset
                 assert np.array_equal(wit.vector, vector)
@@ -243,8 +291,12 @@ def test_screened_scan_matches_unscreened_reference(monkeypatch):
                 assert rep.subsets_examined == examined
                 if threshold is None:
                     full_examined += examined
-                    full_solved += sum(solved)
+                    full_solved += sum(solved[1:])  # solved[0]: the seed
+                    multi_level += sum(c > 0 for c in diagnostics["prefixes_pruned"]) >= 2
+                elif direction == LOWER_BOUND and value < diagnostics["seed_level"]:
+                    seed_above += 1  # the first hit lies between threshold and seed
     assert full_solved < full_examined / 2  # unscreened, every examined subset is solved
+    assert seed_above and multi_level
 
 
 def test_threshold_hit_materialises_first_chunk_only(monkeypatch):
@@ -253,16 +305,48 @@ def test_threshold_hit_materialises_first_chunk_only(monkeypatch):
     rows = []
     subset_blocks = certify._subset_blocks
 
-    def recording(n, k):
-        for start, block in subset_blocks(n, k):
+    def recording(g, k, cutoff, counts):
+        for block in subset_blocks(g, k, cutoff, counts):
             rows.append(len(block))
-            yield start, block
+            yield block
 
     monkeypatch.setattr(certify, "_subset_blocks", recording)
-    rep, wit = exact_rip(phi, 3, threshold=0.99)
+    diagnostics = {}
+    rep, wit = exact_rip(phi, 3, threshold=0.99, diagnostics=diagnostics)
     assert rep.direction == LOWER_BOUND
     assert wit.subset == (0, 1, 4) and rep.subsets_examined == 3
-    assert len(rows) == 1 and rows[0] <= 256 < math.comb(200, 3)
+    assert diagnostics["seed_level"] > 0.99  # the seed finds the pair, the level stays at 0.99
+    # only the first prefix's completions were bounded one by one
+    bounded = diagnostics["subsets_screened"] + diagnostics["subsets_solved"]
+    assert len(rows) == 1 and bounded <= 256 < math.comb(200, 3)
+
+
+def test_full_scans_account_for_every_subset_once():
+    """On full scans, subsets pruned with a prefix, screened on their own and
+    solved add up to the examined count; the seed solves a few more."""
+    for phi, k in ((gen_bernoulli_sensing(20, 36, Seed(1)), 5),
+                   (gen_bernoulli_sensing(64, 300, Seed(2)), 2),
+                   (cholesky_reduce(gen_gnp_half(16, Seed(3)), ReductionParams()), 4),
+                   (np.eye(6), 1)):
+        diagnostics = {}
+        rep, _ = exact_rip(phi, k, diagnostics=diagnostics)
+        assert rep.subsets_examined == math.comb(phi.shape[1], k)
+        assert (diagnostics["subsets_pruned"] + diagnostics["subsets_screened"]
+                + diagnostics["subsets_solved"]) == rep.subsets_examined
+        assert len(diagnostics["prefixes_pruned"]) == max(k - 2, 0)
+        assert diagnostics["seed_level"] <= rep.value
+
+
+def test_seeded_scans_prune_most_subsets_by_prefix():
+    """Pruning guard: on 40 x 160 Bernoulli matrices at order 3 the prefix
+    bound skips most subsets before any is built.  The share depends on the
+    matrix (0.75 to 0.98 over seeds 0 to 5), so the guard takes their median."""
+    shares = []
+    for s in range(6):
+        diagnostics = {}
+        rep, _ = exact_rip(gen_bernoulli_sensing(40, 160, Seed(s)), 3, diagnostics=diagnostics)
+        shares.append(diagnostics["subsets_pruned"] / rep.subsets_examined)
+    assert min(shares) >= 0.7 and np.median(shares) >= 0.9, shares
 
 
 def test_lift_order_examples():
@@ -334,7 +418,8 @@ def test_lazy_certify_boundary_orders_match_scan(monkeypatch):
                     cases.update((lo, hi))
             for eps in sorted(cases):
                 probe = RipReport(m, eps, EXACT_MAX, EXHAUSTIVE, math.comb(cap, m))
-                monkeypatch.setattr(certify, "exact_rip", lambda a, k, budget: (probe, None))
+                monkeypatch.setattr(certify, "exact_rip",
+                                    lambda a, k, budget, diagnostics: (probe, None))
                 want = 0 if eps > delta else max(
                     (k for k in range(m + 1, cap + 1) if lift_order(eps, m, k) <= delta),
                     default=m,

@@ -389,6 +389,33 @@ def test_installed_entry_point(tmp_path):
     assert r2.stdout.startswith("delta=")
 
 
+def test_library_warnings_print_as_warning_lines(tmp_path):
+    """A library warning reaches stderr as one ``warning: ...`` line, with no
+    install path or source line, and the report's diagnostics."""
+    rep = tmp_path / "e.json"
+    r = subprocess.run(
+        [sys.executable, "-m", "riplab.cli", "experiment", "--n", "12", "--clique-size", "6",
+         "--order", "3", "--delta", "0.2", "--trials", "2", "--seed", "5", "--out", str(rep)],
+        capture_output=True, text=True,
+    )
+    message = ("delta = 0.2 is not below the clique witness deviation 0.173205; "
+               "planted-arm detection is no longer guaranteed")
+    assert r.returncode == 0
+    assert r.stderr == f"warning: {message}\n"
+    assert read_report(rep)["diagnostics"] == {"warnings": [message]}
+
+
+def test_warnings_print_before_the_error(tmp_path, capsys):
+    # c = 0.9 warns when the parameters are built; the zero trials then fail
+    rc, out, err = run_cli(["experiment", "--n", "12", "--clique-size", "6", "--order", "3",
+                            "--delta", "0.2", "--c", "0.9", "--trials", "0", "--seed", "5"],
+                           capsys)
+    assert rc == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("warning: reduction constant c = 0.9 ")
+    assert lines[1] == "error: need at least one trial, got 0"
+
+
 def test_lazy_ratio_is_null_when_it_overflows_a_double(tmp_path, capsys):
     # column 1 tilted toward e0: probe parameter ~0.0017 lifts to k_max = 530,
     # and C(1100, 530) / C(1100, 2) is far beyond the largest double
@@ -535,12 +562,18 @@ def test_every_command_writes_the_same_report_shape(case, tmp_path, capsys):
     rc, out_with_report, _ = run_cli(argv + [flag, rep], capsys)
     assert rc == 0 and out_with_report == out
     doc = read_report(rep)
-    # only refute has diagnostics: the proof that decided, outside results
-    diagnostics = ["diagnostics"] if case == "refute" else []
+    # refute records the proof that decided, exact and lazy their scan's
+    # counters, all outside results; no other command has diagnostics
+    diagnostics = ["diagnostics"] if case in ("refute", "exact", "lazy") else []
     assert sorted(doc) == sorted(["command", "params", "results", "seed", "tool_version",
                                   "wall_time_ns"] + diagnostics)
-    if diagnostics:
+    if case == "refute":
         assert doc["diagnostics"] == {"proof": "vector"}  # the planted 4-clique, k = 3
+    elif diagnostics:
+        scan = doc["diagnostics"]
+        assert sorted(scan) == ["prefixes_pruned", "seed_level", "subsets_pruned",
+                                "subsets_screened", "subsets_solved"]
+        assert scan["subsets_pruned"] + scan["subsets_screened"] + scan["subsets_solved"] == 66
     assert (doc["seed"] is not None) == (argv[0] in ("generate", "experiment"))
     assert doc["command"] == argv + [flag, rep]
     assert doc["wall_time_ns"] > 0
