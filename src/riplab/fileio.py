@@ -5,6 +5,13 @@ space-separated floats in shortest round-trip representation, so
 parse(serialize(M)) reproduces M bit for bit.  Graph files: a header line
 "n m" with n <= randgen.MAX_GRAPH_VERTICES, then m lines "u v" with
 0 <= u < v < n in lexicographic order.
+
+Both are tables, and one reader and one writer serve both.  Float tables are
+written from ``repr`` strings and parsed by ``np.loadtxt``.  Int tables, the
+graphs' edge lists, are written and parsed as byte arrays, a block at a time.
+A file either bulk parser refuses (tabs, blank lines, ``1_000``) is re-read
+line by line, which gives the same arrays and names the first bad line.
+
 Reports are JSON documents carrying the tool version, the invoked command,
 the seed, the full parameter set, and a results object — everything needed
 to reproduce the run.  Each part of ``results`` is ``dataclasses.asdict`` of
@@ -36,18 +43,48 @@ def _fail(path, lineno, msg):
 
 # Values formatted per block by _write_table: whole rows, at least one.
 _WRITE_BLOCK = 1 << 14
+# Bytes scanned per block by _read_ints; its whole lines are parsed.
+_READ_BLOCK = 1 << 16
+
+
+def _digit_strings(top):
+    """Each value 0..top as one fixed-width byte string: its decimal digits
+    and a space, left-padded with NUL bytes, which no file byte equals."""
+    values = np.arange(top + 1)[:, None]
+    powers = 10 ** np.arange(len(str(top)) - 1, -1, -1)
+    chars = np.zeros((top + 1, len(powers) + 1), np.uint8)
+    chars[:, :-1] = np.where((values >= powers) | (powers == 1), values // powers % 10 + 48, 0)
+    chars[:, -1] = ord(" ")
+    return chars.view(np.dtype((np.void, chars.shape[1]))).ravel()
 
 
 def _write_table(path, header, table):
     """Two header integers, then one line of space-separated reprs per row of
-    the 2-D array ``table``, formatted a block of rows at a time."""
+    the 2-D array ``table``, formatted a block of rows at a time.
+
+    Float rows are joined from ``repr`` strings.  Int rows hold vertex ids in
+    [0, MAX_GRAPH_VERTICES): a block gathers every value's digit string from
+    one table of at most that many, ends each row with a newline and drops
+    the padding with one ``bytes.replace``."""
     width = table.shape[1]
     step = max(1, _WRITE_BLOCK // width)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{header[0]} {header[1]}\n")
+    digits = None
+    if table.dtype.kind in "iu" and table.size:
+        if not 0 <= table.min() <= table.max() < MAX_GRAPH_VERTICES:
+            raise ValueError(f"int table values must lie in [0, {MAX_GRAPH_VERTICES})")
+        digits = _digit_strings(int(table.max()))
+    with open(path, "wb") as fh:
+        fh.write(f"{header[0]} {header[1]}\n".encode())
         for start in range(0, len(table), step):
-            it = map(repr, table[start : start + step].ravel().tolist())
-            fh.write("\n".join(map(" ".join, zip(*[it] * width))) + "\n")
+            block = table[start : start + step]
+            if digits is None:
+                it = map(repr, block.ravel().tolist())
+                fh.write(("\n".join(map(" ".join, zip(*[it] * width))) + "\n").encode())
+            else:
+                # one row of bytes per table row
+                chars = digits[block.ravel()].view(np.uint8).reshape(len(block), -1)
+                chars[:, -1] = ord("\n")
+                fh.write(chars.tobytes().replace(b"\0", b""))
 
 
 def _parse_lines(path, lines, width, parse):
@@ -66,40 +103,91 @@ def _parse_lines(path, lines, width, parse):
     return np.asarray(values).reshape(-1, width)  # a view: a copy doubles the peak
 
 
+def _read_ints(raw, start, rows, width):
+    """The ``rows`` lines of ``raw`` from offset ``start`` as a (rows, width)
+    int64 array, and the offset past them, parsed a block of whole lines at
+    a time; None unless each line is ``width`` runs of 1 to 18 ASCII digits
+    joined by single spaces and ended by a newline."""
+    out = np.empty((rows, width), np.int64)
+    flat = out.reshape(-1)
+    pattern = np.full(width, ord(" "), np.uint8)  # the separators of one line
+    pattern[-1] = ord("\n")
+    done = 0
+    while done < rows:
+        block = np.frombuffer(raw, np.uint8, min(_READ_BLOCK, len(raw) - start), start)
+        seps = np.flatnonzero(block < ord("0"))  # the byte after each value
+        lines = min(len(seps) // width, rows - done)
+        if lines == 0:  # a line longer than a block, or no newline at the end
+            return None
+        seps = seps[: lines * width]
+        block = block[: seps[-1] + 1]
+        gaps = np.diff(seps, prepend=-1)  # digits + 1
+        longest = int(gaps.max()) - 1
+        if (block.max() > ord("9") or (block[seps].reshape(lines, width) != pattern).any()
+                or gaps.min() < 2 or longest > 18):
+            return None
+        # Horner over each value's digits, right-aligned at its separator;
+        # positions left of a value read as "0", and the index seps - j wraps
+        # only there.  18 digits of "0".."9" stay below 2**63.
+        values = np.zeros(len(seps), np.int64)
+        for j in range(longest, 1, -1):
+            values += np.where(gaps > j, block[seps - j], ord("0"))
+            values *= 10
+        values += block[seps - 1]  # every value has a last digit
+        values -= ord("0") * (10**longest - 1) // 9
+        flat[done * width : (done + lines) * width] = values
+        done += lines
+        start += len(block)
+    return out, start
+
+
 def _read_table(path, header, shape, parse):
     """Header integers a, b and the rows of a table file as a 2-D float64 or
     int64 array (``parse`` is float or int).  ``shape(path, a, b)`` checks the
-    header and gives (rows, width).  Values are allocated only for the lines
-    present, never from the header's counts.
+    header and gives (rows, width).  The file is read once, as bytes, and its
+    newlines are counted before anything is allocated from the header.
 
-    The data rows are parsed by one ``np.loadtxt`` call.  Its result is kept
-    only when it has exactly ``rows`` rows of ``width`` values and it neither
-    raised nor warned; anything else re-reads the rows with
-    :func:`_parse_lines`, which names the first bad line or accepts what
-    Python's ``int``/``float`` accept and ``loadtxt`` refuses (``1_000``).
-    ``loadtxt`` skips blank lines, which the shape check catches."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    Int rows take :func:`_read_ints` and float rows one ``np.loadtxt`` call.
+    Either result is kept only when it has exactly ``rows`` rows of ``width``
+    values and nothing was refused, raised or warned; anything else re-reads
+    the rows with :func:`_parse_lines`, which names the first bad line or
+    accepts what Python's ``int``/``float`` accept (``1_000``, tabs).  A file
+    with a non-ASCII byte or a carriage return is first decoded as text mode
+    reads it, as UTF-8 with universal newlines."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.isascii() or b"\r" in raw:
+        raw = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").encode("utf-8")
+    end = raw.find(b"\n")
+    first = (raw if end < 0 else raw[:end]).decode("utf-8")
     try:
-        a, b = map(int, lines[0].split())
+        a, b = map(int, first.split())
     except ValueError:
-        _fail(path, 1, f"expected header '{header}' of two integers, got {lines[0]!r}")
+        _fail(path, 1, f"expected header '{header}' of two integers, got {first!r}")
     rows, width = shape(path, a, b)
-    if len(lines) < rows + 1:
-        _fail(path, len(lines), f"expected {rows} data rows, file ends early")
-    data = lines[1 : rows + 1]
-    table = None
-    if rows > 0:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(data, dtype=np.float64 if parse is float else np.int64,
-                                   ndmin=2, comments=None)
-        except (ValueError, OverflowError, Warning):  # the line loop decides
-            pass
-    if table is None or table.shape != (rows, width):
-        table = _parse_lines(path, data, width, parse)
-    for lineno, line in enumerate(lines[rows + 1 :], start=rows + 2):
+    if (newlines := raw.count(b"\n")) < rows:
+        _fail(path, newlines + 1, f"expected {rows} data rows, file ends early")
+    start = len(raw) if end < 0 else end + 1
+    found = _read_ints(raw, start, rows, width) if parse is int else None
+    if found is not None:
+        table, stop = found
+        tail = raw[stop:].decode("utf-8").split("\n")
+    else:
+        # at most two copies of the file alive at once, as when it was read as text
+        text, raw = raw.decode("utf-8"), None
+        lines, text = text.split("\n"), None
+        data, tail = lines[1 : rows + 1], lines[rows + 1 :]
+        table = None
+        if parse is float:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    table = np.loadtxt(data, dtype=np.float64, ndmin=2, comments=None)
+            except (ValueError, OverflowError, Warning):  # the line loop decides
+                pass
+        if table is None or table.shape != (rows, width):
+            table = _parse_lines(path, data, width, parse)
+    for lineno, line in enumerate(tail, start=rows + 2):
         if line.strip():
             _fail(path, lineno, f"unexpected trailing content {line!r}")
     return a, b, table

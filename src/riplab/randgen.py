@@ -116,14 +116,17 @@ class Graph:
     def from_edges(cls, n, edges):
         """Graph on n vertices from (u, v) pairs, e.g. an (m, 2) integer array."""
         e = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
-        bad = np.flatnonzero((e[:, 0] == e[:, 1]) | ((e < 0) | (e >= n)).any(axis=1))
+        u, v = e.T
+        bad = np.flatnonzero((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n))
         if len(bad):
             u, v = e[bad[0]].tolist()
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         g = cls(n)
-        g.adj[e, e[:, ::-1]] = True  # (u, v) and (v, u) for every edge
+        flat = g.adj.reshape(-1)  # a view: keys u*n + v and v*n + u set both halves
+        flat[u * g.n + v] = True
+        flat[v * g.n + u] = True
         return g
 
     def edge_count(self):
@@ -131,7 +134,8 @@ class Graph:
 
     def edges(self):
         """All edges as an (m, 2) int64 array of rows u < v, in lexicographic order."""
-        return np.argwhere(np.triu(self.adj, 1))
+        u, v = np.divmod(np.flatnonzero(np.triu(self.adj, 1)), self.n)
+        return np.stack((u, v), axis=1)
 
     def signed_adjacency(self):
         """Symmetric float matrix with zero diagonal, +1 on edges, -1 on non-edges."""

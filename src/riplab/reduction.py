@@ -451,12 +451,13 @@ def run_distinguishing_experiment(
     for t in range(trials):
         null_seed = base_seed.child(t, 0)
         g0 = gen_gnp_half(n, null_seed)
-        c0 = cholesky_reduce(g0, params)
         if null_statistic == STAT_LAMBDA1:
             signed0 = signed_adjacency(g0)
             stat0 = float(sym_eigenvalues(signed0)[0])
-            flagged0 = _lambda1_reaches(signed0, k)[0] or not c0.any()
+            # the reduction matters only when the refuter does not flag the graph
+            flagged0 = _lambda1_reaches(signed0, k)[0] or not cholesky_reduce(g0, params).any()
         else:
+            c0 = cholesky_reduce(g0, params)
             if rect_cols is not None:
                 c0 = block_compose(c0, gen_bernoulli_sensing(n, rect_cols, null_seed))
             rep0, _ = exact_rip(c0, k, threshold=delta, budget=budget)

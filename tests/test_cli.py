@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,14 @@ import pytest
 
 import riplab
 from riplab.cli import main
-from riplab.fileio import read_matrix_file, read_report, results_bytes, write_matrix_file
+from riplab.fileio import (
+    FileFormatError,
+    read_graph_file,
+    read_matrix_file,
+    read_report,
+    results_bytes,
+    write_matrix_file,
+)
 from riplab.randgen import (
     MAX_GRAPH_VERTICES,
     Seed,
@@ -183,6 +191,19 @@ def test_oversized_headers_exit_two(tmp_path, capsys):
         assert rc == 2 and out == ""
         assert f"{g}:1: n=100000 exceeds the cap of 16384 vertices" in err
     assert not (tmp_path / "f.txt").exists()
+    # an edge count of 10^9 over two edge lines: the lines are counted before
+    # anything is allocated from the header
+    g.write_text("16 1000000000\n0 1\n0 2\n")
+    rc, out, err = run_cli(["refute", "--graph", str(g), "--k", "3"], capsys)
+    assert (rc, out) == (2, "")
+    assert f"{g}:4: expected 1000000000 data rows, file ends early" in err
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match="file ends early"):
+            read_graph_file(g)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
     # a matrix header asking for 10^11 columns over a one-value row
     m = tmp_path / "m.txt"
     m.write_text("1 100000000000\n1.0\n")

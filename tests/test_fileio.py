@@ -155,6 +155,15 @@ def test_writers_match_a_per_line_reference(tmp_path):
         assert e.dtype == np.int64 and e.shape == (len(edges), 2)
         assert Graph.from_edges(n, e) == g
     assert p.read_text() == f"{n} 0\n"  # an edgeless graph writes its header only
+    # vertex ids at every digit-width edge up to the cap, through the table
+    # writer and reader (a Graph of 16384 vertices would hold a 256 MB adjacency)
+    ids = [0, 9, 10, 99, 100, 9999, 10000, MAX_GRAPH_VERTICES - 1]
+    edges = np.array([(u, v) for u in ids for v in ids if u < v], dtype=np.int64)
+    header = (MAX_GRAPH_VERTICES, len(edges))
+    fileio._write_table(p, header, edges)
+    assert p.read_text() == _reference_table(header, edges.tolist())
+    back = fileio._read_table(p, "n m", fileio._graph_shape, int)
+    assert back[:2] == header and np.array_equal(back[2], edges)
 
 
 def test_graph_read_errors(tmp_path):
@@ -264,8 +273,9 @@ def _read_outcome(read, p):
 
 
 def test_bulk_parse_divergences_keep_the_line_loop_outcome(tmp_path):
-    """Where np.loadtxt and Python's int/float disagree, a file reads to the
-    array or the message of the line-by-line reader."""
+    """Where a bulk parser (np.loadtxt, or the byte parser for ints) and
+    Python's int/float disagree, a file reads to the array or the message of
+    the line-by-line reader."""
     p = tmp_path / "t.txt"
     graph_errors = [
         ("3 2\n0 1\n\n0 2\n", "3: expected 2 values, got 0"),  # loadtxt skips blanks
@@ -297,8 +307,8 @@ def test_bulk_parse_divergences_keep_the_line_loop_outcome(tmp_path):
 
 
 def test_all_blank_data_region_prints_only_the_error(tmp_path):
-    """np.loadtxt warns on input with no data; the reader's message is all
-    that reaches stderr."""
+    """A data region of blank lines gives no data to parse in bulk; the
+    reader's message is all that reaches stderr."""
     g = tmp_path / "g.txt"
     g.write_text("3 2\n\n \n")
     r = subprocess.run(
@@ -334,13 +344,41 @@ def _inject_text_faults(rng, lines):
     return lines
 
 
+# Faulty graph files, and whether the line loop reads them.  It reads every
+# file whose data the byte parser refuses; a CRLF file is decoded as text mode
+# reads it and then parsed as bytes, and trailing text follows good data.
+_BYTE_PARSER_FAULTS = [
+    ("3 3\n0\t1\n0 2\n1 2\n", True),  # tab
+    ("3 3\r\n0 1\r\n0 2\r\n1 2\r\n", False),  # CRLF
+    ("3 3\n0 1\n0  2\n1 2\n", True),  # double space
+    ("3 3\n 0 1\n0 2\n1 2\n", True),  # leading space
+    ("3 3\n0 1\n0 2\n1 2 \n", True),  # trailing space
+    ("8 3\n0 1\n0 2\n1 +7\n", True),
+    ("3 1\n0 0000000000000000001\n", True),  # 19 digits
+    ("3 1\n0 1234567890123456789\n", True),
+    ("3 1\n0 \u0661\n", True),  # ARABIC-INDIC DIGIT ONE
+    ("3 3\n0 1\n\n0 2\n1 2\n", True),  # blank line inside the data
+    ("3 3\n0 1\n0 2\n1 2", True),  # no final newline
+    ("3 3\n0 1\n0 2\n1 2\ntrailing text\n", False),
+    ("3 1\n0 " + "0" * 4400 + "1\n", True),  # beyond Python's int digit limit
+    ("3 1\n0 " + "0" * (1 << 17) + "1\n", True),  # a line longer than a block
+]
+
+
 def test_bulk_parse_matches_the_line_loop(tmp_path, monkeypatch):
     """Well-formed and fault-injected files read to the same array or
-    message whether or not np.loadtxt is available."""
+    message whether or not the bulk parsers, np.loadtxt for floats and the
+    byte parser for ints, are available."""
     p = tmp_path / "t.txt"
 
     def refused(*args, **kwargs):
         raise ValueError("bulk parse refused")
+
+    def line_loop_outcome(read):
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "loadtxt", refused)
+            mp.setattr(fileio, "_read_ints", lambda *args: None)
+            return _read_outcome(read, p)
 
     for s in range(300):
         rng = np.random.default_rng(s)
@@ -356,10 +394,16 @@ def test_bulk_parse_matches_the_line_loop(tmp_path, monkeypatch):
             body = [" ".join(map(repr, row)) for row in m.tolist()]
         lines = [header] + (_inject_text_faults(rng, body) if body else [])
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        bulk = _read_outcome(read, p)
+        assert _read_outcome(read, p) == line_loop_outcome(read)
+    parse_lines = fileio._parse_lines
+    for text, refused_data in _BYTE_PARSER_FAULTS:
+        p.write_bytes(text.encode("utf-8"))
+        ran = []
         with monkeypatch.context() as mp:
-            mp.setattr(np, "loadtxt", refused)
-            assert _read_outcome(read, p) == bulk
+            mp.setattr(fileio, "_parse_lines", lambda *args: ran.append(1) or parse_lines(*args))
+            outcome = _read_outcome(read_graph_file, p)
+        assert outcome == line_loop_outcome(read_graph_file), text[:40]
+        assert bool(ran) == refused_data, text[:40]
 
 
 def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):

@@ -486,6 +486,36 @@ def test_lambda1_null_arm_agrees_with_refuter_on_knife_edges(monkeypatch):
     assert answers == {YES, NO_CLIQUE}
 
 
+def test_lambda1_null_arm_reduces_only_graphs_the_refuter_clears(monkeypatch):
+    """The lambda1 null arm builds C(G) only when the refuter does not flag
+    G; a zero reduction still flags the trial."""
+    calls = []
+
+    def counted(g, params=ReductionParams()):
+        calls.append(g.n)
+        return cholesky_reduce(g, params)
+
+    monkeypatch.setattr(reduction, "cholesky_reduce", counted)
+    # lambda_1 of G(20, 1/2) lies far above k - 1 = 2: every null is flagged,
+    # and only the planted arms reduce
+    rep = run_distinguishing_experiment(20, 8, 3, 0.1, trials=4, base_seed=Seed(2))
+    assert [t.decision for t in rep.trials if t.arm == ARM_NULL] == [VIOLATES] * 4
+    assert len(calls) == 4
+    # at k = 12 the refuter clears every G(16, 1/2), and c = 0.9 leaves
+    # I + cA/sqrt(n) indefinite: the zero reductions flag the nulls
+    calls.clear()
+    with pytest.warns(UserWarning, match="outside the standard range"):
+        params = ReductionParams(c=0.9)
+    rep = run_distinguishing_experiment(16, 4, 12, 0.5, params, trials=3, base_seed=Seed(1))
+    nulls = [t for t in rep.trials if t.arm == ARM_NULL]
+    assert [t.decision for t in nulls] == [VIOLATES] * 3
+    for t in nulls:
+        g = gen_gnp_half(16, t.seed)
+        assert spectral_clique_refuter(g, 12) == NO_CLIQUE
+        assert not cholesky_reduce(g, params).any()
+    assert len(calls) == 6
+
+
 def test_experiment_two_sided_at_k35():
     p = dict(PRESETS["desk-200-k35"])
     p["trials"] = 3
