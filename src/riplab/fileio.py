@@ -7,10 +7,14 @@ parse(serialize(M)) reproduces M bit for bit.  Graph files: a header line
 0 <= u < v < n in lexicographic order.
 
 Both are tables, and one reader and one writer serve both.  Float tables are
-written from ``repr`` strings and parsed by ``np.loadtxt``.  Int tables, the
-graphs' edge lists, are written and parsed as byte arrays, a block at a time.
-A file either bulk parser refuses (tabs, blank lines, ``1_000``) is re-read
-line by line, which gives the same arrays and names the first bad line.
+written from ``repr`` strings, and int tables, the graphs' edge lists, as
+byte arrays.  Both are read as bytes and checked a block of lines at a time.
+Ints take a Horner pass over their digits.  A float block of a few distinct
+tokens, such as a Bernoulli matrix's two, is grouped by token, and ``float``
+parses each distinct token once; other float blocks go to ``np.loadtxt``.
+A file the byte parser refuses (tabs, blank lines, ``1_000`` where loadtxt
+parses) is re-read line by line, which gives the same arrays and names the
+first bad line.
 
 Reports are JSON documents carrying the tool version, the invoked command,
 the seed, the full parameter set, and a results object — everything needed
@@ -43,8 +47,19 @@ def _fail(path, lineno, msg):
 
 # Values formatted per block by _write_table: whole rows, at least one.
 _WRITE_BLOCK = 1 << 14
-# Bytes scanned per block by _read_ints; its whole lines are parsed.
+# Bytes scanned per block by _read_values, at least one line; its whole
+# lines are parsed.
 _READ_BLOCK = 1 << 16
+# Longest token _read_values takes: 18 digits stay below 2**63, and 32 bytes
+# hold every float repr.
+_LONGEST = {int: 18, float: 32}
+# _grouped parses a block of floats only when it holds at most _GROUPS
+# distinct tokens, and first looks for more in _SAMPLE of them.
+_GROUPS = 4
+_SAMPLE = 64
+# Bytes of float lines after which _read_values starts a new np.loadtxt
+# call: few calls, and little text alive at once.
+_RUN = 1 << 20
 
 
 def _digit_strings(top):
@@ -103,57 +118,155 @@ def _parse_lines(path, lines, width, parse):
     return np.asarray(values).reshape(-1, width)  # a view: a copy doubles the peak
 
 
-def _read_ints(raw, start, rows, width):
+def _ints(block, seps, gaps):
+    """Each token of ``block`` as an int64; None unless all are ASCII digits."""
+    if block.max() > ord("9") or np.count_nonzero(block < ord("0")) > len(seps):
+        return None
+    # Horner over each value's digits, right-aligned at its separator;
+    # positions left of a value read as "0", and the index seps - j wraps
+    # only there.  18 digits of "0".."9" stay below 2**63.
+    longest = int(gaps.max()) - 1
+    values = np.zeros(len(seps), np.int64)
+    for j in range(longest, 1, -1):
+        values += np.where(gaps > j, block[seps - j], ord("0"))
+        values *= 10
+    values += block[seps - 1]  # every value has a last digit
+    values -= ord("0") * (10**longest - 1) // 9
+    return values
+
+
+def _words(words, at):
+    """The little-endian uint64 at each file offset ``at`` (``words`` holds
+    one at every offset that has 8 bytes left), with bytes past the end of
+    the file read as NUL."""
+    last = len(words) - 1
+    if at.max() <= last:
+        return words[at]
+    inside = np.minimum(at, last)
+    return words[inside] >> (8 * np.minimum(at - inside, 7)).astype(np.uint64)
+
+
+def _grouped(raw, words, ends, gaps):
+    """The float of each token of ``raw``, given by ``ends``, the offset of
+    the separator after it, and ``gaps``, its length + 1; ``words`` holds the
+    little-endian uint64s of ``raw``.  None when the tokens hold more than
+    _GROUPS distinct ones, or ``float`` refuses one.
+
+    Tokens are grouped by their exact bytes, one group at a time: the group
+    of the first token left is every token of its length whose words agree
+    with its words on all its bytes.  ``float``, the line loop's parser,
+    parses that token once for the whole group.  When a sample of the
+    tokens already holds more than _GROUPS distinct first words and lengths,
+    no group is formed."""
+    pick = slice(None, None, -(-len(ends) // _SAMPLE))
+    sizes = (gaps[pick] - 1).tolist()
+    firsts = _words(words, ends[pick] - gaps[pick] + 1).tolist()
+    if len({(word & (1 << 8 * size) - 1, size) for word, size in zip(firsts, sizes)}) > _GROUPS:
+        return None
+    lengths = gaps - 1
+    starts = ends - lengths
+    values = np.empty(len(starts))
+    left = np.arange(len(starts))  # tokens not yet parsed
+    for _ in range(_GROUPS):
+        j, size = left[0], int(lengths[left[0]])
+        at = np.flatnonzero(lengths[left] == size)  # at[0] is token j
+        offsets = starts[left[at]]
+        same = np.ones(len(at), bool)
+        for i in range(0, size, 8):  # the token's bytes i to i + 7, masked past its end
+            word = _words(words, offsets + i) & np.uint64((1 << 8 * min(size - i, 8)) - 1)
+            same &= word == word[0]
+        at = at[same]
+        try:
+            values[left[at]] = float(raw[starts[j] : starts[j] + size].decode("ascii"))
+        except ValueError:
+            return None
+        rest = np.ones(len(left), bool)
+        rest[at] = False
+        left = left[rest]
+        if len(left) == 0:
+            return values
+    return None
+
+
+def _read_values(raw, start, rows, width, parse):
     """The ``rows`` lines of ``raw`` from offset ``start`` as a (rows, width)
-    int64 array, and the offset past them, parsed a block of whole lines at
-    a time; None unless each line is ``width`` runs of 1 to 18 ASCII digits
-    joined by single spaces and ended by a newline."""
-    out = np.empty((rows, width), np.int64)
+    float64 or int64 array (``parse`` is float or int), and the offset past
+    them.  None unless each line is ``width`` tokens of 1 to
+    ``_LONGEST[parse]`` bytes joined by single spaces and ended by a newline,
+    and each token is ASCII digits (ints) or ASCII that ``float`` parses
+    (floats); then the line loop decides.
+
+    The lines are checked and parsed a block at a time.  Ints take a Horner
+    pass over their digits.  Float blocks of at most _GROUPS distinct tokens
+    take :func:`_grouped`, and each run of other float blocks one
+    ``np.loadtxt`` call.  loadtxt parses a token as ``float`` does, with
+    ``PyOS_string_to_double``, and refuses the rest, such as ``1_000``."""
+    if 2 * rows * width > len(raw) - start:  # each value takes a byte and a separator
+        return None
+    out = np.empty((rows, width), np.float64 if parse is float else np.int64)
     flat = out.reshape(-1)
     pattern = np.full(width, ord(" "), np.uint8)  # the separators of one line
     pattern[-1] = ord("\n")
-    done = 0
+    if parse is float:
+        padded = raw.ljust(8, b"\0")  # raw itself, unless it is shorter than a word
+        words = np.ndarray((len(padded) - 7,), "<u8", padded, 0, (1,))
+    runs = []  # [first row, first byte, end byte] of each run of blocks for np.loadtxt
+    done, size = 0, _READ_BLOCK
     while done < rows:
-        block = np.frombuffer(raw, np.uint8, min(_READ_BLOCK, len(raw) - start), start)
-        seps = np.flatnonzero(block < ord("0"))  # the byte after each value
+        block = np.frombuffer(raw, np.uint8, min(size, len(raw) - start), start)
+        seps = np.flatnonzero(block <= ord(" "))  # the byte after each token
         lines = min(len(seps) // width, rows - done)
-        if lines == 0:  # a line longer than a block, or no newline at the end
-            return None
+        if lines == 0:  # a line longer than the block, or no newline at the end
+            if len(block) == len(raw) - start:
+                return None
+            size *= 2
+            continue
         seps = seps[: lines * width]
         block = block[: seps[-1] + 1]
-        gaps = np.diff(seps, prepend=-1)  # digits + 1
-        longest = int(gaps.max()) - 1
-        if (block.max() > ord("9") or (block[seps].reshape(lines, width) != pattern).any()
-                or gaps.min() < 2 or longest > 18):
+        gaps = np.diff(seps, prepend=-1)  # token bytes + 1
+        if ((block[seps].reshape(lines, width) != pattern).any() or gaps.min() < 2
+                or gaps.max() > _LONGEST[parse] + 1):
             return None
-        # Horner over each value's digits, right-aligned at its separator;
-        # positions left of a value read as "0", and the index seps - j wraps
-        # only there.  18 digits of "0".."9" stay below 2**63.
-        values = np.zeros(len(seps), np.int64)
-        for j in range(longest, 1, -1):
-            values += np.where(gaps > j, block[seps - j], ord("0"))
-            values *= 10
-        values += block[seps - 1]  # every value has a last digit
-        values -= ord("0") * (10**longest - 1) // 9
-        flat[done * width : (done + lines) * width] = values
+        if parse is int:
+            values = _ints(block, seps, gaps)
+            if values is None:
+                return None
+        elif block.max() > 127:  # beyond ASCII, str.split and float see other spaces
+            return None
+        else:
+            values = _grouped(raw, words, start + seps, gaps)
+        if values is not None:
+            flat[done * width : (done + lines) * width] = values
+        elif runs and runs[-1][2] == start and start - runs[-1][1] < _RUN:
+            runs[-1][2] += len(block)
+        else:
+            runs.append([done, start, start + len(block)])
         done += lines
         start += len(block)
+    for row, begin, end in runs:
+        lines = str(memoryview(raw)[begin:end], "ascii").split("\n")[:-1]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(lines, np.float64, comments=None, ndmin=2)
+        except (ValueError, Warning):  # the line loop decides
+            return None
+        out[row : row + len(lines)] = table  # every line holds width tokens
     return out, start
 
 
 def _read_table(path, header, shape, parse):
     """Header integers a, b and the rows of a table file as a 2-D float64 or
     int64 array (``parse`` is float or int).  ``shape(path, a, b)`` checks the
-    header and gives (rows, width).  The file is read once, as bytes, and its
-    newlines are counted before anything is allocated from the header.
+    header and gives (rows, width).  The file is read once, as bytes; its
+    newlines are counted, and :func:`_read_values` checks that the values fit
+    in its bytes, before anything is allocated from the header.
 
-    Int rows take :func:`_read_ints` and float rows one ``np.loadtxt`` call.
-    Either result is kept only when it has exactly ``rows`` rows of ``width``
-    values and nothing was refused, raised or warned; anything else re-reads
-    the rows with :func:`_parse_lines`, which names the first bad line or
-    accepts what Python's ``int``/``float`` accept (``1_000``, tabs).  A file
-    with a non-ASCII byte or a carriage return is first decoded as text mode
-    reads it, as UTF-8 with universal newlines."""
+    The rows take :func:`_read_values`.  A file it refuses is re-read with
+    :func:`_parse_lines`, which names the first bad line or accepts what
+    Python's ``int``/``float`` accept (``1_000``, tabs).  A file with a
+    non-ASCII byte or a carriage return is first decoded as text mode reads
+    it, as UTF-8 with universal newlines."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.isascii() or b"\r" in raw:
@@ -168,7 +281,7 @@ def _read_table(path, header, shape, parse):
     if (newlines := raw.count(b"\n")) < rows:
         _fail(path, newlines + 1, f"expected {rows} data rows, file ends early")
     start = len(raw) if end < 0 else end + 1
-    found = _read_ints(raw, start, rows, width) if parse is int else None
+    found = _read_values(raw, start, rows, width, parse)
     if found is not None:
         table, stop = found
         tail = raw[stop:].decode("utf-8").split("\n")
@@ -177,16 +290,7 @@ def _read_table(path, header, shape, parse):
         text, raw = raw.decode("utf-8"), None
         lines, text = text.split("\n"), None
         data, tail = lines[1 : rows + 1], lines[rows + 1 :]
-        table = None
-        if parse is float:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    table = np.loadtxt(data, dtype=np.float64, ndmin=2, comments=None)
-            except (ValueError, OverflowError, Warning):  # the line loop decides
-                pass
-        if table is None or table.shape != (rows, width):
-            table = _parse_lines(path, data, width, parse)
+        table = _parse_lines(path, data, width, parse)
     for lineno, line in enumerate(tail, start=rows + 2):
         if line.strip():
             _fail(path, lineno, f"unexpected trailing content {line!r}")
@@ -232,14 +336,15 @@ def read_graph_file(path):
     u, v = edges.T
     in_range = (0 <= u) & (u < v) & (v < n)
     # u*n + v ranks in-range rows; keys of out-of-range rows never decide
-    ascending = np.diff(u * n + v, prepend=-1) > 0
+    keys = u * n + v
+    ascending = np.diff(keys, prepend=-1) > 0
     bad = np.flatnonzero(~(in_range & ascending))
     if len(bad):
         i = int(bad[0])
         if not in_range[i]:
             _fail(path, i + 2, f"edge ({u[i]}, {v[i]}) violates 0 <= u < v < n={n}")
         _fail(path, i + 2, f"edges out of order or duplicated at ({u[i]}, {v[i]})")
-    return Graph.from_edges(n, edges)
+    return Graph._from_keys(n, keys, v * n + u)
 
 
 def witness_dict(witness):

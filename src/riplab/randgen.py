@@ -115,6 +115,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n, edges):
         """Graph on n vertices from (u, v) pairs, e.g. an (m, 2) integer array."""
+        n = int(n)
         e = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
         u, v = e.T
         bad = np.flatnonzero((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n))
@@ -123,10 +124,17 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        return cls._from_keys(n, u * n + v, v * n + u)
+
+    @classmethod
+    def _from_keys(cls, n, keys, mirrored):
+        """Graph on n vertices whose edges (u, v), already checked to lie in
+        range and off the diagonal, have flat adjacency keys u*n + v and
+        v*n + u."""
         g = cls(n)
-        flat = g.adj.reshape(-1)  # a view: keys u*n + v and v*n + u set both halves
-        flat[u * g.n + v] = True
-        flat[v * g.n + u] = True
+        flat = g.adj.reshape(-1)  # a view: the two keys set both halves
+        flat[keys] = True
+        flat[mirrored] = True
         return g
 
     def edge_count(self):

@@ -210,6 +210,17 @@ def test_oversized_headers_exit_two(tmp_path, capsys):
     rc, out, err = run_cli(["exact", "--matrix", str(m), "--order", "1"], capsys)
     assert rc == 2 and out == ""
     assert f"{m}:2: expected 100000000000 values, got 1" in err
+    # 2 x 10^10 values over two one-value rows: nothing is allocated from the
+    # header, and the line loop names the first short row
+    m.write_text("2 10000000000\n1.0\n2.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError) as exc:
+            read_matrix_file(m)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{m}:2: expected 10000000000 values, got 1"
 
 
 def test_overflowing_gram_exits_two_and_writes_nothing(tmp_path, capsys):

@@ -273,9 +273,9 @@ def _read_outcome(read, p):
 
 
 def test_bulk_parse_divergences_keep_the_line_loop_outcome(tmp_path):
-    """Where a bulk parser (np.loadtxt, or the byte parser for ints) and
-    Python's int/float disagree, a file reads to the array or the message of
-    the line-by-line reader."""
+    """Where the byte parser (np.loadtxt, for floats) and Python's int/float
+    disagree, a file reads to the array or the message of the line-by-line
+    reader."""
     p = tmp_path / "t.txt"
     graph_errors = [
         ("3 2\n0 1\n\n0 2\n", "3: expected 2 values, got 0"),  # loadtxt skips blanks
@@ -344,73 +344,125 @@ def _inject_text_faults(rng, lines):
     return lines
 
 
-# Faulty graph files, and whether the line loop reads them.  It reads every
-# file whose data the byte parser refuses; a CRLF file is decoded as text mode
-# reads it and then parsed as bytes, and trailing text follows good data.
+_BERNOULLI_TOKEN = "0.10206207261596577"  # 1/sqrt(96)
+_ROW = " ".join(repr(0.1 + i / 7) for i in range(4000)) + "\n"  # longer than a block
+
+# Faulty and edge-case table files, their reader, and whether the line loop
+# reads them.  It reads every file whose data the byte parser refuses; a CRLF
+# file is decoded as text mode reads it and then parsed as bytes, and
+# trailing text follows good data.  Float blocks of a few distinct tokens are
+# grouped and parsed by float, others go to np.loadtxt.
 _BYTE_PARSER_FAULTS = [
-    ("3 3\n0\t1\n0 2\n1 2\n", True),  # tab
-    ("3 3\r\n0 1\r\n0 2\r\n1 2\r\n", False),  # CRLF
-    ("3 3\n0 1\n0  2\n1 2\n", True),  # double space
-    ("3 3\n 0 1\n0 2\n1 2\n", True),  # leading space
-    ("3 3\n0 1\n0 2\n1 2 \n", True),  # trailing space
-    ("8 3\n0 1\n0 2\n1 +7\n", True),
-    ("3 1\n0 0000000000000000001\n", True),  # 19 digits
-    ("3 1\n0 1234567890123456789\n", True),
-    ("3 1\n0 \u0661\n", True),  # ARABIC-INDIC DIGIT ONE
-    ("3 3\n0 1\n\n0 2\n1 2\n", True),  # blank line inside the data
-    ("3 3\n0 1\n0 2\n1 2", True),  # no final newline
-    ("3 3\n0 1\n0 2\n1 2\ntrailing text\n", False),
-    ("3 1\n0 " + "0" * 4400 + "1\n", True),  # beyond Python's int digit limit
-    ("3 1\n0 " + "0" * (1 << 17) + "1\n", True),  # a line longer than a block
+    (read_graph_file, "3 3\n0\t1\n0 2\n1 2\n", True),  # tab
+    (read_graph_file, "3 3\r\n0 1\r\n0 2\r\n1 2\r\n", False),  # CRLF
+    (read_graph_file, "3 3\n0 1\n0  2\n1 2\n", True),  # double space
+    (read_graph_file, "3 3\n 0 1\n0 2\n1 2\n", True),  # leading space
+    (read_graph_file, "3 3\n0 1\n0 2\n1 2 \n", True),  # trailing space
+    (read_graph_file, "8 3\n0 1\n0 2\n1 +7\n", True),
+    (read_graph_file, "3 1\n0 0000000000000000001\n", True),  # 19 digits
+    (read_graph_file, "3 1\n0 1234567890123456789\n", True),
+    (read_graph_file, "3 1\n0 \u0661\n", True),  # ARABIC-INDIC DIGIT ONE
+    (read_graph_file, "3 3\n0 1\n\n0 2\n1 2\n", True),  # blank line inside the data
+    (read_graph_file, "3 3\n0 1\n0 2\n1 2", True),  # no final newline
+    (read_graph_file, "3 3\n0 1\n0 2\n1 2\ntrailing text\n", False),
+    (read_graph_file, "3 1\n0 " + "0" * 4400 + "1\n", True),  # beyond Python's int digit limit
+    (read_graph_file, "3 1\n0 " + "0" * (1 << 17) + "1\n", True),  # a line longer than a block
+    # Bernoulli rows: two distinct tokens, each repeated
+    (read_matrix_file, "2 3\n" + f"{_BERNOULLI_TOKEN} -{_BERNOULLI_TOKEN} {_BERNOULLI_TOKEN}\n" * 2,
+     False),
+    # tokens of 1 to 7, 8, 9 to 32 and 33 bytes; 32 is the longest taken
+    (read_matrix_file, "1 4\n1 0.125 -0.0625 1234567\n", False),
+    (read_matrix_file, "1 3\n0.015625 -0.03125 12345678\n", False),
+    (read_matrix_file,
+     "1 3\n0.1000000000000000055511151 -1.2345678901234567e-300 0.100000000000000005551115123125\n",
+     False),
+    (read_matrix_file, "1 1\n0.1000000000000000055511151231257\n", True),
+    (read_matrix_file, "2 2\n0.0 -0.0\n-0.0 0.0\n", False),
+    (read_matrix_file, "2 2\n0.125 0.126\n0.126 0.125\n", False),  # only the last byte differs
+    # 20-byte tokens that differ only in byte 12
+    (read_matrix_file,
+     "2 2\n-0.10206207261596577 -0.10206207271596577\n-0.10206207271596577 -0.10206207261596577\n",
+     False),
+    (read_matrix_file, "1 2\nnan 1.0\n", False),
+    (read_matrix_file, "2 1\n1.0\n-inf\n", False),
+    (read_matrix_file, "1 3\n1_000 1e5 1_000\n", False),  # float reads 1_000
+    (read_matrix_file, "1 6\n1_000 1e5 0.5 0.25 0.75 2.5\n", True),  # loadtxt does not
+    (read_matrix_file, "1 2\n- 1.0\n", True),
+    (read_matrix_file, "1 6\n0.5 0.25 0.75 - 1.5 2.5\n", True),
+    (read_matrix_file, "1 2\n1.0\t2.0\n", True),
+    (read_matrix_file, "2 2\r\n1.0 2.0\r\n3.0 4.0\r\n", False),
+    (read_matrix_file, "1 2\n0x10 1.0\n", True),  # float refuses
+    (read_matrix_file, "1 1\n5\n", False),  # shorter than a word
+    (read_matrix_file, "1 2\n0.5 0.25", True),  # no final newline
+    (read_matrix_file, "2 2\n1.0 2.0\n3.0 4.0\n\t\n", False),
+    (read_matrix_file, "1 4000\n" + _ROW, False),
 ]
 
 
 def test_bulk_parse_matches_the_line_loop(tmp_path, monkeypatch):
     """Well-formed and fault-injected files read to the same array or
-    message whether or not the bulk parsers, np.loadtxt for floats and the
-    byte parser for ints, are available."""
+    message whether or not the byte parser is available."""
     p = tmp_path / "t.txt"
-
-    def refused(*args, **kwargs):
-        raise ValueError("bulk parse refused")
 
     def line_loop_outcome(read):
         with monkeypatch.context() as mp:
-            mp.setattr(np, "loadtxt", refused)
-            mp.setattr(fileio, "_read_ints", lambda *args: None)
+            mp.setattr(fileio, "_read_values", lambda *args: None)
             return _read_outcome(read, p)
 
-    for s in range(300):
+    for s in range(450):
         rng = np.random.default_rng(s)
-        if s % 2:
+        if s % 3 == 1:
             n = int(rng.integers(2, 9))
             edges = [tuple(e) for e in gen_gnp_half(n, Seed(s)).edges()]
             edges = _inject_edge_faults(rng, n, edges)
             read, header = read_graph_file, f"{n} {len(edges)}"
             body = [f"{u} {v}" for u, v in edges]
         else:
-            m = rng.standard_normal((rng.integers(1, 5), rng.integers(1, 5)))
+            shape = (rng.integers(1, 5), rng.integers(1, 5))
+            if s % 3:  # a few distinct tokens, each repeated
+                m = gen_bernoulli_sensing(int(shape[0]), int(shape[1]), Seed(s))
+            else:
+                m = rng.standard_normal(shape)
             read, header = read_matrix_file, f"{m.shape[0]} {m.shape[1]}"
             body = [" ".join(map(repr, row)) for row in m.tolist()]
         lines = [header] + (_inject_text_faults(rng, body) if body else [])
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert _read_outcome(read, p) == line_loop_outcome(read)
     parse_lines = fileio._parse_lines
-    for text, refused_data in _BYTE_PARSER_FAULTS:
+    for read, text, refused_data in _BYTE_PARSER_FAULTS:
         p.write_bytes(text.encode("utf-8"))
         ran = []
         with monkeypatch.context() as mp:
             mp.setattr(fileio, "_parse_lines", lambda *args: ran.append(1) or parse_lines(*args))
-            outcome = _read_outcome(read_graph_file, p)
-        assert outcome == line_loop_outcome(read_graph_file), text[:40]
+            outcome = _read_outcome(read, p)
+        assert outcome == line_loop_outcome(read), text[:40]
         assert bool(ran) == refused_data, text[:40]
 
 
-def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):
-    def line_loop(*args, **kwargs):
-        raise AssertionError("the line loop ran on a well-formed file")
+def _no_line_loop(*args):
+    raise AssertionError("the line loop ran on a well-formed file")
 
-    monkeypatch.setattr(fileio, "_parse_lines", line_loop)
+
+def test_float_blocks_parse_alike_grouped_or_by_loadtxt(tmp_path, monkeypatch):
+    """A float block gives the same array whether its tokens are grouped and
+    parsed by float or all parsed by np.loadtxt, in runs of any length."""
+    p = tmp_path / "m.txt"
+    rng = np.random.default_rng(7)
+    phi = gen_bernoulli_sensing(96, 400, Seed(3))  # six 64 KiB blocks
+    sparse = np.where(rng.random((60, 300)) < 0.9, 0.0, rng.standard_normal((60, 300)))
+    for m in (phi, sparse, rng.standard_normal((10, 40)), np.round(rng.standard_normal((40, 9)))):
+        write_matrix_file(p, m)
+        for groups, run in ((0, 1), (0, fileio._RUN), (fileio._GROUPS, fileio._RUN), (m.size, 1)):
+            with monkeypatch.context() as mp:
+                mp.setattr(fileio, "_GROUPS", groups)
+                mp.setattr(fileio, "_RUN", run)
+                mp.setattr(fileio, "_parse_lines", _no_line_loop)
+                back = read_matrix_file(p)
+            assert back.tobytes() == m.tobytes()
+
+
+def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "_parse_lines", _no_line_loop)
     golden = Path(__file__).parent / "golden"
     assert read_graph_file(golden / "gnp_16_seed3.txt").n == 16
     assert read_matrix_file(golden / "matrix_6x12.txt").shape == (6, 12)
@@ -418,6 +470,9 @@ def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):
     g = gen_gnp_half(300, Seed(1))
     write_graph_file(p, g)
     assert read_graph_file(p) == g
+    phi = gen_bernoulli_sensing(128, 200, Seed(1))
+    write_matrix_file(p, phi)
+    assert np.array_equal(read_matrix_file(p), phi)
 
 
 def test_graph_from_edge_array():
