@@ -6,9 +6,14 @@ parse(serialize(M)) reproduces M bit for bit.  Graph files: a header line
 "n m" with n <= randgen.MAX_GRAPH_VERTICES, then m lines "u v" with
 0 <= u < v < n in lexicographic order.
 
-Both are tables, and one reader and one writer serve both.  Float tables are
-written from ``repr`` strings, and int tables, the graphs' edge lists, as
-byte arrays.  Both are read as bytes and checked a block of lines at a time.
+Both are tables, and one reader and one writer serve both.  Both are written
+as byte arrays, a block of rows at a time, with the bytes of ``repr`` for
+each value.  Int tables, the graphs' edge lists, gather digit strings.  A
+float block formats each value repeated in a sample of it once, and computes
+``repr``'s shortest round-trip digits exactly in numpy, on uint64 integers,
+for zeros and the floats ``repr`` writes in fixed notation; ``repr`` itself
+formats the rest (exponent notation, subnormals, exact ties).
+Both are read as bytes and checked a block of lines at a time.
 Ints take a Horner pass over their digits.  A float block of a few distinct
 tokens, such as a Bernoulli matrix's two, is grouped by token, and ``float``
 parses each distinct token once; other float blocks go to ``np.loadtxt``.
@@ -46,15 +51,17 @@ def _fail(path, lineno, msg):
 
 
 # Values formatted per block by _write_table: whole rows, at least one.
-_WRITE_BLOCK = 1 << 14
+_WRITE_BLOCK = 1 << 13
 # Bytes scanned per block by _read_values, at least one line; its whole
 # lines are parsed.
 _READ_BLOCK = 1 << 16
 # Longest token _read_values takes: 18 digits stay below 2**63, and 32 bytes
-# hold every float repr.
+# hold every float repr (the writer's, at most 24 bytes: its exact digits in
+# fixed notation, and repr's own for the rest).
 _LONGEST = {int: 18, float: 32}
 # _grouped parses a block of floats only when it holds at most _GROUPS
-# distinct tokens, and first looks for more in _SAMPLE of them.
+# distinct tokens, and first looks for more in _SAMPLE of them; the writer's
+# _float_lines formats once each value repeated in _SAMPLE of a block.
 _GROUPS = 4
 _SAMPLE = 64
 # Bytes of float lines after which _read_values starts a new np.loadtxt
@@ -73,11 +80,207 @@ def _digit_strings(top):
     return chars.view(np.dtype((np.void, chars.shape[1]))).ravel()
 
 
+# Fixed-notation digits of floats (_float_spans).  A normal float64
+# x = M * 2**(a - 52) with M in [2**52, 2**53) and binary exponent a in
+# [-13, 53], |x| in [2**-13, 2**54), is scaled by 10**s, s = _SCALE_S[a +
+# 1023]: the least s with 2**a * 10**s >= 1e16, so x * 10**s lies in [1e16,
+# 2e17) and s <= 20.  The scaled rounding interval of x, the reals that read
+# back as x, is (2M - 1) * C / 2**54 to (2M + 1) * C / 2**54, with C =
+# _SCALE_C[a + 1023] = 5**s * 2**(a + s + 1) = 2**(a + 1) * 10**s, an integer
+# below 2**58.  Other exponents hold C = 0.
+_SCALE_S = np.zeros(2048, np.intp)
+_SCALE_C = np.zeros(2048, np.uint64)
+for _a in range(-13, 54):
+    _SCALE_S[_a + 1023] = _s = next(s for s in range(32) if 10**s << max(_a, 0) >= 10**16 << max(-_a, 0))
+    _SCALE_C[_a + 1023] = 5**_s << (_a + _s + 1)
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_U = np.uint64  # numpy 1.x turns uint64 mixed with int64 or a negative int into float64
+_LOW27, _LOW54, _HALF = _U(2**27 - 1), _U(2**54 - 1), _U(2**53)
+# "dddd" for 0..9999 as little-endian uint32, and "ddd." for 0..999.
+_QUADS = np.array([int.from_bytes(b"%04d" % i, "little") for i in range(10000)], np.uint32)
+_POINTED = (_QUADS[::10] & np.uint32(0xFFFFFF)) | np.uint32(ord(".") << 24)
+# A row of _float_spans: 16 integer digits at columns 3..18, the point at 19,
+# 20 fraction digits at 20..39, and room for the separator after them.
+_POINT = 19
+
+
+def _repr_tokens(values):
+    """``repr`` of each float of ``values``, each followed by a space, as one
+    bytes object, and the size of each."""
+    tokens = list(map(repr, values.tolist()))
+    return (" ".join(tokens) + " ").encode(), np.fromiter(map(len, tokens), np.intp, len(tokens)) + 1
+
+
+def _split(number, unit):
+    """``number // unit`` and ``number % unit``, for a uint64 array and a
+    positive unit (numpy's uint64 ``%`` is several times slower)."""
+    high = number // _U(unit)
+    return high, number - high * _U(unit)
+
+
+def _round_trip_digits(bits):
+    """For the float64 bit patterns ``bits`` of positive normal floats x
+    with a binary exponent in [-13, 53], the shortest round-trip digits of
+    each as the integer W = D * 10**j (D has no trailing zero) on the scale
+    x * 10**s, with j, and whether rounding x * 10**s to a multiple of
+    10**j was an exact tie, which ``repr`` decides instead.
+
+    The scaled value V = 2M * C / 2**54 is held exactly, as its floor and
+    its 2**-54ths, and its rounding interval V -+ C / 2**54 as the integers
+    in it.  The largest j for which a multiple of 10**j lies in that range
+    gives the fewest digits.  The multiple nearest V lies in it too, as the
+    interval is symmetric about V.  For a power of two, M = 2**52, the
+    interval reaches only half as far below V, but V = 2**a * 10**s is then
+    the answer itself: a multiple of 10**min(s, a + s), with no multiple of
+    a higher power of ten within V / 2**53 < 12 of it (s = 1 only for
+    a >= 50, and 2**a % 10 is neither 1 nor 9)."""
+    c = _SCALE_C[(bits >> _U(52)).astype(np.intp)]
+    # 2M * C as hi * 2**54 + lo: 27-bit halves keep each product below 2**61.
+    # Temporaries are updated in place: fewer arrays alive, fewer page faults.
+    m0 = ((bits & _U(2**52 - 1)) | _U(2**52)) << _U(1)
+    m1 = m0 >> _U(27)
+    m0 &= _LOW27
+    lo = m0 * (c & _LOW27)
+    mid = m1 * (c & _LOW27)
+    m0 *= c >> _U(27)
+    mid += m0
+    mid += lo >> _U(27)
+    hi = m1
+    hi *= c >> _U(27)
+    hi += mid >> _U(27)
+    lo &= _LOW27
+    mid &= _LOW27
+    lo |= mid << _U(27)
+    del m0, m1, mid
+    # the interval (L, U] as the integers first = floor(L) + 1 to last =
+    # floor(U).  An end is an integer only when 2**54 divides C, for a >= 52,
+    # where the ends are 10x -+ 5, or 10(x -+ 1) with x even: never a
+    # multiple of 10**j that 10x is not, so whether the ends count (they do
+    # iff M is even) changes no digit
+    ch, cl = c >> _U(54), c & _LOW54
+    last = hi + ch + ((lo + cl) >> _U(54))
+    room = last - (hi - ch - (lo < cl) + _U(1))
+    # j >= e iff last % 10**e <= last - first, which is below 100: so j >= 2
+    # iff last % 100 is, and j counts on by the zero digits of last // 100
+    top, two = _split(last, 100)
+    j = (_split(two, 10)[1] <= room).astype(np.intp)
+    live = np.flatnonzero(two <= room)
+    j[live] = 2
+    top = top[live]
+    while len(live):
+        top, digit = _split(top, 10)
+        live, top = live[digit == 0], top[digit == 0]
+        j[live] += 1
+    # round V to the nearest multiple p of 10**j: compare its remainder,
+    # (rest + lo / 2**54) * p, with p / 2, which for p = 1 is lo = 2**53
+    p = _POW10[j]
+    q = hi // p
+    rest, half, low_half = hi - q * p, p >> _U(1), _HALF * (j == 0)
+    at_half = rest == half
+    up = (rest > half) | (at_half & (lo > low_half))
+    return (q + up) * p, j, at_half & (lo == low_half)
+
+
+def _float_spans(values):
+    """Each float of the 1-D array ``values`` as ``repr`` writes it, followed
+    by a space: a uint8 buffer, and the offset and size of each token in it.
+
+    Zeros and most floats ``repr`` writes in fixed notation take exact
+    digits (:func:`_round_trip_digits`), laid out in a row of 44 bytes per
+    value with the point at column _POINT: W // 10**s is the integer part,
+    and the rest the fraction, padded to 20 digits.  Subnormals, exact ties,
+    |x| below 2**-13 and floats ``repr`` writes in exponent notation take
+    :func:`_repr_tokens`, whose bytes follow the rows."""
+    bits = values.view(np.uint64)
+    magnitude = bits & _U(2**63 - 1)
+    biased = (magnitude >> _U(52)).astype(np.intp)
+    exact = np.flatnonzero(_SCALE_C[biased] != 0)
+    scaled, j, tie = _round_trip_digits(magnitude[exact])
+    s = _SCALE_S[biased[exact]]
+    length = 17 + (scaled >= _POW10[17])  # W lies in [1e16, 2**58), so decpt >= -3
+    digits, decpt = length - j, length - s
+    keep = ~tie & (decpt <= 16)
+    # the rows: those values, then zeros as W = 0 on the scale 10**1, one
+    # digit before the point
+    zeros = np.flatnonzero(magnitude == 0)
+    fixed = np.concatenate([exact[keep], zeros])
+    scaled = np.concatenate([scaled[keep], np.zeros(len(zeros), np.uint64)])
+    s, digits, decpt = (np.concatenate([a[keep], np.ones(len(zeros), np.intp)]) for a in (s, digits, decpt))
+    unit = _POW10[np.minimum(s, 19)]  # W < 1e18: no integer part for s > 18
+    whole = scaled // unit
+    part = scaled - whole * unit
+    head = part // _POW10[np.maximum(s - 8, 0)]  # fraction digits 1..8
+    tail = (part - head * _POW10[np.maximum(s - 8, 0)]) * _POW10[20 - np.maximum(s, 8)]
+    head *= _POW10[np.maximum(8 - s, 0)]
+    # four digits a column: integer digits 15 | 14..11 | 10..7 | 6..3 | 2..0
+    # and the point, fraction digits 1..4 | 5..8 | 9..12 | 13..16 | 17..20,
+    # each number split from its last digits until what is left is all zero
+    quads = np.empty((len(fixed), 11), np.uint32)
+    whole, last3 = _split(whole, 1000)
+    quads[:, 4] = _POINTED[last3]
+    for number, cols in (whole, [3, 2, 1, 0]), (head, [6, 5]), (tail, [9, 8, 7]):
+        while cols and number.any():
+            number, quad = _split(number, 10**4)
+            quads[:, cols.pop(0)] = _QUADS[quad]
+        quads[:, cols] = _QUADS[0]
+    flat = quads.view(np.uint8).reshape(-1)
+    row = np.arange(0, flat.size, 44)
+    neg = np.flatnonzero(np.signbit(values[fixed]))
+    first = _POINT - np.maximum(decpt, 1)
+    first[neg] -= 1
+    ends = _POINT + np.maximum(digits - decpt, 1) + 2
+    flat[row[neg] + first[neg]] = ord("-")
+    flat[row + ends - 1] = ord(" ")
+    start, size = np.empty(len(bits), np.intp), np.empty(len(bits), np.intp)
+    start[fixed], size[fixed] = row + first, ends - first
+    rest = np.ones(len(bits), bool)
+    rest[fixed] = False
+    fallback = np.flatnonzero(rest)
+    if len(fallback):  # their tokens follow the rows
+        text, size[fallback] = _repr_tokens(values[fallback])
+        start[fallback] = flat.size + np.cumsum(size[fallback]) - size[fallback]
+        flat = np.concatenate([flat, np.frombuffer(text, np.uint8)])
+    return flat, start, size
+
+
+def _float_lines(values, width):
+    """The bytes of the floats ``values``, ``width`` to a line, each
+    followed by a space or, at the end of a line, a newline.
+
+    Each bit pattern repeated in a sample of _SAMPLE of the values, such as
+    a triangular factor's zero or a Bernoulli matrix's two values, is
+    formatted once for all its copies.  Tokens of one size are then copied
+    out of :func:`_float_spans`' buffer together, as items of that many
+    bytes read and written at any byte offset."""
+    bits = values.view(np.uint64)
+    sample, counts = np.unique(bits[:: -(-len(bits) // _SAMPLE)], return_counts=True)
+    repeated = sample[counts > 1]
+    pick = np.full(len(values), -1)
+    for i, pattern in enumerate(repeated):
+        pick[bits == pattern] = i
+    rest = np.flatnonzero(pick < 0)
+    pick[rest] = np.arange(len(repeated), len(repeated) + len(rest))
+    buf, start, size = _float_spans(np.concatenate([repeated.view(np.float64), values[rest]]))
+    start, size = start[pick], size[pick]
+    stop = np.cumsum(size)
+    out = np.empty(int(stop[-1]), np.uint8)
+    at = stop - size
+    for length in np.flatnonzero(np.bincount(size)):
+        these = np.flatnonzero(size == length)
+        item = np.dtype((np.void, int(length)))
+        src = np.ndarray((len(buf) - length + 1,), item, buf, 0, (1,))
+        dst = np.ndarray((len(out) - length + 1,), item, out, 0, (1,))
+        dst[at[these]] = src[start[these]]
+    out[stop[width - 1 :: width] - 1] = ord("\n")
+    return out
+
+
 def _write_table(path, header, table):
     """Two header integers, then one line of space-separated reprs per row of
     the 2-D array ``table``, formatted a block of rows at a time.
 
-    Float rows are joined from ``repr`` strings.  Int rows hold vertex ids in
+    Float blocks are formatted as byte arrays by :func:`_float_lines`.  Int
+    rows hold vertex ids in
     [0, MAX_GRAPH_VERTICES): a block gathers every value's digit string from
     one table of at most that many, ends each row with a newline and drops
     the padding with one ``bytes.replace``."""
@@ -93,8 +296,7 @@ def _write_table(path, header, table):
         for start in range(0, len(table), step):
             block = table[start : start + step]
             if digits is None:
-                it = map(repr, block.ravel().tolist())
-                fh.write(("\n".join(map(" ".join, zip(*[it] * width))) + "\n").encode())
+                fh.write(_float_lines(block.ravel(), width))
             else:
                 # one row of bytes per table row
                 chars = digits[block.ravel()].view(np.uint8).reshape(len(block), -1)

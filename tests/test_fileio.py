@@ -22,7 +22,7 @@ from riplab.fileio import (
     write_report,
 )
 from riplab.randgen import Graph, Seed, gen_bernoulli_sensing, gen_gnp_half
-from riplab.reduction import run_distinguishing_experiment
+from riplab.reduction import cholesky_reduce, run_distinguishing_experiment
 
 
 def test_matrix_roundtrip_tricky_floats(tmp_path):
@@ -137,12 +137,16 @@ def _reference_table(header, rows):
 
 
 def test_writers_match_a_per_line_reference(tmp_path):
-    """Tables of more values than one write block (2**14), and rows wider
+    """Tables of more values than one write block (2**13), and rows wider
     than one, are written with the bytes of a row-by-row formatter."""
     p = tmp_path / "t.txt"
     m = gen_bernoulli_sensing(300, 300, Seed(4)) * np.linspace(0.5, 3.0, 300)
     m[0, :4] = [-0.0, 5e-324, 1e308, 0.1]
-    for a in (m, gen_bernoulli_sensing(2, 20000, Seed(5))):
+    # a reduction factor: half its entries are zeros; its own are all +0.0
+    factor = cholesky_reduce(gen_gnp_half(150, Seed(6)))
+    below = np.tril_indices(150, -1)
+    factor[below[0][::7], below[1][::7]] = -0.0
+    for a in (m, gen_bernoulli_sensing(2, 20000, Seed(5)), factor):
         write_matrix_file(p, a)
         assert p.read_text() == _reference_table(a.shape, a.tolist())
         assert np.array_equal(read_matrix_file(p), a)
@@ -164,6 +168,76 @@ def test_writers_match_a_per_line_reference(tmp_path):
     assert p.read_text() == _reference_table(header, edges.tolist())
     back = fileio._read_table(p, "n m", fileio._graph_shape, int)
     assert back[:2] == header and np.array_equal(back[2], edges)
+
+
+def _float_families():
+    """Float64 values at the edges of ``repr``'s formats and of the exact
+    digit path, each with both signs."""
+    rng = np.random.default_rng(18)
+    ints = np.concatenate([np.arange(0, 1001), 2**53 + np.arange(-1000, 1001),
+                           rng.integers(0, 2**62, 2000)])
+    short = [float(f"{x:.{d}g}") for d in range(1, 18)
+             for x in rng.standard_normal(200) * 10.0 ** rng.integers(-6, 18, 200)]
+    edges = np.array([10.0**k for k in range(-8, 24)] + [2.0**k for k in range(-1074, 1024)]
+                     + [1e-4, 1e-5, 1e15, 1e16, 1e17, 2.0**-13, 2.0**53, 2.0**54])
+    near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+                           np.nextafter(np.nextafter(edges, 0), 0)])
+    tiny = np.concatenate([rng.integers(1, 2**52, 1000, dtype=np.uint64),
+                           np.array([1, 2**52 - 1], np.uint64)]).view(np.float64)  # subnormals
+    families = {"zeros": [0.0], "integers": ints.astype(np.float64), "short": short,
+                "powers and neighbours": near, "subnormals": tiny, "ties": _ties()}
+    return {k: np.concatenate([np.asarray(v), -np.asarray(v)]) for k, v in families.items()}
+
+
+def _ties():
+    """Floats whose scaled value lies exactly halfway between the two
+    nearest candidates of the fewest digits: k + 0.25 and k + 0.75 in
+    [2**49, 2**51), where repr breaks the tie."""
+    k = np.concatenate([2.0**49 + np.arange(500), 2.0**50 + np.arange(500), 2.0**51 - 500 + np.arange(500)])
+    return np.concatenate([k + 0.25, k + 0.75])
+
+
+def _first_difference(got, want):
+    """None if the texts are equal, else the first line where they differ
+    and its first differing tokens: a short message for a large file."""
+    if got == want:
+        return None
+    for lineno, (g, w) in enumerate(zip(got.split("\n"), want.split("\n")), start=1):
+        if g != w:
+            return lineno, [(a, b) for a, b in zip(g.split(" "), w.split(" ")) if a != b][:3]
+    return "lengths differ", len(got), len(want)
+
+
+def test_float_writer_matches_repr(tmp_path):
+    """Every token equals ``repr``: 10**6 random finite bit patterns, both
+    signs and every exponent, and families at the format edges."""
+    p = tmp_path / "m.txt"
+    bits = np.random.default_rng(1018).integers(0, 2**64, 1_050_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)][:1_000_000]
+    assert len(values) == 1_000_000 and np.unique(np.abs(values).view(np.uint64) >> np.uint64(52)).size == 2047
+    m = values.reshape(500, 2000)
+    write_matrix_file(p, m)
+    assert _first_difference(p.read_text(), _reference_table(m.shape, m.tolist())) is None
+    assert fileio._round_trip_digits(_ties().view(np.uint64))[2].all()
+    for name, family in _float_families().items():
+        write_matrix_file(p, family[None, :])
+        assert _first_difference(p.read_text(), _reference_table((1, len(family)), [family.tolist()])) is None, name
+
+
+def test_repr_fallback_stays_narrow(tmp_path, monkeypatch):
+    """At most 0.1% of a reduction factor's or a Bernoulli matrix's values
+    take the per-value ``repr`` fallback; the rest take exact digits."""
+    reached = []
+    fallback = fileio._repr_tokens
+    monkeypatch.setattr(fileio, "_repr_tokens", lambda v: reached.append(len(v)) or fallback(v))
+    p = tmp_path / "m.txt"
+    factor = cholesky_reduce(gen_gnp_half(200, Seed(7)))
+    for a in (factor, gen_bernoulli_sensing(128, 200, Seed(8)), gen_bernoulli_sensing(64, 1024, Seed(9))):
+        reached.clear()
+        write_matrix_file(p, a)
+        assert sum(reached) <= a.size / 1000
+        assert np.array_equal(read_matrix_file(p), a)
 
 
 def test_graph_read_errors(tmp_path):
