@@ -8,7 +8,11 @@ deviation of the Gram submatrix from the identity.
 
 `exact_rip` computes that max in one serial depth-first walk over column
 prefixes in lexicographic order, one slice of prefixes per array operation,
-so Python steps through slices, not prefixes or subsets.  Before the walk a
+so Python steps through slices, not prefixes or subsets.  A full scan takes
+whole slices from the start; a threshold scan, which may stop among its
+first subsets, starts with small ones.  At k = 2 the walk's only level reads
+row blocks of G's upper triangle and skips each row whose largest entry
+cannot reach the prune level.  Before the walk a
 few greedy seed subsets are solved; the prune level is the larger of their
 best deviation and the running best, capped at the threshold of a threshold
 scan.  A prefix whose bound on every completion's Gershgorin bound
@@ -135,9 +139,9 @@ def subset_deviation(phi, subset):
 
 
 # A slice of prefixes holds their row sums, at most _SLICE_DOUBLES values
-# (256 kB, cache-sized: larger slices measured slower).  Batches of
-# completions start at _FIRST_ROWS subsets, so a threshold hit near the start
-# materialises little, and double up to _SLICE_DOUBLES.
+# (256 kB, cache-sized: larger slices measured slower).  A threshold scan's
+# batches of completions start at _FIRST_ROWS subsets, so a hit near the start
+# materialises little, and double up to _SLICE_DOUBLES; a full scan's start there.
 # The top-q tables hold at most about _TABLE_DOUBLES values (1 MB): exact for
 # n <= 209 at k = 3, on a coarser grid of prefix ends beyond.
 # A batch whose every subset passes the screen stacks its k x k Gram
@@ -175,7 +179,8 @@ _SCREEN_MARGIN = 8 * np.finfo(np.float64).eps
 
 
 def _seed_level(g, k):
-    """Largest deviation among up to _SEEDS greedy k-subsets.
+    """Largest deviation among up to _SEEDS greedy k-subsets, and each row's
+    largest off-diagonal |G_ij| (None when k = 1).
 
     Each starts from a row's largest off-diagonal |G_ij| (the rows with the
     largest such entries; the largest diagonal deviations when k = 1) and
@@ -185,6 +190,7 @@ def _seed_level(g, k):
     """
     n = len(g)
     diag = np.abs(np.diagonal(g) - 1.0)
+    top_v = None
     if k == 1:
         members = np.argsort(-diag, kind="stable")[:_SEEDS, None]
     else:
@@ -208,7 +214,7 @@ def _seed_level(g, k):
             score[r, members[:, :m]] = -np.inf
             members[:, m] = score.argmax(axis=1)
             sums += np.abs(g[members[:, m]])
-    return float(_block_deviations(g, np.sort(members, axis=1)).max())
+    return float(_block_deviations(g, np.sort(members, axis=1)).max()), top_v
 
 
 def _top_tables(g, k):
@@ -259,12 +265,13 @@ def _lex_rank(subset, n):
     return rank
 
 
-def _subset_blocks(g, k, cutoff, counts):
+def _subset_blocks(g, k, cutoff, counts, full=False, row_max=None):
     """Blocks of k-subsets of range(n) (one per int64 row) whose Gershgorin
     bound is not below ``cutoff()``, in lexicographic order.
 
     A depth-first walk over column prefixes, one slice of prefixes per array
-    operation.  A prefix P (last index p, r indices to go) carries the row
+    operation; a ``full`` scan, which never stops early, takes whole slices
+    from the start.  A prefix P (last index p, r indices to go) carries the row
     sums s_i = sum_{j in P} |(G - I)_ij| over all n columns; with
     D_i = |G_ii - 1|, every completion's Gershgorin bound is at most
       max( max_{i in P} s_i + top_r(i, p),  max_{i > p} D_i + s_i + top_{r-1}(i, p) ),
@@ -272,13 +279,14 @@ def _subset_blocks(g, k, cutoff, counts):
     bounds prefixes of lengths 1 to k-2 when `_top_tables` gives the tables
     and skips each prefix whose bound lies below ``cutoff()``.  A prefix of
     length k-1 gets the exact bound of each completion,
-    max(s_q + D_q, max_{i in P} s_i + |G_iq|), from its row sums.
+    max(s_q + D_q, max_{i in P} s_i + |G_iq|), from its row sums; at k = 2
+    that is |G_pq| + max(D_p, D_q), read from G itself (see `_Walk.pairs`).
     ``counts["pruned"]`` and ``counts["screened"]`` add up the subsets
     skipped each way; ``counts["prefixes"][m]`` the prefixes of length m
     pruned.
     """
     root = np.empty((1, 0), dtype=np.int64)
-    return _Walk(g, k, cutoff, counts).descend(root, np.zeros((1, len(g))))
+    return _Walk(g, k, cutoff, counts, full, row_max).descend(root, np.zeros((1, len(g))))
 
 
 class _Walk:
@@ -287,8 +295,9 @@ class _Walk:
     abandoned walk frees G and its tables at once, not at the next cyclic
     garbage collection."""
 
-    def __init__(self, g, k, cutoff, counts):
+    def __init__(self, g, k, cutoff, counts, full, row_max):
         self.g, self.k, self.n, self.cutoff, self.counts = g, k, len(g), cutoff, counts
+        self.row_max = row_max
         self.diag = np.abs(np.diagonal(g) - 1.0)
         self.cols = np.arange(self.n)
         self.tables = _top_tables(g, k)
@@ -303,13 +312,14 @@ class _Walk:
         # doubles up to _SLICE_DOUBLES, from _FIRST_ROWS subsets, or eight
         # times as many prefix row sums (cheap values: fewer, larger slices
         # measured faster on early threshold hits)
-        self.batch = {"prefixes": 8 * _FIRST_ROWS, "subsets": _FIRST_ROWS}
+        first = _SLICE_DOUBLES if full else _FIRST_ROWS
+        self.batch = {"prefixes": 8 * first, "subsets": first}
 
-    def take(self, kind, cap=_SLICE_DOUBLES):
-        """Prefixes (of n values each) in the next slice of this kind."""
+    def take(self, kind, cap=_SLICE_DOUBLES, width=None):
+        """Rows of ``width`` values (n by default) in the next slice of this kind."""
         size = min(self.batch[kind], cap)
         self.batch[kind] = min(2 * self.batch[kind], _SLICE_DOUBLES)
-        return max(1, size // self.n)
+        return max(1, size // (width or self.n))
 
     def prune(self, idx, s):
         """The prefixes, with their row sums, whose bound reaches the cutoff."""
@@ -358,6 +368,30 @@ class _Walk:
                 yield block
             f0 = f1
 
+    def pairs(self):
+        """Blocks of the 2-subsets (p, q) whose bound |G_pq| + max(D_p, D_q)
+        reaches the cutoff, from row blocks of the strict upper triangle of
+        |G|; a row whose largest off-diagonal |G_pj| (``row_max``, when
+        given) plus max D lies below it is skipped unread."""
+        g, n, diag = self.g, self.n, self.diag
+        row_max = np.full(n, np.inf) if self.row_max is None else self.row_max
+        most = diag.max()
+        lo = 0
+        while lo < n - 1:
+            hi = min(lo + self.take("subsets", width=n - 1 - lo), n - 1)
+            level = self.cutoff()
+            p = lo + np.flatnonzero(row_max[lo:hi] + most >= level)
+            a = np.abs(g[p, lo + 1:])  # column j holds q = lo + 1 + j
+            rows, j = np.nonzero(a + most >= level)
+            live = j > p[rows] - lo - 1
+            rows, j = rows[live], j[live]
+            bound = a[rows, j] + np.maximum(diag[p[rows]], diag[lo + 1 + j])
+            keep = np.flatnonzero(bound >= level)
+            self.counts["screened"] += math.comb(n - lo, 2) - math.comb(n - hi, 2) - len(keep)
+            if len(keep):
+                yield np.stack((p[rows[keep]], lo + 1 + j[keep]), axis=1).astype(np.int64)
+            lo = hi
+
     def descend(self, idx, s):
         """The walk below prefixes ``idx`` (all of one length, in order)
         with row sums ``s``."""
@@ -365,6 +399,9 @@ class _Walk:
         depth = idx.shape[1]
         if depth == k - 1:
             yield from self.leaves(idx, s)
+            return
+        if k == 2:
+            yield from self.pairs()
             return
         if self.tables is not None and depth:
             idx, s = self.prune(idx, s)
@@ -451,7 +488,7 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, diagnostics=None):
         )
 
     g = gram(a)
-    seed = _seed_level(g, k)
+    seed, row_max = _seed_level(g, k)
     # a threshold scan must not prune its first hit: the seed may lie above it
     level = seed if threshold is None else min(seed, threshold)
     best_dev = -1.0
@@ -467,7 +504,7 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, diagnostics=None):
         # here and must skip nothing
         return bound if math.isfinite(bound) else -math.inf
 
-    for block in _subset_blocks(g, k, cutoff, counts):
+    for block in _subset_blocks(g, k, cutoff, counts, threshold is None, row_max):
         devs = _block_deviations(g, block)
         solved += len(block)
         if threshold is not None:

@@ -10,6 +10,14 @@ import numpy as np
 # An eigenvalue above -PSD_TOL counts as nonnegative for factorization purposes.
 PSD_TOL = 1e-10
 
+# A Gram entry of an m-row matrix with |a_ij| <= M is a sum of m products,
+# each at most M^2 in exact arithmetic.  Rounded (in any order, with or
+# without fused multiply-adds), every partial sum is at most (1 + u)^(m+1)
+# m M^2, u = 2^-53, which is below 2 m M^2 for every m < 2^50.  The product
+# therefore cannot overflow when m M^2 <= max/2; computed as fl(fl(m M) M)
+# it may read low by a factor (1 - u)^2, so comparing it with max/4 is safe.
+_GRAM_SAFE = float(np.finfo(np.float64).max) / 4
+
 
 def as_matrix(m, name="matrix"):
     """Coerce to a 2-D float64 array, rejecting non-finite entries."""
@@ -46,15 +54,18 @@ def gram(phi):
     update that mirrors one triangle; a strided a is made contiguous first,
     as its product need not be symmetric.  The exact-scan screen reads the
     upper triangle and eigvalsh the lower, so the scan relies on that.
-    ValueError when the product overflows, detected by its min and max.
+    ValueError when the product overflows, detected by its min and max
+    unless the input rules overflow out (see `_GRAM_SAFE`).
     """
     a = as_matrix(phi, "phi")
     if not (a.flags.c_contiguous or a.flags.f_contiguous):
         a = np.ascontiguousarray(a)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, with a message
         g = a.T @ a
-    if not (np.isfinite(g.min()) and np.isfinite(g.max())):
-        raise ValueError("Gram matrix Phi^T Phi overflows: the matrix entries are too large")
+    big = max(float(a.max()), -float(a.min()))
+    if not a.shape[0] * big * big <= _GRAM_SAFE:
+        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
+            raise ValueError("Gram matrix Phi^T Phi overflows: the matrix entries are too large")
     return g
 
 

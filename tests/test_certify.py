@@ -214,11 +214,18 @@ def _sweep_matrices():
 
 
 def _walk(g, k, cutoff):
-    counts = {"pruned": 0, "screened": 0, "prefixes": [0] * k}
-    blocks = list(certify._subset_blocks(g, k, lambda: cutoff, counts))
-    for block in blocks:
-        assert block.dtype == np.int64 and block.shape[1] == k and len(block)
-    return (np.concatenate(blocks) if blocks else np.empty((0, k), dtype=np.int64)), counts
+    """The walk's subsets and counts; at k = 2 also with rows skipped by the
+    seed's row maxima, which must change neither."""
+    runs = []
+    for row_max in (None, certify._seed_level(g, k)[1]):
+        counts = {"pruned": 0, "screened": 0, "prefixes": [0] * k}
+        blocks = list(certify._subset_blocks(g, k, lambda: cutoff, counts, False, row_max))
+        for block in blocks:
+            assert block.dtype == np.int64 and block.shape[1] == k and len(block)
+        walked = np.concatenate(blocks) if blocks else np.empty((0, k), dtype=np.int64)
+        runs.append((walked, counts))
+    assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]
+    return runs[1]
 
 
 def _assert_blocks_are_combinations(n, k):
@@ -299,14 +306,47 @@ def test_screened_scan_matches_unscreened_reference(monkeypatch):
     assert seed_above and multi_level
 
 
+def _schedule_matrices():
+    """The sweep, plus k = 2 cases: exact ties among duplicated unit columns
+    and a duplicated pair whose D_p = |G_pp - 1| decides the bound."""
+    yield from _sweep_matrices()
+    base = gen_bernoulli_sensing(8, 12, Seed(60))
+    yield base[:, [0, 1, 0, 2, 1, 3, 0, 4, 5, 5, 6, 7]]
+    scaled = base * np.linspace(0.5, 1.5, 12)
+    scaled[:, 9] = scaled[:, 3]
+    yield scaled
+
+
+def _schedule_results():
+    out = []
+    for phi in _schedule_matrices():
+        for k in range(1, 6):
+            top = exact_rip(phi, k)[0].value
+            for threshold in (None, 0.5 * top, top):
+                rep, wit = exact_rip(phi, k, threshold=threshold)
+                out.append((rep, wit.subset, wit.vector.tobytes(), wit.excess))
+    return out
+
+
+def test_slice_schedule_changes_no_result(monkeypatch):
+    """The batch sizes, whether the ramp of a threshold scan, the whole
+    slices of a full scan or tiny slices, change no report field and no
+    witness byte, at k = 1 to 5 and for thresholds that stop and that do not."""
+    want = _schedule_results()
+    for first, slice_doubles in ((1, 2), (3, 40), (1 << 15, 1 << 15)):
+        monkeypatch.setattr(certify, "_FIRST_ROWS", first)
+        monkeypatch.setattr(certify, "_SLICE_DOUBLES", slice_doubles)
+        assert _schedule_results() == want, (first, slice_doubles)
+
+
 def test_threshold_hit_materialises_first_chunk_only(monkeypatch):
     phi = gen_bernoulli_sensing(16, 200, Seed(1))
     phi[:, 4] = phi[:, 0]  # subset (0, 1, 4), rank 2, has deviation >= 1
     rows = []
     subset_blocks = certify._subset_blocks
 
-    def recording(g, k, cutoff, counts):
-        for block in subset_blocks(g, k, cutoff, counts):
+    def recording(*args):
+        for block in subset_blocks(*args):
             rows.append(len(block))
             yield block
 

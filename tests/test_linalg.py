@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from riplab import linalg
 from riplab.certify import coherence, exact_rip, subset_deviation
 from riplab.linalg import (
     PSD_TOL,
@@ -130,6 +133,30 @@ def test_gram_refuses_an_overflowing_product():
     for call in (gram, coherence, lambda m: exact_rip(m, 2)):
         with pytest.raises(ValueError, match="Gram matrix"):
             call(phi)
+
+
+def test_gram_scans_the_product_only_beyond_the_input_bound(monkeypatch):
+    """Inside rows * max|a_ij|^2 <= max/4 the product cannot overflow and is
+    not scanned; beyond it a finite product is scanned and kept, and an
+    overflowing one is refused."""
+    scalar_checks = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(linalg.np, "isfinite",
+                        lambda x: scalar_checks.append(np.ndim(x) == 0) or isfinite(x))
+    rows = 3
+    edge = math.sqrt(np.finfo(np.float64).max / 4 / rows)
+    inside = np.full((rows, 2), np.nextafter(edge, 0.0))
+    assert rows * inside[0, 0] * inside[0, 0] <= linalg._GRAM_SAFE
+    g = gram(inside)
+    assert np.isfinite(g).all() and g[0, 0] == g[0, 1] > np.finfo(np.float64).max / 5
+    assert not any(scalar_checks)
+    # one entry 1e154: rows * 1e308 lies beyond the bound, the product does not overflow
+    beyond = np.zeros((rows, 2))
+    beyond[0, 0] = 1e154
+    assert not rows * 1e154 * 1e154 <= linalg._GRAM_SAFE
+    assert gram(beyond)[0, 0] == 1e154 * 1e154 and any(scalar_checks)
+    with pytest.raises(ValueError, match="Gram matrix"):
+        gram(np.full((rows, 2), 4 * edge))
 
 
 def test_gram_unit_column():
