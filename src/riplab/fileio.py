@@ -19,8 +19,7 @@ tokens, such as a Bernoulli matrix's two, is grouped by token, and ``float``
 parses each distinct token once; other float blocks go to ``np.loadtxt``.
 A file the byte parser refuses (tabs, blank lines, ``1_000`` where loadtxt
 parses) is re-read line by line, which gives the same arrays and names the
-first bad line.  Every writer rewrites an existing regular file in place
-(see `_rewrite`).
+first bad line.
 
 Reports are JSON documents carrying the tool version, the invoked command,
 the seed, the full parameter set, and a results object — everything needed
@@ -31,10 +30,8 @@ and diagnostics such as timings or fallback counts must stay out of them.
 """
 
 import json
-import os
 import warnings
 from array import array
-from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -278,24 +275,6 @@ def _float_lines(values, width):
     return out
 
 
-@contextmanager
-def _rewrite(path):
-    """A binary file to write ``path`` from its start.  An existing regular
-    file that can be read is rewritten in place and cut at the end of what
-    was written: on ext4 with ``auto_da_alloc``, closing a file truncated to
-    zero (or renamed over another) starts its writeback at once, which costs
-    a small report about ten times its write.  Any other path, such as a
-    new file, /dev/stdout or a FIFO, is opened "wb"."""
-    try:
-        fh = open(path, "r+b") if os.path.isfile(path) else None
-    except OSError:  # not readable, say: write it afresh
-        fh = None
-    with fh or open(path, "wb") as out:
-        yield out
-        if fh is not None:
-            fh.truncate()
-
-
 def _write_table(path, header, table):
     """Two header integers, then one line of space-separated reprs per row of
     the 2-D array ``table``, formatted a block of rows at a time.
@@ -312,7 +291,7 @@ def _write_table(path, header, table):
         if not 0 <= table.min() <= table.max() < MAX_GRAPH_VERTICES:
             raise ValueError(f"int table values must lie in [0, {MAX_GRAPH_VERTICES})")
         digits = _digit_strings(int(table.max()))
-    with _rewrite(path) as fh:
+    with open(path, "wb") as fh:
         fh.write(f"{header[0]} {header[1]}\n".encode())
         for start in range(0, len(table), step):
             block = table[start : start + step]
@@ -591,9 +570,9 @@ def write_report(path, command, seed, params, results, wall_time_ns, diagnostics
     }
     if diagnostics is not None:
         doc["diagnostics"] = diagnostics
-    data = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    with _rewrite(path) as fh:
-        fh.write(data.encode("utf-8"))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_report(path):

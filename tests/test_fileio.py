@@ -1,5 +1,3 @@
-import json
-import os
 import subprocess
 import sys
 from dataclasses import asdict
@@ -588,78 +586,6 @@ def test_report_roundtrip(tmp_path):
     assert text.endswith("\n")
     # keys are sorted, so serialization is stable
     assert text.index('"command"') < text.index('"params"') < text.index('"results"')
-
-
-def _writes():
-    """(name, long write, short write) for each writer: the short one's
-    output is shorter than the long one's."""
-    long_doc = {"v": [0.1 * i for i in range(50)], "s": "\u00e9\u2013"}
-    yield "report", (lambda p: write_report(p, "x", Seed(2), {}, long_doc, 10**12)), \
-        (lambda p: write_report(p, "x", None, {}, {"v": 1}, 7))
-    yield "matrix", (lambda p: write_matrix_file(p, np.full((9, 9), np.pi))), \
-        (lambda p: write_matrix_file(p, np.eye(2)))
-    yield "graph", (lambda p: write_graph_file(p, gen_gnp_half(30, Seed(1)))), \
-        (lambda p: write_graph_file(p, gen_gnp_half(5, Seed(1))))
-
-
-def test_rewrites_in_place_give_the_bytes_of_a_fresh_write(tmp_path):
-    """A shorter write over a longer file, directly or through a symlink,
-    leaves exactly the bytes of a write to a new path, and the link stays."""
-    for name, write_long, write_short in _writes():
-        fresh, target, link = (tmp_path / f"{name}.{tag}" for tag in ("fresh", "target", "link"))
-        write_short(fresh)
-        link.symlink_to(target)
-        for path in (target, link):
-            write_long(target)
-            assert target.stat().st_size > fresh.stat().st_size
-            ino = target.stat().st_ino
-            write_short(path)
-            assert target.read_bytes() == fresh.read_bytes(), (name, path)
-            assert target.stat().st_ino == ino  # the same file, rewritten
-        assert link.is_symlink() and link.resolve() == target.resolve()
-        # and a longer write over a shorter file
-        write_long(fresh)
-        write_long(tmp_path / f"{name}.long")
-        assert fresh.read_bytes() == (tmp_path / f"{name}.long").read_bytes()
-
-
-def test_report_bytes_are_those_of_json_dump(tmp_path):
-    doc = {"params": {"a": [1.5, None, True]}, "results": {"x": 1e-300, "s": "\u00e9"}}
-    p = tmp_path / "r.json"
-    write_report(p, ["exact", "--order", "2"], Seed(4), doc["params"], doc["results"], 5,
-                 diagnostics={"warnings": ["w"]})
-    want = {"tool_version": VERSION, "command": ["exact", "--order", "2"],
-            "seed": {"value": 4, "stream": 0}, "params": doc["params"],
-            "results": doc["results"], "wall_time_ns": 5, "diagnostics": {"warnings": ["w"]}}
-    with open(tmp_path / "ref.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(want, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    assert p.read_bytes() == (tmp_path / "ref.json").read_bytes()
-
-
-def test_writes_to_special_and_unreadable_paths(tmp_path, monkeypatch):
-    """os.devnull is written as before, and an existing file that cannot be
-    opened for reading is written afresh."""
-    for _, write_long, _ in _writes():
-        write_long(os.devnull)
-    opened = []
-
-    def no_read(path, mode="r", *args, **kwargs):
-        opened.append(mode)
-        if mode == "r+b":
-            raise PermissionError(13, "Permission denied", str(path))
-        return open(path, mode, *args, **kwargs)
-
-    monkeypatch.setattr(fileio, "open", no_read, raising=False)
-    for name, write_long, write_short in _writes():
-        p, fresh = tmp_path / f"{name}.wo", tmp_path / f"{name}.fresh"
-        write_long(p)
-        p.chmod(0o200)  # write-only, for a reader without root's override
-        write_short(p)
-        p.chmod(0o600)
-        write_short(fresh)
-        assert p.read_bytes() == fresh.read_bytes()
-    assert "r+b" in opened and "wb" in opened
 
 
 def test_report_rejects_bad_json(tmp_path):
