@@ -17,12 +17,14 @@ few greedy seed subsets are solved; the prune level is the larger of their
 best deviation and the running best, capped at the threshold of a threshold
 scan.  A prefix whose bound on every completion's Gershgorin bound
 (max_i sum_j |(G_S - I)_ij|, which caps a subset's deviation) lies below the
-level is skipped with all its completions; the completions of the last
-prefixes are bounded one by one, and only subsets whose bound reaches the
-level go to a batched eigensolve.  Nothing skipped could be the maximum or
-the first subset over a threshold, so the reported value, the witness
-(always the lexicographically smallest argmax subset) and the rank-defined
-examined-subset count are those of a scan that solves every subset.
+level is skipped with all its completions.  A prefix of length k-1 is first
+bounded from its parent's row sums, at O(k) cost, and skipped before its own
+row sums are built; the completions of the others are bounded one by one,
+and only subsets whose bound reaches the level go to a batched eigensolve.
+Nothing skipped could be the maximum or the first subset over a threshold,
+so the reported value, the witness (always the lexicographically smallest
+argmax subset) and the rank-defined examined-subset count are those of a
+scan that solves every subset.
 `lazy_certify` probes a small order m exhaustively, then lifts the measured
 parameter to larger orders via the bound delta_k <= eps*(k-1)/(m-1).
 """
@@ -162,11 +164,13 @@ _SEEDS = 8
 # `_Walk.leaves` or a bound on all completions of a prefix of S, is a
 # computed sum b' of at most 2k nonnegative pieces: |M_ij| values, D_i =
 # |fl(G_ii - 1)|, prefix row sums s_i, and top-r table entries, each at
-# least a computed sum of the r values it stands for.  Every row sum of M is
-# at most the exact sum of the values behind those pieces, and summing at
-# most 2k terms in any order rounds by a factor of at most 1 + 2k u, so
-# b <= b' (1 + 2k u) with u = eps/2.  eigvalsh
-# is backward stable, |w' - w| <= p(k) u ||G_S||_2 with p(k) a modest
+# least a computed sum of the r values it stands for.  (`_Walk.gate` sums k
+# pieces: a parent's row sum s_i, or the largest s_i + D_i over i >= q,
+# then |G_iq| or nothing, then a top-1 entry; the max over them is exact.)
+# Every row sum of M is at most the exact sum of the values behind those
+# pieces, and summing at most 2k terms in any order rounds by a factor of at
+# most 1 + 2k u, so b <= b' (1 + 2k u) with u = eps/2.  eigvalsh is backward
+# stable, |w' - w| <= p(k) u ||G_S||_2 with p(k) a modest
 # polynomial, taken here as k^2 (observed errors are a few k ulps);
 # ||G_S||_2 <= 1 + d, and |w' - 1| rounds once more.
 # So the computed deviation d' <= b' + (k^2 + 2k + 2) u (1 + b'), and
@@ -277,13 +281,14 @@ def _subset_blocks(g, k, cutoff, counts, full=False, row_max=None):
       max( max_{i in P} s_i + top_r(i, p),  max_{i > p} D_i + s_i + top_{r-1}(i, p) ),
     top_q(i, p) being the sum of the q largest |G_ij| over j > p.  The walk
     bounds prefixes of lengths 1 to k-2 when `_top_tables` gives the tables
-    and skips each prefix whose bound lies below ``cutoff()``.  A prefix of
-    length k-1 gets the exact bound of each completion,
-    max(s_q + D_q, max_{i in P} s_i + |G_iq|), from its row sums; at k = 2
-    that is |G_pq| + max(D_p, D_q), read from G itself (see `_Walk.pairs`).
-    ``counts["pruned"]`` and ``counts["screened"]`` add up the subsets
-    skipped each way; ``counts["prefixes"][m]`` the prefixes of length m
-    pruned.
+    and skips each prefix whose bound lies below ``cutoff()``.  It bounds a
+    prefix of length k-1 from its parent's row sums before building its own
+    (see `_Walk.gate`), and gets the exact bound of each completion of the
+    others, max(s_q + D_q, max_{i in P} s_i + |G_iq|), from their row sums; at
+    k = 2 that is |G_pq| + max(D_p, D_q), read from G itself (see
+    `_Walk.pairs`).  ``counts["pruned"]`` and ``counts["screened"]`` add up
+    the subsets skipped each way; ``counts["prefixes"][m]`` the prefixes of
+    length m pruned.
     """
     root = np.empty((1, 0), dtype=np.int64)
     return _Walk(g, k, cutoff, counts, full, row_max).descend(root, np.zeros((1, len(g))))
@@ -297,7 +302,7 @@ class _Walk:
 
     def __init__(self, g, k, cutoff, counts, full, row_max):
         self.g, self.k, self.n, self.cutoff, self.counts = g, k, len(g), cutoff, counts
-        self.row_max = row_max
+        self.row_max, self.full = row_max, full
         self.diag = np.abs(np.diagonal(g) - 1.0)
         self.cols = np.arange(self.n)
         self.tables = _top_tables(g, k)
@@ -392,6 +397,27 @@ class _Walk:
                 yield np.stack((p[rows[keep]], lo + 1 + j[keep]), axis=1).astype(np.int64)
             lo = hi
 
+    def gate(self, idx, s, suffix, rep, q):
+        """Which children P + {q} of prefixes ``idx`` (P, of length k-2,
+        with row sums ``s`` and ``suffix`` = max_{i >= q} s_i + D_i) have a
+        completion whose Gershgorin bound may reach the cutoff.
+
+        A completion by j > q has row sums s_i + |G_iq| + |G_ij| for i in P,
+        s_q + D_q + |G_qj| and s_j + D_j + |G_jq|, so every one is at most
+          max( max_{i in P} s_i + |G_iq| + top_1(i, q),  suffix[q] + top_1(q, q) ).
+        Skipped children count their n-1-q completions as pruned.
+        """
+        tops, step = self.tables
+        cell = (q + 1) // step
+        par = idx[rep]
+        inner = s[rep[:, None], par] + np.abs(self.g[par, q[:, None]])
+        inner += tops[1][cell[:, None], par]
+        outer = suffix[rep, q] + tops[1][cell, q]
+        keep = np.maximum(inner.max(axis=1), outer) >= self.cutoff()
+        self.counts["pruned"] += int((self.n - 1 - q[~keep]).sum())
+        self.counts["prefixes"][self.k - 1] += len(q) - int(keep.sum())
+        return keep
+
     def descend(self, idx, s):
         """The walk below prefixes ``idx`` (all of one length, in order)
         with row sums ``s``."""
@@ -405,24 +431,37 @@ class _Walk:
             return
         if self.tables is not None and depth:
             idx, s = self.prune(idx, s)
+        # children of length k-1 pass `gate` first; a full scan gates them in
+        # slices of k values each, then builds the few survivors' rows
+        gated = self.tables is not None and depth == k - 2
+        if gated:
+            suffix = np.maximum.accumulate((s + self.diag)[:, ::-1], axis=1)[:, ::-1]
+        width = k if gated and self.full else None
         p = idx[:, -1] if depth else np.full(len(idx), -1)
         kids = n - k + depth - p  # the next index runs over p+1 .. n-k+depth
         ends = np.cumsum(kids)
         total = int(ends[-1]) if len(ends) else 0
         c0 = 0
         while c0 < total:  # slices of children, a node's may split
-            c = np.arange(c0, min(c0 + self.take("prefixes"), total))
+            c = np.arange(c0, min(c0 + self.take("prefixes", width=width), total))
             c0 += len(c)
             rep = np.searchsorted(ends, c, side="right")
-            child = np.empty((len(c), depth + 1), dtype=np.int64)
-            child[:, :-1] = idx[rep]
-            child[:, -1] = q = p[rep] + 1 + c - (ends[rep] - kids[rep])
-            rows = self.g[q]  # rows q of |G - I| plus the parents' row sums
-            rows[np.arange(len(q)), q] -= 1.0
-            np.abs(rows, out=rows)
-            if depth:
-                rows += s[rep]
-            yield from self.descend(child, rows)
+            q = p[rep] + 1 + c - (ends[rep] - kids[rep])
+            if gated:
+                keep = self.gate(idx, s, suffix, rep, q)
+                rep, q = rep[keep], q[keep]
+            chunk = max(1, _SLICE_DOUBLES // n)
+            for lo in range(0, len(q), chunk):
+                r, qs = rep[lo:lo + chunk], q[lo:lo + chunk]
+                child = np.empty((len(qs), depth + 1), dtype=np.int64)
+                child[:, :-1] = idx[r]
+                child[:, -1] = qs
+                sums = self.g[qs]  # rows q of |G - I| plus the parents' row sums
+                sums[np.arange(len(qs)), qs] -= 1.0
+                np.abs(sums, out=sums)
+                if depth:
+                    sums += s[r]
+                yield from self.descend(child, sums)
 
 
 def _block_deviations(g, block):
@@ -467,7 +506,7 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, diagnostics=None):
     it a :class:`BudgetExceededError` is raised before any work is done.
     The report carries no timing; the CLI times whole commands.  When a
     ``diagnostics`` dict is given, the scan records in it the seed's level,
-    the prefixes pruned by length (1 to k-2), and the subsets pruned with a
+    the prefixes pruned by length (1 to k-1), and the subsets pruned with a
     prefix, screened by their own Gershgorin bound and solved.
     """
     a = as_matrix(phi, "phi")
@@ -521,7 +560,7 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, diagnostics=None):
             best_subset = block[top].tolist()
 
     if diagnostics is not None:
-        diagnostics.update(seed_level=seed, prefixes_pruned=counts["prefixes"][1:-1],
+        diagnostics.update(seed_level=seed, prefixes_pruned=counts["prefixes"][1:],
                            subsets_pruned=counts["pruned"],
                            subsets_screened=counts["screened"], subsets_solved=solved)
     witness = _build_witness(g, best_subset)

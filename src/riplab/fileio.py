@@ -571,8 +571,7 @@ def write_report(path, command, seed, params, results, wall_time_ns, diagnostics
     if diagnostics is not None:
         doc["diagnostics"] = diagnostics
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def read_report(path):

@@ -275,6 +275,69 @@ def test_subset_blocks_keep_exactly_the_subsets_over_the_cutoff(n, k, tables, mo
     assert (counts["pruned"] > 0) == (tables != "none" and k >= 3)
 
 
+def _record_gate(monkeypatch):
+    """Wrap `_Walk.gate`; the returned list gets, per call, the children it
+    saw and the mask of those it kept."""
+    calls = []
+    gate = certify._Walk.gate
+
+    def recording(self, idx, s, suffix, rep, q):
+        keep = gate(self, idx, s, suffix, rep, q)
+        calls.append((np.column_stack((idx[rep], q)), keep))
+        return keep
+
+    monkeypatch.setattr(certify._Walk, "gate", recording)
+    return calls
+
+
+@pytest.mark.parametrize("tables", ["exact", "grid"])
+def test_gate_skips_no_prefix_with_a_completion_over_the_cutoff(tables, monkeypatch):
+    """At fixed cutoffs, no prefix of length k-1 that the gate skips has a
+    completion whose Gershgorin bound reaches the cutoff, at k = 3 to 6 on the
+    sweep (C(G) ties, near-duplicate columns), with top-1 tables at every
+    prefix end or on a coarse grid.  Each cutoff lies midway between two
+    bound values far apart in ulps: a bound within rounding of the cutoff
+    may land on either side, which the scan's margin covers."""
+    if tables == "grid":
+        monkeypatch.setattr(certify, "_TABLE_DOUBLES", 512)
+    calls = _record_gate(monkeypatch)
+    skipped = 0
+    for phi in _sweep_matrices():
+        g = gram(phi)
+        n = len(g)
+        for k in range(3, 7):
+            combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+            bounds = _gershgorin_bounds(g, combos)
+            # the largest completion bound of each prefix of length k-1
+            keys, where = np.unique(combos[:, :-1] @ n ** np.arange(k - 1), return_inverse=True)
+            most = np.full(len(keys), -np.inf)
+            np.maximum.at(most, where.ravel(), bounds)
+            values = np.unique(bounds)
+            wide = np.flatnonzero(np.diff(values) > 1e-9 * values[1:])
+            for i in wide[[len(wide) // 2, -1]] if len(wide) else []:
+                cutoff = (values[i] + values[i + 1]) / 2
+                del calls[:]
+                _walk(g, k, cutoff)
+                for children, keep in calls:
+                    out = np.searchsorted(keys, children[~keep] @ n ** np.arange(k - 1))
+                    assert (most[out] < cutoff).all(), (n, k, cutoff)
+                    skipped += int((~keep).sum())
+    assert skipped
+
+
+def test_gate_skips_most_prefixes_that_reach_it(monkeypatch):
+    """Pruning guard: on 40 x 160 Bernoulli matrices at order 3 the gate
+    skips most of the prefixes of length 2 that reach it, before their row
+    sums are built (0.68 to 0.94 over seeds 0 to 5)."""
+    calls = _record_gate(monkeypatch)
+    shares = []
+    for s in range(6):
+        del calls[:]
+        exact_rip(gen_bernoulli_sensing(40, 160, Seed(s)), 3)
+        shares.append(1 - np.concatenate([keep for _, keep in calls]).mean())
+    assert min(shares) >= 0.6 and np.median(shares) >= 0.8, shares
+
+
 def test_screened_scan_matches_unscreened_reference(monkeypatch):
     """Pruning and screening change no value, witness, direction or count
     for any threshold, and do skip eigensolves: also on C(G) knife edges,
@@ -373,14 +436,14 @@ def test_full_scans_account_for_every_subset_once():
         assert rep.subsets_examined == math.comb(phi.shape[1], k)
         assert (diagnostics["subsets_pruned"] + diagnostics["subsets_screened"]
                 + diagnostics["subsets_solved"]) == rep.subsets_examined
-        assert len(diagnostics["prefixes_pruned"]) == max(k - 2, 0)
+        assert len(diagnostics["prefixes_pruned"]) == max(k - 1, 0)
         assert diagnostics["seed_level"] <= rep.value
 
 
 def test_seeded_scans_prune_most_subsets_by_prefix():
     """Pruning guard: on 40 x 160 Bernoulli matrices at order 3 the prefix
-    bound skips most subsets before any is built.  The share depends on the
-    matrix (0.75 to 0.98 over seeds 0 to 5), so the guard takes their median."""
+    bounds skip most subsets before any is built.  The share depends on the
+    matrix (0.93 to 0.998 over seeds 0 to 5), so the guard takes their median."""
     shares = []
     for s in range(6):
         diagnostics = {}
