@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,6 +404,43 @@ def test_slice_schedule_changes_no_result(monkeypatch):
         assert _schedule_results() == want, (first, slice_doubles)
 
 
+SCAN_SWEEP = Path(__file__).parent / "golden" / "scan_sweep.json"
+
+
+def _scan_sweep():
+    """Full scans of Bernoulli matrices at the bench's exact-scan shapes, seeds
+    0 to 2, each followed by threshold scans at half its value and at its
+    value: per scan its report fields and witness (the vector's entries at
+    the subset), with the witness vector."""
+    out = []
+    for rows, cols, k in ((24, 48, 4), (40, 160, 3), (20, 36, 5), (64, 1024, 2), (64, 128, 3)):
+        for s in range(3):
+            phi = gen_bernoulli_sensing(rows, cols, Seed(s))
+            rep, wit = exact_rip(phi, k)
+            for threshold in (None, 0.5 * rep.value, rep.value):
+                if threshold is not None:
+                    rep, wit = exact_rip(phi, k, threshold=threshold)
+                out.append(({"rows": rows, "cols": cols, "order": k, "seed": s,
+                             "threshold": threshold, "value": rep.value,
+                             "direction": rep.direction,
+                             "subsets_examined": rep.subsets_examined,
+                             "subset": list(wit.subset), "excess": wit.excess,
+                             "vector": wit.vector[list(wit.subset)].tolist()}, wit.vector))
+    return out
+
+
+def test_scan_sweep_replays_its_golden():
+    """The walk's committed comparison: every report field and witness byte
+    of the bench-shape scans, as recorded before the walk last changed."""
+    want = json.loads(SCAN_SWEEP.read_text())
+    got = _scan_sweep()
+    assert len(got) == len(want) == 45
+    for w, (record, vector) in zip(want, got):
+        full = np.zeros(w["cols"])
+        full[w["subset"]] = w["vector"]
+        assert record == w and vector.tobytes() == full.tobytes(), w
+
+
 def test_threshold_hit_materialises_first_chunk_only(monkeypatch):
     phi = gen_bernoulli_sensing(16, 200, Seed(1))
     phi[:, 4] = phi[:, 0]  # subset (0, 1, 4), rank 2, has deviation >= 1
@@ -577,3 +616,7 @@ def test_non_finite_budget_is_refused_before_any_scan(budget, monkeypatch):
         exact_rip(phi, 3, budget=budget)
     with pytest.raises(ValueError, match=f"positive finite count, got {budget}"):
         lazy_certify(phi, 2, 0.9, budget=budget)
+
+
+if __name__ == "__main__":  # rewrite the scan golden: PYTHONPATH=src:tests python tests/test_certify.py
+    SCAN_SWEEP.write_text("[\n" + ",\n".join(json.dumps(r) for r, _ in _scan_sweep()) + "\n]\n")
