@@ -10,17 +10,17 @@ deviation of the Gram submatrix from the identity.
 prefixes in lexicographic order, one slice of prefixes per array operation,
 so Python steps through slices, not prefixes or subsets.  A full scan takes
 whole slices from the start; a threshold scan, which may stop among its
-first subsets, starts with small ones.  At k = 2 the walk's only level reads
-row blocks of G's upper triangle and skips each row whose largest entry
-cannot reach the prune level.  Before the walk a
-few greedy seed subsets are solved; the prune level is the larger of their
-best deviation and the running best, capped at the threshold of a threshold
-scan.  A prefix whose bound on every completion's Gershgorin bound
-(max_i sum_j |(G_S - I)_ij|, which caps a subset's deviation) lies below the
-level is skipped with all its completions.  A prefix of length k-1 is first
-bounded from its parent's row sums, at O(k) cost, and skipped before its own
-row sums are built; the completions of the others are bounded one by one,
-and only subsets whose bound reaches the level go to a batched eigensolve.
+first subsets, starts with small ones.  Before the walk a few greedy seed
+subsets are solved; the prune level is the larger of their best deviation
+and the running best, capped at the threshold of a threshold scan.  A prefix
+whose bound on every completion's Gershgorin bound (max_i sum_j
+|(G_S - I)_ij|, which caps a subset's deviation) lies below the level is
+skipped with all its completions.  Every order k >= 2 ends in one pass over
+the prefixes of length k-2 (at k = 2, the empty prefix): each of their
+children is bounded from its parent's row sums, at O(k) cost, and skipped
+before its own row sums are built; the completions of the others are
+bounded one by one, and only subsets whose bound reaches the level go to a
+batched eigensolve.  At k = 1 each column is bounded by its |G_ii - 1|.
 Nothing skipped could be the maximum or the first subset over a threshold,
 so the reported value, the witness (always the lexicographically smallest
 argmax subset) and the rank-defined examined-subset count are those of a
@@ -160,13 +160,14 @@ _SEEDS = 8
 # Screening margin, per unit of k*k*(1 + level).  For a subset S let M = G_S - I,
 # d = rho(M) its deviation and b = max_i sum_j |M_ij| its Gershgorin bound, so
 # d <= b in exact arithmetic.  Each bound the walk computes and compares for
-# S, whether S's own Gershgorin bound, the cheaper s_q + most of
-# `_Walk.leaves` or a bound on all completions of a prefix of S, is a
+# S, whether S's own Gershgorin bound, the cheaper c_j + max(D, c_i) of
+# `_Walk.completions` or a bound on all completions of a prefix of S, is a
 # computed sum b' of at most 2k nonnegative pieces: |M_ij| values, D_i =
-# |fl(G_ii - 1)|, prefix row sums s_i, and top-r table entries, each at
-# least a computed sum of the r values it stands for.  (`_Walk.gate` sums k
-# pieces: a parent's row sum s_i, or the largest s_i + D_i over i >= q,
-# then |G_iq| or nothing, then a top-1 entry; the max over them is exact.)
+# |fl(G_ii - 1)|, prefix row sums s_i and c_i, and top-r table entries,
+# each at least a computed sum of the r values it stands for.
+# (`_Walk.gate` sums k pieces: a parent's row sum s_i, or the largest
+# s_i + D_i over i >= q, then |G_iq| or nothing, then a top-1 entry or a
+# row's largest off-diagonal |G_ij|; the max over them is exact.)
 # Every row sum of M is at most the exact sum of the values behind those
 # pieces, and summing at most 2k terms in any order rounds by a factor of at
 # most 1 + 2k u, so b <= b' (1 + 2k u) with u = eps/2.  eigvalsh is backward
@@ -184,7 +185,7 @@ _SCREEN_MARGIN = 8 * np.finfo(np.float64).eps
 
 def _seed_level(g, k):
     """Largest deviation among up to _SEEDS greedy k-subsets, and each row's
-    largest off-diagonal |G_ij| (None when k = 1).
+    largest off-diagonal |G_ij| (-1 for a row without one, when n = 1).
 
     Each starts from a row's largest off-diagonal |G_ij| (the rows with the
     largest such entries; the largest diagonal deviations when k = 1) and
@@ -194,19 +195,18 @@ def _seed_level(g, k):
     """
     n = len(g)
     diag = np.abs(np.diagonal(g) - 1.0)
-    top_v = None
+    top_j = np.empty(n, dtype=np.intp)
+    top_v = np.empty(n)
+    step = max(1, _SLICE_DOUBLES // n)
+    for lo in range(0, n, step):  # row blocks: no n x n temporary
+        blk = np.abs(g[lo:lo + step])
+        r = np.arange(len(blk))
+        blk[r, lo + r] = -1.0
+        top_j[lo:lo + step] = blk.argmax(axis=1)
+        top_v[lo:lo + step] = blk[r, top_j[lo:lo + step]]
     if k == 1:
         members = np.argsort(-diag, kind="stable")[:_SEEDS, None]
     else:
-        top_j = np.empty(n, dtype=np.intp)
-        top_v = np.empty(n)
-        step = max(1, _SLICE_DOUBLES // n)
-        for lo in range(0, n, step):  # row blocks: no n x n temporary
-            blk = np.abs(g[lo:lo + step])
-            r = np.arange(len(blk))
-            blk[r, lo + r] = -1.0
-            top_j[lo:lo + step] = blk.argmax(axis=1)
-            top_v[lo:lo + step] = blk[r, top_j[lo:lo + step]]
         rows = np.argsort(-top_v, kind="stable")[:_SEEDS]
         members = np.empty((len(rows), k), dtype=np.intp)
         members[:, 0], members[:, 1] = rows, top_j[rows]
@@ -269,7 +269,7 @@ def _lex_rank(subset, n):
     return rank
 
 
-def _subset_blocks(g, k, cutoff, counts, full=False, row_max=None):
+def _subset_blocks(g, k, cutoff, counts, full, row_max):
     """Blocks of k-subsets of range(n) (one per int64 row) whose Gershgorin
     bound is not below ``cutoff()``, in lexicographic order.
 
@@ -281,14 +281,15 @@ def _subset_blocks(g, k, cutoff, counts, full=False, row_max=None):
       max( max_{i in P} s_i + top_r(i, p),  max_{i > p} D_i + s_i + top_{r-1}(i, p) ),
     top_q(i, p) being the sum of the q largest |G_ij| over j > p.  The walk
     bounds prefixes of lengths 1 to k-2 when `_top_tables` gives the tables
-    and skips each prefix whose bound lies below ``cutoff()``.  It bounds a
-    prefix of length k-1 from its parent's row sums before building its own
-    (see `_Walk.gate`), and gets the exact bound of each completion of the
-    others, max(s_q + D_q, max_{i in P} s_i + |G_iq|), from their row sums; at
-    k = 2 that is |G_pq| + max(D_p, D_q), read from G itself (see
-    `_Walk.pairs`).  ``counts["pruned"]`` and ``counts["screened"]`` add up
-    the subsets skipped each way; ``counts["prefixes"][m]`` the prefixes of
-    length m pruned.
+    and skips each prefix whose bound lies below ``cutoff()``.  Every k >= 2
+    ends in one pass over the prefixes of length k-2 (at k = 2 the empty
+    root; see `_Walk.completions`): each child P + {q} is bounded from its
+    parent's row sums, with top-1 values from the tables or else from
+    ``row_max``, each row's largest off-diagonal |G_ij|; the completions of
+    the children that pass are bounded one by one.  At k = 1 the subsets are
+    the columns whose D_i reaches the cutoff.  ``counts["pruned"]`` and
+    ``counts["screened"]`` add up the subsets skipped each way;
+    ``counts["prefixes"][m]`` the prefixes of length m pruned.
     """
     root = np.empty((1, 0), dtype=np.int64)
     return _Walk(g, k, cutoff, counts, full, row_max).descend(root, np.zeros((1, len(g))))
@@ -302,11 +303,15 @@ class _Walk:
 
     def __init__(self, g, k, cutoff, counts, full, row_max):
         self.g, self.k, self.n, self.cutoff, self.counts = g, k, len(g), cutoff, counts
-        self.row_max, self.full = row_max, full
+        self.full = full
         self.diag = np.abs(np.diagonal(g) - 1.0)
         self.cols = np.arange(self.n)
         self.tables = _top_tables(g, k)
+        # top-1 values for `gate`, read at cell (q + 1) // step: the row
+        # maxima as one cell that every q reads, or the tables'
+        self.top1 = row_max[None], self.n
         if self.tables is not None:
+            self.top1 = self.tables[0][1], self.tables[1]
             # comb[r, m] = C(m, r), so a prefix ending at p with r indices to
             # go has comb[r, n-1-p] completions: C(m, r) = sum_{j < m} C(j, r-1)
             self.comb = np.zeros((k, self.n), dtype=np.int64)
@@ -326,6 +331,22 @@ class _Walk:
         self.batch[kind] = min(2 * self.batch[kind], _SLICE_DOUBLES)
         return max(1, size // (width or self.n))
 
+    def children(self, idx, width=None):
+        """Slices (rep, q) of the children P + {q} of prefixes ``idx``, in
+        order, P being idx[rep]; q runs up to the last index that leaves
+        room for the rest of a k-subset."""
+        depth = idx.shape[1]
+        p = idx[:, -1] if depth else np.full(len(idx), -1)
+        kids = self.n - self.k + depth - p  # the next index runs over p+1 .. n-k+depth
+        ends = np.cumsum(kids)
+        total = int(ends[-1]) if len(ends) else 0
+        c0 = 0
+        while c0 < total:  # a node's children may split across slices
+            c = np.arange(c0, min(c0 + self.take("prefixes", width=width), total))
+            c0 += len(c)
+            rep = np.searchsorted(ends, c, side="right")
+            yield rep, p[rep] + 1 + c - (ends[rep] - kids[rep])
+
     def prune(self, idx, s):
         """The prefixes, with their row sums, whose bound reaches the cutoff."""
         n, k, (tops, step) = self.n, self.k, self.tables
@@ -341,62 +362,6 @@ class _Walk:
         self.counts["prefixes"][k - r] += len(p) - int(keep.sum())
         return idx[keep], s[keep]
 
-    def leaves(self, idx, s):
-        """Blocks of the completions of prefixes of length k-1 whose own
-        Gershgorin bound reaches the cutoff."""
-        g, n, k, diag = self.g, self.n, self.k, self.diag
-        p = idx[:, -1] if idx.shape[1] else np.full(len(idx), -1)
-        # s_q >= |G_iq| for i in P, so the bound of the completion by q,
-        # max(s_q + D_q, max_{i in P} s_i + |G_iq|), is at most s_q + most
-        most = np.maximum(s[np.arange(len(idx))[:, None], idx].max(axis=1, initial=0.0),
-                          diag.max())
-        slots = np.cumsum(n - 1 - p)  # completions of the prefixes up to each
-        f0 = 0
-        while f0 < len(idx):
-            f1 = min(f0 + self.take("subsets", _CHUNK_DOUBLES // (k * k)), len(idx))
-            lo = int(p[f0:f1].min()) + 1
-            level = self.cutoff()
-            rows, q = np.nonzero(s[f0:f1, lo:] + most[f0:f1, None] >= level)
-            rows += f0
-            q += lo
-            live = q > p[rows]
-            rows, q = rows[live], q[live]
-            bound = s[rows, q] + diag[q]
-            for i in idx[rows].T:
-                np.maximum(bound, s[rows, i] + np.abs(g[i, q]), out=bound)
-            keep = np.flatnonzero(bound >= level)
-            self.counts["screened"] += int(slots[f1 - 1] - (slots[f0 - 1] if f0 else 0)) - len(keep)
-            if len(keep):
-                block = np.empty((len(keep), k), dtype=np.int64)
-                block[:, :-1] = idx[rows[keep]]
-                block[:, -1] = q[keep]
-                yield block
-            f0 = f1
-
-    def pairs(self):
-        """Blocks of the 2-subsets (p, q) whose bound |G_pq| + max(D_p, D_q)
-        reaches the cutoff, from row blocks of the strict upper triangle of
-        |G|; a row whose largest off-diagonal |G_pj| (``row_max``, when
-        given) plus max D lies below it is skipped unread."""
-        g, n, diag = self.g, self.n, self.diag
-        row_max = np.full(n, np.inf) if self.row_max is None else self.row_max
-        most = diag.max()
-        lo = 0
-        while lo < n - 1:
-            hi = min(lo + self.take("subsets", width=n - 1 - lo), n - 1)
-            level = self.cutoff()
-            p = lo + np.flatnonzero(row_max[lo:hi] + most >= level)
-            a = np.abs(g[p, lo + 1:])  # column j holds q = lo + 1 + j
-            rows, j = np.nonzero(a + most >= level)
-            live = j > p[rows] - lo - 1
-            rows, j = rows[live], j[live]
-            bound = a[rows, j] + np.maximum(diag[p[rows]], diag[lo + 1 + j])
-            keep = np.flatnonzero(bound >= level)
-            self.counts["screened"] += math.comb(n - lo, 2) - math.comb(n - hi, 2) - len(keep)
-            if len(keep):
-                yield np.stack((p[rows[keep]], lo + 1 + j[keep]), axis=1).astype(np.int64)
-            lo = hi
-
     def gate(self, idx, s, suffix, rep, q):
         """Which children P + {q} of prefixes ``idx`` (P, of length k-2,
         with row sums ``s`` and ``suffix`` = max_{i >= q} s_i + D_i) have a
@@ -407,61 +372,82 @@ class _Walk:
           max( max_{i in P} s_i + |G_iq| + top_1(i, q),  suffix[q] + top_1(q, q) ).
         Skipped children count their n-1-q completions as pruned.
         """
-        tops, step = self.tables
+        top, step = self.top1
         cell = (q + 1) // step
         par = idx[rep]
         inner = s[rep[:, None], par] + np.abs(self.g[par, q[:, None]])
-        inner += tops[1][cell[:, None], par]
-        outer = suffix[rep, q] + tops[1][cell, q]
-        keep = np.maximum(inner.max(axis=1), outer) >= self.cutoff()
+        inner += top[cell[:, None], par]
+        outer = suffix[rep, q] + top[cell, q]
+        # the terms are nonnegative, so 0 stands for the max over an empty P
+        keep = np.maximum(inner.max(axis=1, initial=0.0), outer) >= self.cutoff()
         self.counts["pruned"] += int((self.n - 1 - q[~keep]).sum())
         self.counts["prefixes"][self.k - 1] += len(q) - int(keep.sum())
         return keep
 
+    def completions(self, idx, s):
+        """Blocks of the k-subsets P + {q, j}, j > q, of prefixes ``idx`` (P,
+        of length k-2, with row sums ``s``) whose Gershgorin bound reaches
+        the cutoff.
+
+        Children P + {q} that pass `gate` (a full scan gates them in slices
+        of k values each) go in batches; a batch builds its children's row
+        sums c_j = s_j + |G_qj| only for j beyond its smallest q, and c_i =
+        s_i + |(G - I)_iq| for the members i of P + {q}.  A completion's bound
+        max(c_j + D_j, max_i c_i + |G_ij|) is at most c_j + max(D, c_i), which
+        screens the row sums before the bound of each j > q is formed."""
+        g, n, k, diag = self.g, self.n, self.k, self.diag
+        suffix = np.maximum.accumulate((s + diag)[:, ::-1], axis=1)[:, ::-1]
+        most = diag.max()
+        for rep, q in self.children(idx, k if self.full else None):
+            keep = self.gate(idx, s, suffix, rep, q)
+            rep, q = rep[keep], q[keep]
+            f0 = 0
+            while f0 < len(q):
+                f1 = min(f0 + self.take("subsets", _CHUNK_DOUBLES // (k * k)), len(q))
+                r, qs = rep[f0:f1], q[f0:f1]
+                kid = np.column_stack((idx[r], qs))
+                lo = int(qs.min()) + 1
+                c = s[r, lo:] + np.abs(g[qs, lo:])  # column j - lo holds c_j
+                a = np.abs(g[kid, qs[:, None]])
+                a[:, -1] = diag[qs]
+                ci = s[r[:, None], kid] + a
+                level = self.cutoff()
+                rows, j = np.nonzero(c + np.maximum(ci.max(axis=1), most)[:, None] >= level)
+                j += lo
+                live = j > qs[rows]
+                rows, j = rows[live], j[live]
+                bound = c[rows, j - lo] + diag[j]
+                for m in range(k - 1):
+                    np.maximum(bound, ci[rows, m] + np.abs(g[kid[rows, m], j]), out=bound)
+                keep = np.flatnonzero(bound >= level)
+                self.counts["screened"] += int((n - 1 - qs).sum()) - len(keep)
+                if len(keep):
+                    yield np.column_stack((kid[rows[keep]], j[keep]))
+                f0 = f1
+
     def descend(self, idx, s):
         """The walk below prefixes ``idx`` (all of one length, in order)
         with row sums ``s``."""
-        n, k = self.n, self.k
         depth = idx.shape[1]
-        if depth == k - 1:
-            yield from self.leaves(idx, s)
-            return
-        if k == 2:
-            yield from self.pairs()
+        if self.k == 1:
+            keep = np.flatnonzero(self.diag >= self.cutoff())
+            self.counts["screened"] += self.n - len(keep)
+            if len(keep):
+                yield keep.astype(np.int64)[:, None]
             return
         if self.tables is not None and depth:
             idx, s = self.prune(idx, s)
-        # children of length k-1 pass `gate` first; a full scan gates them in
-        # slices of k values each, then builds the few survivors' rows
-        gated = self.tables is not None and depth == k - 2
-        if gated:
-            suffix = np.maximum.accumulate((s + self.diag)[:, ::-1], axis=1)[:, ::-1]
-        width = k if gated and self.full else None
-        p = idx[:, -1] if depth else np.full(len(idx), -1)
-        kids = n - k + depth - p  # the next index runs over p+1 .. n-k+depth
-        ends = np.cumsum(kids)
-        total = int(ends[-1]) if len(ends) else 0
-        c0 = 0
-        while c0 < total:  # slices of children, a node's may split
-            c = np.arange(c0, min(c0 + self.take("prefixes", width=width), total))
-            c0 += len(c)
-            rep = np.searchsorted(ends, c, side="right")
-            q = p[rep] + 1 + c - (ends[rep] - kids[rep])
-            if gated:
-                keep = self.gate(idx, s, suffix, rep, q)
-                rep, q = rep[keep], q[keep]
-            chunk = max(1, _SLICE_DOUBLES // n)
-            for lo in range(0, len(q), chunk):
-                r, qs = rep[lo:lo + chunk], q[lo:lo + chunk]
-                child = np.empty((len(qs), depth + 1), dtype=np.int64)
-                child[:, :-1] = idx[r]
-                child[:, -1] = qs
-                sums = self.g[qs]  # rows q of |G - I| plus the parents' row sums
-                sums[np.arange(len(qs)), qs] -= 1.0
-                np.abs(sums, out=sums)
-                if depth:
-                    sums += s[r]
-                yield from self.descend(child, sums)
+        if depth == self.k - 2:
+            yield from self.completions(idx, s)
+            return
+        for rep, q in self.children(idx):
+            child = np.column_stack((idx[rep], q))
+            sums = self.g[q]  # rows q of |G - I| plus the parents' row sums
+            sums[np.arange(len(q)), q] -= 1.0
+            np.abs(sums, out=sums)
+            if depth:
+                sums += s[rep]
+            yield from self.descend(child, sums)
 
 
 def _block_deviations(g, block):

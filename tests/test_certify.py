@@ -216,18 +216,14 @@ def _sweep_matrices():
 
 
 def _walk(g, k, cutoff):
-    """The walk's subsets and counts; at k = 2 also with rows skipped by the
-    seed's row maxima, which must change neither."""
-    runs = []
-    for row_max in (None, certify._seed_level(g, k)[1]):
-        counts = {"pruned": 0, "screened": 0, "prefixes": [0] * k}
-        blocks = list(certify._subset_blocks(g, k, lambda: cutoff, counts, False, row_max))
-        for block in blocks:
-            assert block.dtype == np.int64 and block.shape[1] == k and len(block)
-        walked = np.concatenate(blocks) if blocks else np.empty((0, k), dtype=np.int64)
-        runs.append((walked, counts))
-    assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]
-    return runs[1]
+    """The walk's subsets and counts."""
+    counts = {"pruned": 0, "screened": 0, "prefixes": [0] * k}
+    blocks = list(certify._subset_blocks(g, k, lambda: cutoff, counts, False,
+                                         certify._seed_level(g, k)[1]))
+    for block in blocks:
+        assert block.dtype == np.int64 and block.shape[1] == k and len(block)
+    walked = np.concatenate(blocks) if blocks else np.empty((0, k), dtype=np.int64)
+    return walked, counts
 
 
 def _assert_blocks_are_combinations(n, k):
@@ -274,7 +270,7 @@ def test_subset_blocks_keep_exactly_the_subsets_over_the_cutoff(n, k, tables, mo
     walked, counts = _walk(g, k, cutoff)
     assert np.array_equal(walked, combos[bounds >= cutoff])
     assert counts["pruned"] + counts["screened"] + len(walked) == len(combos)
-    assert (counts["pruned"] > 0) == (tables != "none" and k >= 3)
+    assert (counts["pruned"] > 0) == (k >= 2)
 
 
 def _record_gate(monkeypatch):
@@ -292,22 +288,25 @@ def _record_gate(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("tables", ["exact", "grid"])
+@pytest.mark.parametrize("tables", ["exact", "grid", "none"])
 def test_gate_skips_no_prefix_with_a_completion_over_the_cutoff(tables, monkeypatch):
     """At fixed cutoffs, no prefix of length k-1 that the gate skips has a
-    completion whose Gershgorin bound reaches the cutoff, at k = 3 to 6 on the
-    sweep (C(G) ties, near-duplicate columns), with top-1 tables at every
-    prefix end or on a coarse grid.  Each cutoff lies midway between two
+    completion whose Gershgorin bound reaches the cutoff, at k = 2 to 6 on the
+    sweep (C(G) ties, near-duplicate columns), with top-1 values from tables
+    at every prefix end, on a coarse grid or, without tables (always at
+    k = 2), from the row maxima.  Each cutoff lies midway between two
     bound values far apart in ulps: a bound within rounding of the cutoff
     may land on either side, which the scan's margin covers."""
     if tables == "grid":
         monkeypatch.setattr(certify, "_TABLE_DOUBLES", 512)
+    elif tables == "none":
+        monkeypatch.setattr(certify, "_top_tables", lambda g, k: None)
     calls = _record_gate(monkeypatch)
-    skipped = 0
+    skipped = dict.fromkeys(range(2, 7), 0)
     for phi in _sweep_matrices():
         g = gram(phi)
         n = len(g)
-        for k in range(3, 7):
+        for k in skipped:
             combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
             bounds = _gershgorin_bounds(g, combos)
             # the largest completion bound of each prefix of length k-1
@@ -323,8 +322,8 @@ def test_gate_skips_no_prefix_with_a_completion_over_the_cutoff(tables, monkeypa
                 for children, keep in calls:
                     out = np.searchsorted(keys, children[~keep] @ n ** np.arange(k - 1))
                     assert (most[out] < cutoff).all(), (n, k, cutoff)
-                    skipped += int((~keep).sum())
-    assert skipped
+                    skipped[k] += int((~keep).sum())
+    assert all(skipped.values()), skipped
 
 
 def test_gate_skips_most_prefixes_that_reach_it(monkeypatch):
@@ -431,7 +430,8 @@ def _scan_sweep():
 
 def test_scan_sweep_replays_its_golden():
     """The walk's committed comparison: every report field and witness byte
-    of the bench-shape scans, as recorded before the walk last changed."""
+    of the bench-shape scans matches the recorded one, so a change to the
+    walk that keeps this golden changes none of these results."""
     want = json.loads(SCAN_SWEEP.read_text())
     got = _scan_sweep()
     assert len(got) == len(want) == 45
