@@ -573,8 +573,8 @@ def lift_order(eps, m, k):
     if k < m:
         raise ValueError(f"target order {k} must be at least the probe order {m}")
     eps = float(eps)
-    if eps < 0:
-        raise ValueError(f"parameter must be nonnegative, got {eps}")
+    if not 0 <= eps < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"parameter must be finite and nonnegative, got {eps}")
     return eps * (k - 1) / (m - 1)
 
 

@@ -13,13 +13,14 @@ float block formats each value repeated in a sample of it once, and computes
 ``repr``'s shortest round-trip digits exactly in numpy, on uint64 integers,
 for zeros and the floats ``repr`` writes in fixed notation; ``repr`` itself
 formats the rest (exponent notation, subnormals, exact ties).
-Both are read as bytes and checked a block of lines at a time.
-Ints take a Horner pass over their digits.  A float block of a few distinct
-tokens, such as a Bernoulli matrix's two, is grouped by token, and ``float``
-parses each distinct token once; other float blocks go to ``np.loadtxt``.
-A file the byte parser refuses (tabs, blank lines, ``1_000`` where loadtxt
-parses) is re-read line by line, which gives the same arrays and names the
-first bad line.
+Both are read as bytes, and each file takes one parser.  The byte parser
+checks a block of lines at a time.  Ints take a Horner pass over their
+digits.  Floats are parsed this way only while every block holds a few
+distinct tokens, such as a Bernoulli matrix's two: each is grouped by token,
+and ``float`` parses each distinct token once.  The data lines of any other
+ASCII float file take one ``np.loadtxt`` call.  A file they refuse (blank
+lines, ``1_000``, non-ASCII text) is re-read line by line, which gives the
+same arrays and names the first bad line.
 
 Reports are JSON documents carrying the tool version, the invoked command,
 the seed, the full parameter set, and a results object — everything needed
@@ -64,9 +65,6 @@ _LONGEST = {int: 18, float: 32}
 # _float_lines formats once each value repeated in _SAMPLE of a block.
 _GROUPS = 4
 _SAMPLE = 64
-# Bytes of float lines after which _read_values starts a new np.loadtxt
-# call: few calls, and little text alive at once.
-_RUN = 1 << 20
 
 
 def _digit_strings(top):
@@ -352,18 +350,17 @@ def _grouped(raw, words, ends, gaps):
     """The float of each token of ``raw``, given by ``ends``, the offset of
     the separator after it, and ``gaps``, its length + 1; ``words`` holds the
     little-endian uint64s of ``raw``.  None when the tokens hold more than
-    _GROUPS distinct ones, or ``float`` refuses one.
+    _GROUPS distinct ones, or ``float`` refuses one, or one is not ASCII.
 
     Tokens are grouped by their exact bytes, one group at a time: the group
     of the first token left is every token of its length whose words agree
     with its words on all its bytes.  ``float``, the line loop's parser,
-    parses that token once for the whole group.  When a sample of the
-    tokens already holds more than _GROUPS distinct first words and lengths,
-    no group is formed."""
+    parses that token once for the whole group.  When a sample of _SAMPLE
+    tokens already holds more than _GROUPS distinct ones, no group is
+    formed."""
     pick = slice(None, None, -(-len(ends) // _SAMPLE))
-    sizes = (gaps[pick] - 1).tolist()
-    firsts = _words(words, ends[pick] - gaps[pick] + 1).tolist()
-    if len({(word & (1 << 8 * size) - 1, size) for word, size in zip(firsts, sizes)}) > _GROUPS:
+    sample = zip(ends[pick].tolist(), gaps[pick].tolist())
+    if len({raw[end - gap + 1 : end] for end, gap in sample}) > _GROUPS:
         return None
     lengths = gaps - 1
     starts = ends - lengths
@@ -378,7 +375,7 @@ def _grouped(raw, words, ends, gaps):
             word = _words(words, offsets + i) & np.uint64((1 << 8 * min(size - i, 8)) - 1)
             same &= word == word[0]
         at = at[same]
-        try:
+        try:  # beyond ASCII, str.split and float see other spaces and digits
             values[left[at]] = float(raw[starts[j] : starts[j] + size].decode("ascii"))
         except ValueError:
             return None
@@ -396,13 +393,13 @@ def _read_values(raw, start, rows, width, parse):
     them.  None unless each line is ``width`` tokens of 1 to
     ``_LONGEST[parse]`` bytes joined by single spaces and ended by a newline,
     and each token is ASCII digits (ints) or ASCII that ``float`` parses
-    (floats); then the line loop decides.
+    (floats), and each block of floats holds at most _GROUPS distinct
+    tokens; then :func:`_read_table` decides.
 
     The lines are checked and parsed a block at a time.  Ints take a Horner
-    pass over their digits.  Float blocks of at most _GROUPS distinct tokens
-    take :func:`_grouped`, and each run of other float blocks one
-    ``np.loadtxt`` call.  loadtxt parses a token as ``float`` does, with
-    ``PyOS_string_to_double``, and refuses the rest, such as ``1_000``."""
+    pass over their digits, and floats :func:`_grouped`, which refuses the
+    first block of many distinct tokens: a file of mostly distinct floats
+    is parsed by one ``np.loadtxt`` call instead."""
     if 2 * rows * width > len(raw) - start:  # each value takes a byte and a separator
         return None
     out = np.empty((rows, width), np.float64 if parse is float else np.int64)
@@ -412,7 +409,6 @@ def _read_values(raw, start, rows, width, parse):
     if parse is float:
         padded = raw.ljust(8, b"\0")  # raw itself, unless it is shorter than a word
         words = np.ndarray((len(padded) - 7,), "<u8", padded, 0, (1,))
-    runs = []  # [first row, first byte, end byte] of each run of blocks for np.loadtxt
     done, size = 0, _READ_BLOCK
     while done < rows:
         block = np.frombuffer(raw, np.uint8, min(size, len(raw) - start), start)
@@ -431,30 +427,30 @@ def _read_values(raw, start, rows, width, parse):
             return None
         if parse is int:
             values = _ints(block, seps, gaps)
-            if values is None:
-                return None
-        elif block.max() > 127:  # beyond ASCII, str.split and float see other spaces
-            return None
         else:
             values = _grouped(raw, words, start + seps, gaps)
-        if values is not None:
-            flat[done * width : (done + lines) * width] = values
-        elif runs and runs[-1][2] == start and start - runs[-1][1] < _RUN:
-            runs[-1][2] += len(block)
-        else:
-            runs.append([done, start, start + len(block)])
+        if values is None:
+            return None
+        flat[done * width : (done + lines) * width] = values
         done += lines
         start += len(block)
-    for row, begin, end in runs:
-        lines = str(memoryview(raw)[begin:end], "ascii").split("\n")[:-1]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(lines, np.float64, comments=None, ndmin=2)
-        except (ValueError, Warning):  # the line loop decides
-            return None
-        out[row : row + len(lines)] = table  # every line holds width tokens
     return out, start
+
+
+def _loadtxt(lines, rows, width):
+    """The float lines ``lines`` as a (rows, width) array, by one
+    ``np.loadtxt`` call.  None when it raises or warns, or reads another
+    shape (it skips blank lines); then the line loop decides.  On ASCII text
+    loadtxt splits at the whitespace ``str.split`` splits at, and parses a
+    token as ``float`` does, with ``PyOS_string_to_double``, or refuses it,
+    as it does ``1_000``."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, np.float64, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return table if table.shape == (rows, width) else None
 
 
 def _read_table(path, header, shape, parse):
@@ -464,11 +460,13 @@ def _read_table(path, header, shape, parse):
     newlines are counted, and :func:`_read_values` checks that the values fit
     in its bytes, before anything is allocated from the header.
 
-    The rows take :func:`_read_values`.  A file it refuses is re-read with
-    :func:`_parse_lines`, which names the first bad line or accepts what
-    Python's ``int``/``float`` accept (``1_000``, tabs).  A file with a
-    non-ASCII byte or a carriage return is first decoded as text mode reads
-    it, as UTF-8 with universal newlines."""
+    Each file takes one parser.  The rows take :func:`_read_values`; the
+    data lines of a file it refuses take :func:`_loadtxt` when they are
+    floats and the file is ASCII, and :func:`_parse_lines` when that refuses
+    them too, or they are ints or not ASCII.  The line loop names the first
+    bad line or accepts what Python's ``int``/``float`` accept (``1_000``,
+    tabs).  A file with a non-ASCII byte or a carriage return is first
+    decoded as text mode reads it, as UTF-8 with universal newlines."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.isascii() or b"\r" in raw:
@@ -490,9 +488,12 @@ def _read_table(path, header, shape, parse):
     else:
         # at most two copies of the file alive at once, as when it was read as text
         text, raw = raw.decode("utf-8"), None
+        ascii_floats = parse is float and text.isascii()
         lines, text = text.split("\n"), None
         data, tail = lines[1 : rows + 1], lines[rows + 1 :]
-        table = _parse_lines(path, data, width, parse)
+        table = _loadtxt(data, rows, width) if ascii_floats else None
+        if table is None:
+            table = _parse_lines(path, data, width, parse)
     for lineno, line in enumerate(tail, start=rows + 2):
         if line.strip():
             _fail(path, lineno, f"unexpected trailing content {line!r}")

@@ -500,8 +500,9 @@ def test_lift_order_examples():
         lift_order(0.1, 1, 4)
     with pytest.raises(ValueError):
         lift_order(0.1, 4, 3)
-    with pytest.raises(ValueError):
-        lift_order(-0.1, 2, 4)
+    for bad in (-0.1, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            lift_order(bad, 2, 3)
 
 
 def test_lift_order_soundness_on_random_frames():

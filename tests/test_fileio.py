@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -422,10 +423,12 @@ _BERNOULLI_TOKEN = "0.10206207261596577"  # 1/sqrt(96)
 _ROW = " ".join(repr(0.1 + i / 7) for i in range(4000)) + "\n"  # longer than a block
 
 # Faulty and edge-case table files, their reader, and whether the line loop
-# reads them.  It reads every file whose data the byte parser refuses; a CRLF
-# file is decoded as text mode reads it and then parsed as bytes, and
-# trailing text follows good data.  Float blocks of a few distinct tokens are
-# grouped and parsed by float, others go to np.loadtxt.
+# reads them.  It reads every graph file whose data the byte parser refuses,
+# and every float file whose data both the byte parser and np.loadtxt refuse
+# or that is not ASCII; a CRLF file is decoded as text mode reads it and then
+# parsed as bytes, and trailing text follows good data.  A float file of
+# blocks of a few distinct tokens each is grouped and parsed by float, any
+# other well-formed one by one np.loadtxt call.
 _BYTE_PARSER_FAULTS = [
     (read_graph_file, "3 3\n0\t1\n0 2\n1 2\n", True),  # tab
     (read_graph_file, "3 3\r\n0 1\r\n0 2\r\n1 2\r\n", False),  # CRLF
@@ -450,7 +453,7 @@ _BYTE_PARSER_FAULTS = [
     (read_matrix_file,
      "1 3\n0.1000000000000000055511151 -1.2345678901234567e-300 0.100000000000000005551115123125\n",
      False),
-    (read_matrix_file, "1 1\n0.1000000000000000055511151231257\n", True),
+    (read_matrix_file, "1 1\n0.1000000000000000055511151231257\n", False),
     (read_matrix_file, "2 2\n0.0 -0.0\n-0.0 0.0\n", False),
     (read_matrix_file, "2 2\n0.125 0.126\n0.126 0.125\n", False),  # only the last byte differs
     # 20-byte tokens that differ only in byte 12
@@ -463,11 +466,13 @@ _BYTE_PARSER_FAULTS = [
     (read_matrix_file, "1 6\n1_000 1e5 0.5 0.25 0.75 2.5\n", True),  # loadtxt does not
     (read_matrix_file, "1 2\n- 1.0\n", True),
     (read_matrix_file, "1 6\n0.5 0.25 0.75 - 1.5 2.5\n", True),
-    (read_matrix_file, "1 2\n1.0\t2.0\n", True),
+    (read_matrix_file, "1 2\n1.0\t2.0\n", False),
+    (read_matrix_file, "1 2\n1.0\u00a02.0\n", True),  # NO-BREAK SPACE
+    (read_matrix_file, "1 2\n\u0661.5 2.0\n", True),  # ARABIC-INDIC DIGIT ONE
     (read_matrix_file, "2 2\r\n1.0 2.0\r\n3.0 4.0\r\n", False),
     (read_matrix_file, "1 2\n0x10 1.0\n", True),  # float refuses
     (read_matrix_file, "1 1\n5\n", False),  # shorter than a word
-    (read_matrix_file, "1 2\n0.5 0.25", True),  # no final newline
+    (read_matrix_file, "1 2\n0.5 0.25", False),  # no final newline
     (read_matrix_file, "2 2\n1.0 2.0\n3.0 4.0\n\t\n", False),
     (read_matrix_file, "1 4000\n" + _ROW, False),
 ]
@@ -481,6 +486,7 @@ def test_bulk_parse_matches_the_line_loop(tmp_path, monkeypatch):
     def line_loop_outcome(read):
         with monkeypatch.context() as mp:
             mp.setattr(fileio, "_read_values", lambda *args: None)
+            mp.setattr(fileio, "_loadtxt", lambda *args: None)
             return _read_outcome(read, p)
 
     for s in range(450):
@@ -518,21 +524,31 @@ def _no_line_loop(*args):
 
 
 def test_float_blocks_parse_alike_grouped_or_by_loadtxt(tmp_path, monkeypatch):
-    """A float block gives the same array whether its tokens are grouped and
-    parsed by float or all parsed by np.loadtxt, in runs of any length."""
+    """A float file gives the same array whether its tokens are grouped and
+    parsed by float or all parsed by one np.loadtxt call.  A file with a
+    block that does not group takes that one call, wherever the block is."""
     p = tmp_path / "m.txt"
     rng = np.random.default_rng(7)
     phi = gen_bernoulli_sensing(96, 400, Seed(3))  # six 64 KiB blocks
     sparse = np.where(rng.random((60, 300)) < 0.9, 0.0, rng.standard_normal((60, 300)))
-    for m in (phi, sparse, rng.standard_normal((10, 40)), np.round(rng.standard_normal((40, 9)))):
+    gaussian = rng.standard_normal((10, 400))
+    rounded = np.round(rng.standard_normal((40, 9)))  # seven distinct tokens
+    # 20 Bernoulli rows fill more than two blocks, before or after the rest
+    mixed = [np.vstack([phi[:20], gaussian]), np.vstack([gaussian, phi[:20]])]
+    loadtxt, calls = np.loadtxt, []
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
+    monkeypatch.setattr(fileio, "_parse_lines", _no_line_loop)
+    # each file, and its np.loadtxt calls at the default _GROUPS
+    for m, default_calls in [(phi, 0), (sparse, 1), (gaussian[:, :40], 1), (rounded, 1),
+                             (mixed[0], 1), (mixed[1], 1)]:
         write_matrix_file(p, m)
-        for groups, run in ((0, 1), (0, fileio._RUN), (fileio._GROUPS, fileio._RUN), (m.size, 1)):
+        for groups, want in ((0, 1), (fileio._GROUPS, default_calls), (m.size, 0)):
+            calls.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(fileio, "_GROUPS", groups)
-                mp.setattr(fileio, "_RUN", run)
-                mp.setattr(fileio, "_parse_lines", _no_line_loop)
                 back = read_matrix_file(p)
             assert back.tobytes() == m.tobytes()
+            assert len(calls) == want
 
 
 def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):
@@ -544,9 +560,26 @@ def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):
     g = gen_gnp_half(300, Seed(1))
     write_graph_file(p, g)
     assert read_graph_file(p) == g
-    phi = gen_bernoulli_sensing(128, 200, Seed(1))
-    write_matrix_file(p, phi)
-    assert np.array_equal(read_matrix_file(p), phi)
+    rng = np.random.default_rng(1)
+    for m in (gen_bernoulli_sensing(128, 200, Seed(1)), rng.standard_normal((96, 160)),
+              cholesky_reduce(gen_gnp_half(120, Seed(1)))):
+        write_matrix_file(p, m)
+        assert read_matrix_file(p).tobytes() == m.tobytes()
+
+
+def test_factor_read_holds_about_two_copies_of_its_text(tmp_path):
+    """Reading a reduction factor, a file of mostly distinct floats, peaks
+    below three times the file's size: the text once as bytes and once as
+    lines, and the array."""
+    p = tmp_path / "c.txt"
+    write_matrix_file(p, cholesky_reduce(gen_gnp_half(200, Seed(1))))
+    tracemalloc.start()
+    try:
+        read_matrix_file(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * p.stat().st_size, (peak, p.stat().st_size)
 
 
 def test_graph_from_edge_array():
