@@ -113,9 +113,7 @@ def coherence(phi):
     a = as_matrix(phi, "phi")
     if a.shape[1] < 2:
         raise ValueError(f"coherence needs at least 2 columns, got {a.shape[1]}")
-    g = gram(a)
-    off = np.abs(g - np.diag(np.diag(g)))
-    return float(off.max())
+    return float(_row_maxima(gram(a))[0].max())
 
 
 def check_subset(subset, ncols):
@@ -183,9 +181,26 @@ _SEEDS = 8
 _SCREEN_MARGIN = 8 * np.finfo(np.float64).eps
 
 
+def _row_maxima(g):
+    """Each row's largest off-diagonal |G_ij| (-1 for a row without one,
+    when n = 1), and its column j, formed in row blocks: no n x n
+    temporary."""
+    n = len(g)
+    top_v = np.empty(n)
+    top_j = np.empty(n, dtype=np.intp)
+    step = max(1, _SLICE_DOUBLES // n)
+    for lo in range(0, n, step):
+        blk = np.abs(g[lo:lo + step])
+        r = np.arange(len(blk))
+        blk[r, lo + r] = -1.0
+        top_j[lo:lo + step] = blk.argmax(axis=1)
+        top_v[lo:lo + step] = blk[r, top_j[lo:lo + step]]
+    return top_v, top_j
+
+
 def _seed_level(g, k):
     """Largest deviation among up to _SEEDS greedy k-subsets, and each row's
-    largest off-diagonal |G_ij| (-1 for a row without one, when n = 1).
+    largest off-diagonal |G_ij| (`_row_maxima`).
 
     Each starts from a row's largest off-diagonal |G_ij| (the rows with the
     largest such entries; the largest diagonal deviations when k = 1) and
@@ -193,17 +208,8 @@ def _seed_level(g, k):
     largest.  Solved with the scan's own kernel, the value is a deviation the
     scan reaches, so it may serve as the prune level from the start.
     """
-    n = len(g)
     diag = np.abs(np.diagonal(g) - 1.0)
-    top_j = np.empty(n, dtype=np.intp)
-    top_v = np.empty(n)
-    step = max(1, _SLICE_DOUBLES // n)
-    for lo in range(0, n, step):  # row blocks: no n x n temporary
-        blk = np.abs(g[lo:lo + step])
-        r = np.arange(len(blk))
-        blk[r, lo + r] = -1.0
-        top_j[lo:lo + step] = blk.argmax(axis=1)
-        top_v[lo:lo + step] = blk[r, top_j[lo:lo + step]]
+    top_v, top_j = _row_maxima(g)
     if k == 1:
         members = np.argsort(-diag, kind="stable")[:_SEEDS, None]
     else:
@@ -269,41 +275,44 @@ def _lex_rank(subset, n):
     return rank
 
 
-def _subset_blocks(g, k, cutoff, counts, full, row_max):
-    """Blocks of k-subsets of range(n) (one per int64 row) whose Gershgorin
-    bound is not below ``cutoff()``, in lexicographic order.
+class _Walk:
+    """One scan's walk: blocks of k-subsets of range(n) (one per int64 row)
+    whose Gershgorin bound is not below `cutoff`, in lexicographic order.
 
-    A depth-first walk over column prefixes, one slice of prefixes per array
-    operation; a ``full`` scan, which never stops early, takes whole slices
-    from the start.  A prefix P (last index p, r indices to go) carries the row
-    sums s_i = sum_{j in P} |(G - I)_ij| over all n columns; with
-    D_i = |G_ii - 1|, every completion's Gershgorin bound is at most
+    The prune ``level`` is ``seed``, the best deviation of the `_seed_level`
+    subsets, capped at ``threshold`` in a threshold scan (the seed may lie
+    above its first hit); ``best``, the largest deviation the caller has
+    solved, lifts it.  A depth-first walk over column prefixes, one slice of
+    prefixes per array operation; a full scan (no ``threshold``), which
+    never stops early, takes whole slices from the start.  A prefix P (last
+    index p, r indices to go) carries the row sums s_i = sum_{j in P}
+    |(G - I)_ij| over all n columns; with D_i = |G_ii - 1|, every
+    completion's Gershgorin bound is at most
       max( max_{i in P} s_i + top_r(i, p),  max_{i > p} D_i + s_i + top_{r-1}(i, p) ),
     top_q(i, p) being the sum of the q largest |G_ij| over j > p.  The walk
     bounds prefixes of lengths 1 to k-2 when `_top_tables` gives the tables
-    and skips each prefix whose bound lies below ``cutoff()``.  Every k >= 2
+    and skips each prefix whose bound lies below the cutoff.  Every k >= 2
     ends in one pass over the prefixes of length k-2 (at k = 2 the empty
-    root; see `_Walk.completions`): each child P + {q} is bounded from its
-    parent's row sums, with top-1 values from the tables or else from
-    ``row_max``, each row's largest off-diagonal |G_ij|; the completions of
-    the children that pass are bounded one by one.  At k = 1 the subsets are
-    the columns whose D_i reaches the cutoff.  ``counts["pruned"]`` and
-    ``counts["screened"]`` add up the subsets skipped each way;
-    ``counts["prefixes"][m]`` the prefixes of length m pruned.
-    """
-    root = np.empty((1, 0), dtype=np.int64)
-    return _Walk(g, k, cutoff, counts, full, row_max).descend(root, np.zeros((1, len(g))))
+    root; see `completions`): each child P + {q} is bounded from its
+    parent's row sums, with top-1 values from the tables or else from each
+    row's largest off-diagonal |G_ij|; the completions of the children that
+    pass are bounded one by one.  At k = 1 the subsets are the columns whose
+    D_i reaches the cutoff.  ``pruned`` and ``screened`` add up the subsets
+    skipped each way, ``prefixes[m]`` the prefixes of length m pruned, and
+    ``solved`` the subsets the caller solves.
 
+    The walk's generators reach it through ``self``, which holds no
+    reference back to them, so an abandoned walk frees G and its tables at
+    once, not at the next cyclic garbage collection."""
 
-class _Walk:
-    """One scan's walk state (see `_subset_blocks`).  The walk's generators
-    reach it through ``self``, which holds no reference back to them, so an
-    abandoned walk frees G and its tables at once, not at the next cyclic
-    garbage collection."""
-
-    def __init__(self, g, k, cutoff, counts, full, row_max):
-        self.g, self.k, self.n, self.cutoff, self.counts = g, k, len(g), cutoff, counts
-        self.full = full
+    def __init__(self, g, k, threshold=None):
+        self.g, self.k, self.n = g, k, len(g)
+        self.seed, row_max = _seed_level(g, k)
+        self.level = self.seed if threshold is None else min(self.seed, threshold)
+        self.best = -1.0
+        self.pruned = self.screened = self.solved = 0
+        self.prefixes = [0] * k
+        self.full = threshold is None
         self.diag = np.abs(np.diagonal(g) - 1.0)
         self.cols = np.arange(self.n)
         self.tables = _top_tables(g, k)
@@ -322,8 +331,21 @@ class _Walk:
         # doubles up to _SLICE_DOUBLES, from _FIRST_ROWS subsets, or eight
         # times as many prefix row sums (cheap values: fewer, larger slices
         # measured faster on early threshold hits)
-        first = _SLICE_DOUBLES if full else _FIRST_ROWS
+        first = _SLICE_DOUBLES if self.full else _FIRST_ROWS
         self.batch = {"prefixes": 8 * first, "subsets": first}
+
+    def cutoff(self):
+        """The level less the screening margin: a bound below it rules out
+        every subset it bounds."""
+        top = max(self.level, self.best)
+        bound = top - _SCREEN_MARGIN * self.k * self.k * (1.0 + top)
+        # an infinite level (the eigenvalues of huge entries overflow) is NaN
+        # here and must skip nothing
+        return bound if math.isfinite(bound) else -math.inf
+
+    def blocks(self):
+        """The whole walk, from the empty prefix."""
+        return self.descend(np.empty((1, 0), dtype=np.int64), np.zeros((1, self.n)))
 
     def take(self, kind, cap=_SLICE_DOUBLES, width=None):
         """Rows of ``width`` values (n by default) in the next slice of this kind."""
@@ -358,8 +380,8 @@ class _Walk:
         # terms are nonnegative and some i > p exists: zeros mask the others
         outer = np.where(self.cols > p[:, None], s + self.diag + tops[r - 1][cell], 0.0)
         keep = np.maximum(inner, outer.max(axis=1)) >= self.cutoff()
-        self.counts["pruned"] += int(self.comb[r, n - 1 - p[~keep]].sum())
-        self.counts["prefixes"][k - r] += len(p) - int(keep.sum())
+        self.pruned += int(self.comb[r, n - 1 - p[~keep]].sum())
+        self.prefixes[k - r] += len(p) - int(keep.sum())
         return idx[keep], s[keep]
 
     def gate(self, idx, s, suffix, rep, q):
@@ -380,8 +402,8 @@ class _Walk:
         outer = suffix[rep, q] + top[cell, q]
         # the terms are nonnegative, so 0 stands for the max over an empty P
         keep = np.maximum(inner.max(axis=1, initial=0.0), outer) >= self.cutoff()
-        self.counts["pruned"] += int((self.n - 1 - q[~keep]).sum())
-        self.counts["prefixes"][self.k - 1] += len(q) - int(keep.sum())
+        self.pruned += int((self.n - 1 - q[~keep]).sum())
+        self.prefixes[self.k - 1] += len(q) - int(keep.sum())
         return keep
 
     def completions(self, idx, s):
@@ -420,7 +442,7 @@ class _Walk:
                 for m in range(k - 1):
                     np.maximum(bound, ci[rows, m] + np.abs(g[kid[rows, m], j]), out=bound)
                 keep = np.flatnonzero(bound >= level)
-                self.counts["screened"] += int((n - 1 - qs).sum()) - len(keep)
+                self.screened += int((n - 1 - qs).sum()) - len(keep)
                 if len(keep):
                     yield np.column_stack((kid[rows[keep]], j[keep]))
                 f0 = f1
@@ -431,7 +453,7 @@ class _Walk:
         depth = idx.shape[1]
         if self.k == 1:
             keep = np.flatnonzero(self.diag >= self.cutoff())
-            self.counts["screened"] += self.n - len(keep)
+            self.screened += self.n - len(keep)
             if len(keep):
                 yield keep.astype(np.int64)[:, None]
             return
@@ -513,42 +535,29 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, diagnostics=None):
         )
 
     g = gram(a)
-    seed, row_max = _seed_level(g, k)
-    # a threshold scan must not prune its first hit: the seed may lie above it
-    level = seed if threshold is None else min(seed, threshold)
-    best_dev = -1.0
+    walk = _Walk(g, k, threshold)
     examined = total
     stopped = False
-    counts = {"pruned": 0, "screened": 0, "prefixes": [0] * k}
-    solved = 0
-
-    def cutoff():
-        top = max(level, best_dev)
-        bound = top - _SCREEN_MARGIN * k * k * (1.0 + top)
-        # an infinite level (the eigenvalues of huge entries overflow) is NaN
-        # here and must skip nothing
-        return bound if math.isfinite(bound) else -math.inf
-
-    for block in _subset_blocks(g, k, cutoff, counts, threshold is None, row_max):
+    for block in walk.blocks():
         devs = _block_deviations(g, block)
-        solved += len(block)
+        walk.solved += len(block)
         if threshold is not None:
             over = np.flatnonzero(devs > threshold)
             if len(over):
-                best_dev = float(devs[over[0]])
+                walk.best = float(devs[over[0]])
                 best_subset = block[over[0]].tolist()
                 examined = _lex_rank(best_subset, ncols) + 1
                 stopped = True
                 break
         top = int(np.argmax(devs))
-        if float(devs[top]) > best_dev:
-            best_dev = float(devs[top])
+        if float(devs[top]) > walk.best:
+            walk.best = float(devs[top])
             best_subset = block[top].tolist()
 
     if diagnostics is not None:
-        diagnostics.update(seed_level=seed, prefixes_pruned=counts["prefixes"][1:],
-                           subsets_pruned=counts["pruned"],
-                           subsets_screened=counts["screened"], subsets_solved=solved)
+        diagnostics.update(seed_level=walk.seed, prefixes_pruned=walk.prefixes[1:],
+                           subsets_pruned=walk.pruned, subsets_screened=walk.screened,
+                           subsets_solved=walk.solved)
     witness = _build_witness(g, best_subset)
     if stopped:
         direction, method = LOWER_BOUND, WITNESS_LB
@@ -556,7 +565,7 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, diagnostics=None):
         direction, method = EXACT_MAX, EXHAUSTIVE
     report = RipReport(
         order=k,
-        value=best_dev,
+        value=walk.best,
         direction=direction,
         method=method,
         subsets_examined=examined,

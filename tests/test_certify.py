@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,21 @@ def test_coherence_examples():
     assert abs(coherence(phi) - 0.5) < 1e-15
     with pytest.raises(ValueError):
         coherence(np.ones((3, 1)))  # needs two columns
+
+
+def test_coherence_holds_one_gram_and_a_row_block():
+    """coherence reads G's row maxima a block of rows at a time: an 8 x 512
+    Bernoulli matrix peaks below 1.5 times its Gram's bytes (3 times with
+    an n x n |G - diag(G)|)."""
+    phi = gen_bernoulli_sensing(8, 512, Seed(3))
+    mu = coherence(phi)  # warm-up, outside the trace
+    tracemalloc.start()
+    try:
+        assert coherence(phi) == mu
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 512 * 512 * 8, peak
 
 
 def test_subset_deviation_identity_and_repeats():
@@ -216,23 +232,24 @@ def _sweep_matrices():
 
 
 def _walk(g, k, cutoff):
-    """The walk's subsets and counts."""
-    counts = {"pruned": 0, "screened": 0, "prefixes": [0] * k}
-    blocks = list(certify._subset_blocks(g, k, lambda: cutoff, counts, False,
-                                         certify._seed_level(g, k)[1]))
+    """The subsets of a threshold scan's walk held at a fixed cutoff, and
+    the walk, which holds its counts."""
+    walk = certify._Walk(g, k, threshold=cutoff)
+    walk.cutoff = lambda: cutoff
+    blocks = list(walk.blocks())
     for block in blocks:
         assert block.dtype == np.int64 and block.shape[1] == k and len(block)
     walked = np.concatenate(blocks) if blocks else np.empty((0, k), dtype=np.int64)
-    return walked, counts
+    return walked, walk
 
 
 def _assert_blocks_are_combinations(n, k):
     # with nothing below the cutoff, the walk yields every subset once, in order
     rng = np.random.default_rng(n * 100 + k)
-    walked, counts = _walk(gram(rng.standard_normal((3, n))), k, -np.inf)
+    walked, walk = _walk(gram(rng.standard_normal((3, n))), k, -np.inf)
     want = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
     assert np.array_equal(walked, want.reshape(math.comb(n, k), k))
-    assert counts["pruned"] == counts["screened"] == 0
+    assert walk.pruned == walk.screened == 0
 
 
 def test_subset_blocks_match_itertools_small():
@@ -267,10 +284,10 @@ def test_subset_blocks_keep_exactly_the_subsets_over_the_cutoff(n, k, tables, mo
     values = np.unique(bounds)
     i = int(0.9 * (len(values) - 1))
     cutoff = (values[i] + values[i + 1]) / 2  # far from every bound, in ulps
-    walked, counts = _walk(g, k, cutoff)
+    walked, walk = _walk(g, k, cutoff)
     assert np.array_equal(walked, combos[bounds >= cutoff])
-    assert counts["pruned"] + counts["screened"] + len(walked) == len(combos)
-    assert (counts["pruned"] > 0) == (k >= 2)
+    assert walk.pruned + walk.screened + len(walked) == len(combos)
+    assert (walk.pruned > 0) == (k >= 2)
 
 
 def _record_gate(monkeypatch):
@@ -445,14 +462,14 @@ def test_threshold_hit_materialises_first_chunk_only(monkeypatch):
     phi = gen_bernoulli_sensing(16, 200, Seed(1))
     phi[:, 4] = phi[:, 0]  # subset (0, 1, 4), rank 2, has deviation >= 1
     rows = []
-    subset_blocks = certify._subset_blocks
+    blocks = certify._Walk.blocks
 
-    def recording(*args):
-        for block in subset_blocks(*args):
+    def recording(self):
+        for block in blocks(self):
             rows.append(len(block))
             yield block
 
-    monkeypatch.setattr(certify, "_subset_blocks", recording)
+    monkeypatch.setattr(certify._Walk, "blocks", recording)
     diagnostics = {}
     rep, wit = exact_rip(phi, 3, threshold=0.99, diagnostics=diagnostics)
     assert rep.direction == LOWER_BOUND
@@ -611,7 +628,7 @@ def test_non_finite_budget_is_refused_before_any_scan(budget, monkeypatch):
         raise AssertionError("the scan started")
 
     monkeypatch.setattr(certify, "gram", no_scan)
-    monkeypatch.setattr(certify, "_subset_blocks", no_scan)
+    monkeypatch.setattr(certify, "_Walk", no_scan)
     phi = gen_bernoulli_sensing(6, 12, Seed(0))
     with pytest.raises(ValueError, match=f"positive finite count, got {budget}"):
         exact_rip(phi, 3, budget=budget)

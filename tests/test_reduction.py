@@ -386,6 +386,26 @@ def test_refuter_decides_k1000_knife_edges_without_bareiss(monkeypatch):
     assert diagnostics == {"proof": "cholesky"}
 
 
+def test_bareiss_decides_what_the_other_proofs_leave(monkeypatch):
+    """The last resort end to end: with the vector proof refused, the knife
+    edges on the threshold (K_n at k = n, K_{a,a,a} at k = a + 2, K_n minus
+    a matching at k = n - 2) answer "yes" by Bareiss elimination; with the
+    shifted Cholesky also made to fail, so do the "no-clique" ones."""
+    monkeypatch.setattr(reduction, "_vector_proves_reach", lambda *args: False)
+    edges = [(g, k, reaches) for g, k, reaches in _knife_edge_graphs(12, 4, 12) if k <= g.n]
+    for g, k, reaches in edges:
+        diagnostics = {}
+        if reaches:
+            assert spectral_clique_refuter(g, k, diagnostics) == YES, (g, k)
+            assert diagnostics == {"proof": "bareiss"}, (g, k)
+    monkeypatch.setattr(reduction, "_failing_order", len)
+    assert not all(reaches for _, _, reaches in edges)
+    for g, k, reaches in edges:
+        diagnostics = {}
+        assert spectral_clique_refuter(g, k, diagnostics) == (YES if reaches else NO_CLIQUE), (g, k)
+        assert diagnostics == {"proof": "bareiss"}, (g, k)
+
+
 def _eigvalsh_decision(g, k):
     # the rule the certificates replaced: a float lambda_1 against k - 1,
     # re-decided by Bareiss elimination within 1e-6 of it
