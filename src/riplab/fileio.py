@@ -15,12 +15,16 @@ for the floats ``repr`` writes in fixed notation; ``repr`` itself formats
 the rest (zeros, exponent notation, subnormals, exact ties).
 Both are read as bytes, and each file takes one parser.  The byte parser
 checks a block of lines at a time.  Ints take a Horner pass over their
-digits.  Floats are parsed this way only while every block holds a few
-distinct tokens, such as a Bernoulli matrix's two: each is grouped by token,
-and ``float`` parses each distinct token once.  The data lines of any other
-ASCII float file take one ``np.loadtxt`` call.  A file they refuse (blank
-lines, ``1_000``, non-ASCII text) is re-read line by line, which gives the
-same arrays and names the first bad line.
+digits.  Floats take one of three tiers.  A file whose every token is t or
+-t for one token t, such as a Bernoulli matrix's ``±1/√m``, has its ``-``
+bytes deleted a block at a time and compared with a template of its first
+line, and ``float`` parses t and -t once each.  A file whose every block
+holds a few distinct tokens, such as a model-A or model-B matrix, is grouped
+by token, and ``float`` parses each distinct token once.  The data lines
+of any other ASCII float file, such as a Gaussian matrix or a reduction
+factor, take one ``np.loadtxt`` call.  A file they refuse (blank lines,
+``1_000``, non-ASCII text) is re-read line by line, which gives the same
+arrays and names the first bad line.
 
 Reports are JSON documents carrying the tool version, the invoked command,
 the seed, the full parameter set, and a results object — everything needed
@@ -384,6 +388,55 @@ def _grouped(raw, words, ends, gaps):
     return None
 
 
+def _plus_minus(raw, start, rows, width, flat):
+    """The offset past the ``rows`` lines of ``raw`` from offset ``start``
+    when every token of them is t or -t for one token t, after storing
+    their floats in ``flat``; else None, before any file-sized copy.
+
+    t is the first line's first token with its ``-`` deleted, and that line,
+    with its ``-`` bytes deleted, must be ``width`` copies of t joined by
+    single spaces.  Each block of about _READ_BLOCK bytes of whole lines,
+    with its ``-`` bytes deleted, must then be that line repeated: one
+    compare with a template built once.  Each ``-`` must start a token, so
+    its offset less its rank is a token's offset, and no token takes two.
+    ``float`` parses t and -t once each, as :func:`_grouped` would."""
+    line = raw[start : raw.find(b"\n", start) + 1].replace(b"-", b"")
+    t = line[: len(line) // width - 1]
+    if not t or line != (t + b" ") * (width - 1) + t + b"\n":
+        return None
+    # float of bytes refuses non-ASCII or inner whitespace in t, and -t when t
+    # starts with a sign or whitespace: a token means what str.split and float say
+    try:
+        plus, minus = float(t), float(b"-" + t)
+    except ValueError:
+        return None
+    window = max(_READ_BLOCK, 2 * len(line))  # a signed line is under twice its unsigned size
+    template = line * (window // len(line) + 1)
+    done = 0
+    while done < rows:
+        stop = raw.rfind(b"\n", start, start + window) + 1
+        unsigned = raw[start:stop].replace(b"-", b"")
+        lines = min(len(unsigned) // len(line), rows - done)
+        if len(unsigned) > lines * len(line) > 0:  # lines past the data, or a bad line
+            ends = np.flatnonzero(np.frombuffer(raw, np.uint8, stop - start, start) == ord("\n"))
+            stop = start + int(ends[min(lines, len(ends)) - 1]) + 1
+            unsigned = raw[start:stop].replace(b"-", b"")
+        # the template's newlines are len(line) apart, so a prefix of it that
+        # ends at a newline is whole lines: ``lines`` of them, unless the cut
+        # found fewer newlines, which leaves it too long to match
+        if not lines or not template.startswith(unsigned):
+            return None
+        at = np.flatnonzero(np.frombuffer(raw, np.uint8, stop - start, start) == ord("-"))
+        at -= np.arange(len(at))  # each "-"'s offset once the "-" bytes are deleted
+        token = at // (len(t) + 1)  # np.divmod takes ten times as long
+        if (token * (len(t) + 1) != at).any() or (np.diff(token) <= 0).any():
+            return None
+        flat[done * width : (done + lines) * width] = plus
+        flat[done * width + token] = minus
+        done, start = done + lines, stop
+    return start
+
+
 def _read_values(raw, start, rows, width, parse):
     """The ``rows`` lines of ``raw`` from offset ``start`` as a (rows, width)
     float64 or int64 array (``parse`` is float or int), and the offset past
@@ -394,9 +447,11 @@ def _read_values(raw, start, rows, width, parse):
     tokens; then :func:`_read_table` decides.
 
     The lines are checked and parsed a block at a time.  Ints take a Horner
-    pass over their digits, and floats :func:`_grouped`, which refuses the
-    first block of many distinct tokens: a file of mostly distinct floats
-    is parsed by one ``np.loadtxt`` call instead."""
+    pass over their digits.  Floats take the first of two tiers that
+    accepts them: :func:`_plus_minus`, for files whose every token is t or
+    -t (Bernoulli matrices), then :func:`_grouped`, which refuses the first
+    block of many distinct tokens: a file of mostly distinct floats is
+    parsed by one ``np.loadtxt`` call instead, the third tier."""
     if 2 * rows * width > len(raw) - start:  # each value takes a byte and a separator
         return None
     out = np.empty((rows, width), np.float64 if parse is float else np.int64)
@@ -404,6 +459,8 @@ def _read_values(raw, start, rows, width, parse):
     pattern = np.full(width, ord(" "), np.uint8)  # the separators of one line
     pattern[-1] = ord("\n")
     if parse is float:
+        if (stop := _plus_minus(raw, start, rows, width, flat)) is not None:
+            return out, stop
         padded = raw.ljust(8, b"\0")  # raw itself, unless it is shorter than a word
         words = np.ndarray((len(padded) - 7,), "<u8", padded, 0, (1,))
     done, size = 0, _READ_BLOCK
@@ -457,12 +514,14 @@ def _read_table(path, header, shape, parse):
     newlines are counted, and :func:`_read_values` checks that the values fit
     in its bytes, before anything is allocated from the header.
 
-    Each file takes one parser.  The rows take :func:`_read_values`; the
-    data lines of a file it refuses take :func:`_loadtxt` when they are
-    floats and the file is ASCII, and :func:`_parse_lines` when that refuses
-    them too, or they are ints or not ASCII.  The line loop names the first
-    bad line or accepts what Python's ``int``/``float`` accept (``1_000``,
-    tabs).  A file with a non-ASCII byte or a carriage return is first
+    Each file takes one parser.  The rows take :func:`_read_values`, whose
+    float tiers take ±t files (Bernoulli matrices) and files of few distinct
+    tokens a block; the data lines of a file it refuses, such as a Gaussian
+    matrix or a reduction factor, take :func:`_loadtxt`, the third float
+    tier, when they are floats and the file is ASCII, and
+    :func:`_parse_lines` when that refuses them too, or they are ints or not
+    ASCII.  The line loop names the first bad line or accepts what Python's
+    ``int``/``float`` accept (``1_000``, tabs).  A file with a non-ASCII byte or a carriage return is first
     decoded as text mode reads it, as UTF-8 with universal newlines."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -475,7 +534,11 @@ def _read_table(path, header, shape, parse):
     except ValueError:
         _fail(path, 1, f"expected header '{header}' of two integers, got {first!r}")
     rows, width = shape(path, a, b)
-    if (newlines := raw.count(b"\n")) < rows:
+    # numpy counts a byte several times faster than bytes.count; per block, no
+    # file-sized mask, and no view that outlives the count and keeps raw alive
+    blocks = (np.frombuffer(raw, np.uint8, min(_READ_BLOCK, len(raw) - i), i)
+              for i in range(0, len(raw), _READ_BLOCK))
+    if (newlines := sum(int(np.count_nonzero(b == ord("\n"))) for b in blocks)) < rows:
         _fail(path, newlines + 1, f"expected {rows} data rows, file ends early")
     start = len(raw) if end < 0 else end + 1
     found = _read_values(raw, start, rows, width, parse)

@@ -426,9 +426,10 @@ _ROW = " ".join(repr(0.1 + i / 7) for i in range(4000)) + "\n"  # longer than a 
 # reads them.  It reads every graph file whose data the byte parser refuses,
 # and every float file whose data both the byte parser and np.loadtxt refuse
 # or that is not ASCII; a CRLF file is decoded as text mode reads it and then
-# parsed as bytes, and trailing text follows good data.  A float file of
-# blocks of a few distinct tokens each is grouped and parsed by float, any
-# other well-formed one by one np.loadtxt call.
+# parsed as bytes, and trailing text follows good data.  A float file whose
+# every token is t or -t takes the ±t tier, one of blocks of a few distinct
+# tokens each is grouped and parsed by float, any other well-formed one by
+# one np.loadtxt call.
 _BYTE_PARSER_FAULTS = [
     (read_graph_file, "3 3\n0\t1\n0 2\n1 2\n", True),  # tab
     (read_graph_file, "3 3\r\n0 1\r\n0 2\r\n1 2\r\n", False),  # CRLF
@@ -526,7 +527,9 @@ def _no_line_loop(*args):
 def test_float_blocks_parse_alike_grouped_or_by_loadtxt(tmp_path, monkeypatch):
     """A float file gives the same array whether its tokens are grouped and
     parsed by float or all parsed by one np.loadtxt call.  A file with a
-    block that does not group takes that one call, wherever the block is."""
+    block that does not group takes that one call, wherever the block is.
+    The ±t tier is stubbed to refuse while _GROUPS decides; at the defaults
+    it takes the Bernoulli file, with no grouping and no np.loadtxt call."""
     p = tmp_path / "m.txt"
     rng = np.random.default_rng(7)
     phi = gen_bernoulli_sensing(96, 400, Seed(3))  # six 64 KiB blocks
@@ -537,6 +540,8 @@ def test_float_blocks_parse_alike_grouped_or_by_loadtxt(tmp_path, monkeypatch):
     mixed = [np.vstack([phi[:20], gaussian]), np.vstack([gaussian, phi[:20]])]
     loadtxt, calls = np.loadtxt, []
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
+    grouped, groupings = fileio._grouped, []
+    monkeypatch.setattr(fileio, "_grouped", lambda *args: groupings.append(1) or grouped(*args))
     monkeypatch.setattr(fileio, "_parse_lines", _no_line_loop)
     # each file, and its np.loadtxt calls at the default _GROUPS
     for m, default_calls in [(phi, 0), (sparse, 1), (gaussian[:, :40], 1), (rounded, 1),
@@ -546,9 +551,14 @@ def test_float_blocks_parse_alike_grouped_or_by_loadtxt(tmp_path, monkeypatch):
             calls.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(fileio, "_GROUPS", groups)
+                mp.setattr(fileio, "_plus_minus", lambda *args: None)
                 back = read_matrix_file(p)
             assert back.tobytes() == m.tobytes()
             assert len(calls) == want
+        calls.clear()
+        groupings.clear()
+        assert read_matrix_file(p).tobytes() == m.tobytes()
+        assert (len(calls), bool(groupings)) == ((0, False) if m is phi else (default_calls, True))
 
 
 def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):
@@ -580,6 +590,102 @@ def test_factor_read_holds_about_two_copies_of_its_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * p.stat().st_size, (peak, p.stat().st_size)
+
+
+def _plus_minus_mutations(body):
+    """Edge cases and faults of a ±t file with data lines ``body``: (name,
+    file text, whether the ±t tier takes the data).  The last is a file the
+    line loop reads."""
+    rows, width = len(body), body[0].count(" ") + 1
+    t = body[0].split()[0].lstrip("-")
+    text = f"{rows} {width}\n" + "".join(line + "\n" for line in body)
+    cases = []
+    for i in (0, rows // 2, rows - 1):  # one line changed: the tier refuses
+        for name, old, new in [("moved -", "-" + t, t[0] + "-" + t[1:]), ("--t", "-" + t, "--" + t),
+                               ("+t", " " + t, " +" + t), ("t with a digit more", t, t + "1"),
+                               ("e- token", t, f"{float(t) * 10!r}e-1"), ("-s", "-" + t, "-0.5"),
+                               ("s", " " + t, " 0.5")]:
+            lines = body.copy()
+            lines[i] = lines[i].replace(old, new, 1)
+            cases.append((f"{name} in line {i + 2}", f"{rows} {width}\n" + "".join(
+                line + "\n" for line in lines), False))
+    column = "".join(line.split()[0] + "\n" for line in body)
+    cases += [
+        ("width 1", f"{rows} 1\n" + column, True),
+        ("no final newline", text[:-1], False),
+        ("trailing blank lines", text + "\n \n\n", True),
+        ("trailing junk with -", text + f"-{t} -{t}\n", True),
+        ("CRLF", text.replace("\n", "\r\n"), True),
+        ("a row more in the header", f"{rows + 1}" + text[len(str(rows)):], False),
+        ("a row fewer in the header", f"{rows - 1}" + text[len(str(rows)):], True),
+        ("e- tokens throughout", text.replace(t, f"{float(t) * 10!r}e-1"), False),
+        ("zeros", "2 3\n0.0 0.0 0.0\n0.0 0.0 0.0\n", True),
+        ("a -0.0", "2 3\n0.0 0.0 0.0\n0.0 -0.0 0.0\n", True),
+        ("nan", "2 2\nnan -nan\n-nan nan\n", True),
+        ("inf", "2 2\ninf -inf\n-inf inf\n", True),
+        ("+t throughout", "1 3\n+1.0 -+1.0 +1.0\n", False),
+        ("t led by a vertical tab", "1 2\n\x0b1 -\x0b1\n", False),
+        ("t ended by a vertical tab", "1 2\n1\x0b -1\x0b\n", True),  # str.split drops it
+        ("t ended by a file separator", "1 2\n1\x1c -1\x1c\n", False),  # float keeps it
+        ("non-ASCII t", "1 2\n\uff11 -\uff11\n", False),
+    ]
+    return cases
+
+
+def test_plus_minus_files_read_alike_with_or_without_their_tier(tmp_path, monkeypatch):
+    """Files whose tokens are t and -t, and mutations of them, read to the
+    same array bytes or FileFormatError message whether the ±t tier may take
+    them or is stubbed to refuse; it takes the well-formed ones and refuses
+    the rest, which the other parsers then read as before."""
+    p = tmp_path / "m.txt"
+    plus_minus, took = fileio._plus_minus, []
+
+    def recorded(*args):
+        stop = plus_minus(*args)
+        took.append(stop is not None)
+        return stop
+
+    def outcomes():
+        took.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(fileio, "_plus_minus", recorded)
+            on = _read_outcome(read_matrix_file, p)
+        with monkeypatch.context() as mp:
+            mp.setattr(fileio, "_plus_minus", lambda *args: None)
+            off = _read_outcome(read_matrix_file, p)
+        return on, off
+
+    golden = Path(__file__).parent / "golden"
+    for name in ("matrix_6x12.txt", "reduce_gnp16_factor.txt"):
+        p.write_bytes((golden / name).read_bytes())
+        on, off = outcomes()
+        assert on == off and took == [name == "matrix_6x12.txt"], name
+    phi = gen_bernoulli_sensing(96, 400, Seed(3))  # about 12 blocks
+    body = [" ".join(map(repr, row)) for row in phi.tolist()]
+    for name, text, takes in _plus_minus_mutations(body):
+        p.write_bytes(text.encode("utf-8"))
+        on, off = outcomes()
+        assert on == off, name
+        assert took == [takes], name
+        if name == "a -0.0":
+            assert np.signbit(read_matrix_file(p)).tolist() == [[False] * 3, [False, True, False]]
+        if name in ("nan", "inf"):
+            assert on == f"{p}:2: matrix contains non-finite entries"
+    assert read_matrix_file(p).tolist() == [[1.0, -1.0]]  # the line loop's float reads "\uff11"
+
+
+def test_plus_minus_read_holds_the_text_and_the_array(tmp_path):
+    """Reading a Bernoulli matrix peaks below twice the file's size: the
+    bytes, the array and one block's transients."""
+    p = tmp_path / "b.txt"
+    write_matrix_file(p, gen_bernoulli_sensing(128, 1024, Seed(1)))
+    tracemalloc.start()
+    try:
+        read_matrix_file(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * p.stat().st_size, (peak, p.stat().st_size)
 
 
 def test_graph_from_edge_array():
