@@ -90,7 +90,12 @@ MAX_GRAPH_VERTICES = 1 << 14
 
 
 class Graph:
-    """Undirected simple graph on vertices 0..n-1 with dense adjacency."""
+    """Undirected simple graph on vertices 0..n-1 with dense adjacency.
+
+    ``adj`` is an n x n bool array, validated once, when the graph is built:
+    it must be symmetric with a False diagonal.  Nothing checks it again, so
+    code that mutates ``adj`` must keep it so.
+    """
 
     __slots__ = ("n", "adj")
 
@@ -142,8 +147,10 @@ class Graph:
 
     def edges(self):
         """All edges as an (m, 2) int64 array of rows u < v, in lexicographic order."""
-        u, v = np.divmod(np.flatnonzero(np.triu(self.adj, 1)), self.n)
-        return np.stack((u, v), axis=1)
+        keys = np.flatnonzero(self.adj & ~np.tri(self.n, dtype=bool))
+        out = np.empty((len(keys), 2), dtype=np.int64)
+        np.divmod(keys, self.n, out=(out[:, 0], out[:, 1]))
+        return out
 
     def signed_adjacency(self):
         """Symmetric float matrix with zero diagonal, +1 on edges, -1 on non-edges."""
@@ -224,7 +231,7 @@ def gen_gnp_half(n, seed):
     """
     g = Graph(n)  # checks n before anything of its size is allocated
     # a boolean mask visits the upper triangle in row-major order
-    upper = np.triu(np.ones((g.n, g.n), dtype=bool), 1)
+    upper = ~np.tri(g.n, dtype=bool)
     words = _raw_words(seed, _LABEL_SYM, g.n * (g.n - 1) // 2)
     words &= np.uint64(1)  # in place: the low bit of each word is its edge
     g.adj[upper] = words
@@ -260,7 +267,11 @@ def plant_clique(graph, size, seed):
         order[i], order[j] = order[j], order[i]
     members = tuple(sorted(order[:size]))
 
-    g = Graph(n, graph.adj)  # validates and copies graph.adj, which stays as it was
+    # graph.adj was validated when graph was built, so it is copied into a
+    # new graph, not checked again by Graph(n, adj), which would compare it
+    # with its transpose; graph itself stays as it was
+    g = Graph(n)
+    g.adj[...] = graph.adj
     idx = np.asarray(members, dtype=np.intp)
     g.adj[np.ix_(idx, idx)] = True
     g.adj[idx, idx] = False

@@ -112,7 +112,12 @@ def cholesky_reduce(g, params=ReductionParams()):
     treat that as an automatic isometry violation.
     """
     n = g.n
-    b = np.eye(n) + (params.c / math.sqrt(n)) * signed_adjacency(g)
+    # B = I + s*A built in place, with the bits of the out-of-place sum:
+    # adding 0.0 turns the -0.0 of -1 * s at s = 0 into the 0.0 of I + 0*A
+    b = signed_adjacency(g)
+    b *= params.c / math.sqrt(n)
+    b += 0.0
+    np.fill_diagonal(b, 1.0)
     factor = cholesky_psd(b)
     if factor is None:
         return np.zeros((n, n))
@@ -226,10 +231,11 @@ def _rump_shift(n, k):
     return math.ldexp((k - 1) * (n + 1) ** 2, -52)
 
 
-def _rump_shifted(signed, k):
-    """(k-1)I - A shifted down by :func:`_rump_shift`, as float64."""
-    f = np.negative(signed)
-    np.fill_diagonal(f, (k - 1) - _rump_shift(len(f), k))
+def _rump_shifted(signed, k, m):
+    """The leading block of order m of (k-1)I - A shifted down by
+    :func:`_rump_shift`, as float64."""
+    f = np.negative(signed[:m, :m])
+    np.fill_diagonal(f, (k - 1) - _rump_shift(len(signed), k))
     return f
 
 
@@ -242,17 +248,22 @@ def _factors(f):
     return True
 
 
-def _failing_order(f):
-    """The order m of a leading block of f that does not factor while the
-    block of order m - 1 does, or None when all of f factors.
+def _failing_order(signed, k):
+    """(m, block): the order m of a leading block of f = :func:`_rump_shifted`
+    that does not factor while the block of order m - 1 does, or None when
+    all of f factors, and the largest leading block of f built, of order at
+    least m.
 
     Orders 32, 64, ... up to n/2 are probed while their blocks factor, then
     f itself, so a proof that f factors costs at most a seventh more than
     one factorisation and an early failure much less.  When f fails, order
     n - 1 is tried (knife edges fail only at the last pivot), then the gap
-    is bisected.
+    is bisected.  Only the blocks of the doubling probes are built; each
+    later probe factors a leading block of the last, so an early failure
+    never builds the n x n f.
     """
-    n = len(f)
+    n = len(signed)
+    f = signed[:0, :0]  # the largest block of f built so far
     lo, hi = 0, n + 1  # orders known to factor and not to (n + 1: none yet)
     while hi - lo > 1:
         if hi > n:
@@ -263,11 +274,13 @@ def _failing_order(f):
             mid = n - 1
         else:
             mid = (lo + hi) // 2
+        if mid > len(f):
+            f = _rump_shifted(signed, k, mid)
         if _factors(f[:mid, :mid]):
             lo = mid
         else:
             hi = mid
-    return None if lo == n else hi
+    return None if lo == n else hi, f
 
 
 # Scales of the rounded certificate vector: 1 rounds a null vector with
@@ -332,8 +345,7 @@ def _lambda1_reaches(signed, k):
     """(lambda_1(A) >= k-1, name of the proof) for an n x n signed adjacency
     A and 2 <= k <= n, decided by the last three certificates that
     :func:`spectral_clique_refuter` describes."""
-    f = _rump_shifted(signed, k)
-    m = _failing_order(f)
+    m, f = _failing_order(signed, k)
     if m is None:
         return False, PROOF_CHOLESKY
     if _vector_proves_reach(signed, k, f, m):

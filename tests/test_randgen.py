@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from riplab.fileio import read_graph_file, write_graph_file
 from riplab.randgen import (
+    _LABEL_SYM,
     MAX_GRAPH_VERTICES,
     Graph,
     Seed,
@@ -201,6 +203,15 @@ def test_gnp_frozen_edges():
     assert [tuple(e) for e in g.edges()] == [(0, 2), (1, 3), (1, 4), (2, 5), (3, 4)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 400])
+def test_gnp_upper_triangle_is_the_sign_words_in_row_major_order(n):
+    g = gen_gnp_half(n, Seed(11))
+    words = _raw_words(Seed(11), _LABEL_SYM, n * (n - 1) // 2)
+    assert np.array_equal(g.adj[np.triu_indices(n, 1)], (words & np.uint64(1)) == 1)
+    assert np.array_equal(g.adj, g.adj.T)
+    assert not np.diag(g.adj).any()
+
+
 def test_gnp_edge_concentration():
     """Edge count within 4 sigma of n(n-1)/4 for 50 draws at n=40."""
     n = 40
@@ -251,6 +262,19 @@ def test_graph_validation_and_helpers():
     bad[0, 1] = True  # asymmetric
     with pytest.raises(ValueError):
         Graph(3, bad)
+
+
+def test_edges_are_a_contiguous_int64_argwhere_of_the_upper_triangle(tmp_path):
+    graphs = [Graph(1), Graph(7), Graph(7, ~np.eye(7, dtype=bool)), gen_gnp_half(50, Seed(4)),
+              plant_clique(gen_gnp_half(50, Seed(4)), 9, Seed(5)).graph]
+    for g in graphs:
+        e = g.edges()
+        assert e.dtype == np.int64 and e.flags.c_contiguous, g
+        want = np.argwhere(np.triu(g.adj, 1))
+        assert e.shape == (len(want), 2) and np.array_equal(e, want), g
+        path = tmp_path / "g.txt"
+        write_graph_file(path, g)
+        assert read_graph_file(path) == g
 
 
 def test_plant_clique_examples():

@@ -6,6 +6,7 @@ import pytest
 
 from riplab import reduction
 from riplab.certify import Witness, exact_rip
+from riplab.linalg import cholesky_psd
 from riplab.randgen import (
     Graph,
     Seed,
@@ -78,6 +79,29 @@ def test_reduce_roundtrip_random_graphs():
             continue  # non-PSD convention, checked elsewhere
         b = np.eye(30) + 0.3 * signed_adjacency(g) / math.sqrt(30)
         assert np.max(np.abs(c.T @ c - b)) <= 1e-8
+
+
+def _reduce_reference(g, c):
+    # the reduction as its formula reads, I + (c/sqrt(n)) A summed out of place
+    b = np.eye(g.n) + (c / math.sqrt(g.n)) * signed_adjacency(g)
+    factor = cholesky_psd(b)
+    return np.zeros((g.n, g.n)) if factor is None else factor
+
+
+@pytest.mark.parametrize("n", [2, 16, 200])
+def test_reduce_matches_the_out_of_place_formula_bit_for_bit(n):
+    graphs = [gen_gnp_half(n, Seed(s)) for s in range(3)]
+    graphs += [Graph(n), Graph(n, ~np.eye(n, dtype=bool))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # c = 0 is outside the standard range
+        for c in (0.3, 0.0):
+            for g in graphs:
+                got = cholesky_reduce(g, ReductionParams(c=c))
+                assert got.tobytes() == _reduce_reference(g, c).tobytes(), (g, c)
+    # I + cA/sqrt(n) of the empty graph on 16 vertices has the eigenvalue
+    # 1 - 0.3 * 15/4 < 0, so its reduction is the zero matrix
+    zero = cholesky_reduce(Graph(16))
+    assert zero.shape == (16, 16) and not zero.any()
 
 
 def test_reduce_c_zero_gives_identity():
@@ -370,7 +394,7 @@ def test_rump_step_never_factors_a_singular_psd_matrix():
                     if reaches]
     on_threshold += [(Graph(n), 2) for n in range(2, 60)]  # (k-1)I - A = J
     for g, k in on_threshold:
-        assert not reduction._factors(reduction._rump_shifted(signed_adjacency(g), k)), (g, k)
+        assert not reduction._factors(reduction._rump_shifted(signed_adjacency(g), k, g.n)), (g, k)
 
 
 def test_refuter_decides_k1000_knife_edges_without_bareiss(monkeypatch):
@@ -398,7 +422,7 @@ def test_bareiss_decides_what_the_other_proofs_leave(monkeypatch):
         if reaches:
             assert spectral_clique_refuter(g, k, diagnostics) == YES, (g, k)
             assert diagnostics == {"proof": "bareiss"}, (g, k)
-    monkeypatch.setattr(reduction, "_failing_order", len)
+    monkeypatch.setattr(reduction, "_failing_order", lambda signed, k: (len(signed), None))
     assert not all(reaches for _, _, reaches in edges)
     for g, k, reaches in edges:
         diagnostics = {}
