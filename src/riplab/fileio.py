@@ -13,18 +13,16 @@ float block formats each value repeated in a sample of it once, and computes
 ``repr``'s shortest round-trip digits exactly in numpy, on uint64 integers,
 for the floats ``repr`` writes in fixed notation; ``repr`` itself formats
 the rest (zeros, exponent notation, subnormals, exact ties).
-Both are read as bytes, and each file takes one parser.  The byte parser
-checks a block of lines at a time.  Ints take a Horner pass over their
-digits.  Floats take one of three tiers.  A file whose every token is t or
--t for one token t, such as a Bernoulli matrix's ``±1/√m``, has its ``-``
-bytes deleted a block at a time and compared with a template of its first
-line, and ``float`` parses t and -t once each.  A file whose every block
-holds a few distinct tokens, such as a model-A or model-B matrix, is grouped
-by token, and ``float`` parses each distinct token once.  The data lines
-of any other ASCII float file, such as a Gaussian matrix or a reduction
-factor, take one ``np.loadtxt`` call.  A file they refuse (blank lines,
-``1_000``, non-ASCII text) is re-read line by line, which gives the same
-arrays and names the first bad line.
+Both are read as bytes, and each file takes one parser.  Ints take a Horner
+pass over their digits, a block of lines at a time.  Floats take one of two
+tiers.  A file whose every token is t or -t for one token t, such as a
+Bernoulli matrix's ``±1/√m``, has its ``-`` bytes deleted a block at a time
+and compared with a template of its first line, and ``float`` parses t and
+-t once each.  The data lines of any other ASCII float file, such as a
+Gaussian, model-A or model-B matrix or a reduction factor, take one
+``np.loadtxt`` call.  A file its parser refuses (blank lines, ``1_000``,
+non-ASCII text) is re-read line by line, which gives the same arrays and
+names the first bad line.
 
 Reports are JSON documents carrying the tool version, the invoked command,
 the seed, the full parameter set, and a results object — everything needed
@@ -57,18 +55,11 @@ def _fail(path, lineno, msg):
 
 # Values formatted per block by _write_table: whole rows, at least one.
 _WRITE_BLOCK = 1 << 13
-# Bytes scanned per block by _read_values, at least one line; its whole
-# lines are parsed.
+# Bytes scanned per block by _read_ints and _plus_minus, at least one line;
+# their whole lines are parsed.
 _READ_BLOCK = 1 << 16
-# Longest token _read_values takes: 18 digits stay below 2**63, and 32 bytes
-# hold every float repr (the writer's, at most 24 bytes: its exact digits in
-# fixed notation, and repr's own for the rest).
-_LONGEST = {int: 18, float: 32}
-# _grouped parses a block of floats only when it holds at most _GROUPS
-# distinct tokens, and first looks for more in _SAMPLE of them; the writer's
-# _float_lines formats once each value repeated in _SAMPLE of a block.
-_GROUPS = 4
-_SAMPLE = 64
+# Digits of the longest int _read_ints takes: 18 stay below 2**63.
+_LONGEST = 18
 
 
 def _digit_strings(top):
@@ -241,6 +232,10 @@ def _float_spans(values):
     return flat, start, size
 
 
+# Values of a block that _float_lines samples for repeated bit patterns.
+_SAMPLE = 64
+
+
 def _float_lines(values, width):
     """The bytes of the floats ``values``, ``width`` to a line, each
     followed by a space or, at the end of a line, a newline.
@@ -318,80 +313,10 @@ def _parse_lines(path, lines, width, parse):
     return np.asarray(values).reshape(-1, width)  # a view: a copy doubles the peak
 
 
-def _ints(block, seps, gaps):
-    """Each token of ``block`` as an int64; None unless all are ASCII digits."""
-    if block.max() > ord("9") or np.count_nonzero(block < ord("0")) > len(seps):
-        return None
-    # Horner over each value's digits, right-aligned at its separator;
-    # positions left of a value read as "0", and the index seps - j wraps
-    # only there.  18 digits of "0".."9" stay below 2**63.
-    longest = int(gaps.max()) - 1
-    values = np.zeros(len(seps), np.int64)
-    for j in range(longest, 1, -1):
-        values += np.where(gaps > j, block[seps - j], ord("0"))
-        values *= 10
-    values += block[seps - 1]  # every value has a last digit
-    values -= ord("0") * (10**longest - 1) // 9
-    return values
-
-
-def _words(words, at):
-    """The little-endian uint64 at each file offset ``at`` (``words`` holds
-    one at every offset that has 8 bytes left), with bytes past the end of
-    the file read as NUL."""
-    last = len(words) - 1
-    if at.max() <= last:
-        return words[at]
-    inside = np.minimum(at, last)
-    return words[inside] >> (8 * np.minimum(at - inside, 7)).astype(np.uint64)
-
-
-def _grouped(raw, words, ends, gaps):
-    """The float of each token of ``raw``, given by ``ends``, the offset of
-    the separator after it, and ``gaps``, its length + 1; ``words`` holds the
-    little-endian uint64s of ``raw``.  None when the tokens hold more than
-    _GROUPS distinct ones, or ``float`` refuses one, or one is not ASCII.
-
-    Tokens are grouped by their exact bytes, one group at a time: the group
-    of the first token left is every token of its length whose words agree
-    with its words on all its bytes.  ``float``, the line loop's parser,
-    parses that token once for the whole group.  When a sample of _SAMPLE
-    tokens already holds more than _GROUPS distinct ones, no group is
-    formed."""
-    # refuse from a sample: the group loop alone takes ~0.35 ms to refuse a many-token block
-    pick = slice(None, None, -(-len(ends) // _SAMPLE))
-    sample = zip(ends[pick].tolist(), gaps[pick].tolist())
-    if len({raw[end - gap + 1 : end] for end, gap in sample}) > _GROUPS:
-        return None
-    lengths = gaps - 1
-    starts = ends - lengths
-    values = np.empty(len(starts))
-    left = np.arange(len(starts))  # tokens not yet parsed
-    for _ in range(_GROUPS):
-        j, size = left[0], int(lengths[left[0]])
-        at = np.flatnonzero(lengths[left] == size)  # at[0] is token j
-        offsets = starts[left[at]]
-        same = np.ones(len(at), bool)
-        for i in range(0, size, 8):  # the token's bytes i to i + 7, masked past its end
-            word = _words(words, offsets + i) & np.uint64((1 << 8 * min(size - i, 8)) - 1)
-            same &= word == word[0]
-        at = at[same]
-        try:  # beyond ASCII, str.split and float see other spaces and digits
-            values[left[at]] = float(raw[starts[j] : starts[j] + size].decode("ascii"))
-        except ValueError:
-            return None
-        rest = np.ones(len(left), bool)
-        rest[at] = False
-        left = left[rest]
-        if len(left) == 0:
-            return values
-    return None
-
-
-def _plus_minus(raw, start, rows, width, flat):
-    """The offset past the ``rows`` lines of ``raw`` from offset ``start``
-    when every token of them is t or -t for one token t, after storing
-    their floats in ``flat``; else None, before any file-sized copy.
+def _plus_minus(raw, start, rows, width):
+    """The ``rows`` lines of ``raw`` from offset ``start`` as a (rows,
+    width) float64 array, and the offset past them, when every token of
+    them is t or -t for one token t; else None, before any file-sized copy.
 
     t is the first line's first token with its ``-`` deleted, and that line,
     with its ``-`` bytes deleted, must be ``width`` copies of t joined by
@@ -399,7 +324,7 @@ def _plus_minus(raw, start, rows, width, flat):
     with its ``-`` bytes deleted, must then be that line repeated: one
     compare with a template built once.  Each ``-`` must start a token, so
     its offset less its rank is a token's offset, and no token takes two.
-    ``float`` parses t and -t once each, as :func:`_grouped` would."""
+    ``float``, the line loop's parser, parses t and -t once each."""
     line = raw[start : raw.find(b"\n", start) + 1].replace(b"-", b"")
     t = line[: len(line) // width - 1]
     if not t or line != (t + b" ") * (width - 1) + t + b"\n":
@@ -410,6 +335,8 @@ def _plus_minus(raw, start, rows, width, flat):
         plus, minus = float(t), float(b"-" + t)
     except ValueError:
         return None
+    out = np.empty((rows, width))
+    flat = out.reshape(-1)
     window = max(_READ_BLOCK, 2 * len(line))  # a signed line is under twice its unsigned size
     template = line * (window // len(line) + 1)
     done = 0
@@ -434,35 +361,21 @@ def _plus_minus(raw, start, rows, width, flat):
         flat[done * width : (done + lines) * width] = plus
         flat[done * width + token] = minus
         done, start = done + lines, stop
-    return start
+    return out, start
 
 
-def _read_values(raw, start, rows, width, parse):
+def _read_ints(raw, start, rows, width):
     """The ``rows`` lines of ``raw`` from offset ``start`` as a (rows, width)
-    float64 or int64 array (``parse`` is float or int), and the offset past
-    them.  None unless each line is ``width`` tokens of 1 to
-    ``_LONGEST[parse]`` bytes joined by single spaces and ended by a newline,
-    and each token is ASCII digits (ints) or ASCII that ``float`` parses
-    (floats), and each block of floats holds at most _GROUPS distinct
-    tokens; then :func:`_read_table` decides.
+    int64 array, and the offset past them; None unless each line is
+    ``width`` tokens of 1 to _LONGEST ASCII digits joined by single spaces
+    and ended by a newline.
 
-    The lines are checked and parsed a block at a time.  Ints take a Horner
-    pass over their digits.  Floats take the first of two tiers that
-    accepts them: :func:`_plus_minus`, for files whose every token is t or
-    -t (Bernoulli matrices), then :func:`_grouped`, which refuses the first
-    block of many distinct tokens: a file of mostly distinct floats is
-    parsed by one ``np.loadtxt`` call instead, the third tier."""
-    if 2 * rows * width > len(raw) - start:  # each value takes a byte and a separator
-        return None
-    out = np.empty((rows, width), np.float64 if parse is float else np.int64)
+    The lines are checked and parsed a block of about _READ_BLOCK bytes of
+    whole lines at a time, each value by a Horner pass over its digits."""
+    out = np.empty((rows, width), np.int64)
     flat = out.reshape(-1)
     pattern = np.full(width, ord(" "), np.uint8)  # the separators of one line
     pattern[-1] = ord("\n")
-    if parse is float:
-        if (stop := _plus_minus(raw, start, rows, width, flat)) is not None:
-            return out, stop
-        padded = raw.ljust(8, b"\0")  # raw itself, unless it is shorter than a word
-        words = np.ndarray((len(padded) - 7,), "<u8", padded, 0, (1,))
     done, size = 0, _READ_BLOCK
     while done < rows:
         block = np.frombuffer(raw, np.uint8, min(size, len(raw) - start), start)
@@ -477,15 +390,20 @@ def _read_values(raw, start, rows, width, parse):
         block = block[: seps[-1] + 1]
         gaps = np.diff(seps, prepend=-1)  # token bytes + 1
         if ((block[seps].reshape(lines, width) != pattern).any() or gaps.min() < 2
-                or gaps.max() > _LONGEST[parse] + 1):
+                or gaps.max() > _LONGEST + 1 or block.max() > ord("9")
+                or np.count_nonzero(block < ord("0")) > len(seps)):
             return None
-        if parse is int:
-            values = _ints(block, seps, gaps)
-        else:
-            values = _grouped(raw, words, start + seps, gaps)
-        if values is None:
-            return None
-        flat[done * width : (done + lines) * width] = values
+        # Horner over each value's digits, right-aligned at its separator;
+        # positions left of a value read as "0", and the index seps - j wraps
+        # only there
+        longest = int(gaps.max()) - 1
+        values = flat[done * width : (done + lines) * width]
+        values.fill(0)
+        for j in range(longest, 1, -1):
+            values += np.where(gaps > j, block[seps - j], ord("0"))
+            values *= 10
+        values += block[seps - 1]  # every value has a last digit
+        values -= ord("0") * (10**longest - 1) // 9
         done += lines
         start += len(block)
     return out, start
@@ -511,18 +429,18 @@ def _read_table(path, header, shape, parse):
     """Header integers a, b and the rows of a table file as a 2-D float64 or
     int64 array (``parse`` is float or int).  ``shape(path, a, b)`` checks the
     header and gives (rows, width).  The file is read once, as bytes; its
-    newlines are counted, and :func:`_read_values` checks that the values fit
-    in its bytes, before anything is allocated from the header.
+    newlines are counted, and the values checked to fit in its bytes, before
+    anything is allocated from the header.
 
-    Each file takes one parser.  The rows take :func:`_read_values`, whose
-    float tiers take ±t files (Bernoulli matrices) and files of few distinct
-    tokens a block; the data lines of a file it refuses, such as a Gaussian
-    matrix or a reduction factor, take :func:`_loadtxt`, the third float
-    tier, when they are floats and the file is ASCII, and
+    Each file takes one parser.  Int rows take :func:`_read_ints`, and float
+    rows :func:`_plus_minus`, which takes ±t files (Bernoulli matrices).  The
+    data lines of a float file it refuses, such as a Gaussian matrix or a
+    reduction factor, take :func:`_loadtxt` when the file is ASCII, and
     :func:`_parse_lines` when that refuses them too, or they are ints or not
     ASCII.  The line loop names the first bad line or accepts what Python's
-    ``int``/``float`` accept (``1_000``, tabs).  A file with a non-ASCII byte or a carriage return is first
-    decoded as text mode reads it, as UTF-8 with universal newlines."""
+    ``int``/``float`` accept (``1_000``, tabs).  A file with a non-ASCII byte
+    or a carriage return is first decoded as text mode reads it, as UTF-8
+    with universal newlines."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.isascii() or b"\r" in raw:
@@ -541,7 +459,9 @@ def _read_table(path, header, shape, parse):
     if (newlines := sum(int(np.count_nonzero(b == ord("\n"))) for b in blocks)) < rows:
         _fail(path, newlines + 1, f"expected {rows} data rows, file ends early")
     start = len(raw) if end < 0 else end + 1
-    found = _read_values(raw, start, rows, width, parse)
+    found = None
+    if 2 * rows * width <= len(raw) - start:  # each value takes a byte and a separator
+        found = (_plus_minus if parse is float else _read_ints)(raw, start, rows, width)
     if found is not None:
         table, stop = found
         tail = raw[stop:].decode("utf-8").split("\n")

@@ -22,7 +22,14 @@ from riplab.fileio import (
     write_matrix_file,
     write_report,
 )
-from riplab.randgen import Graph, Seed, gen_bernoulli_sensing, gen_gnp_half
+from riplab.randgen import (
+    Graph,
+    Seed,
+    gen_bernoulli_sensing,
+    gen_gnp_half,
+    gen_model_a,
+    gen_model_b,
+)
 from riplab.reduction import cholesky_reduce, run_distinguishing_experiment
 
 
@@ -424,12 +431,11 @@ _ROW = " ".join(repr(0.1 + i / 7) for i in range(4000)) + "\n"  # longer than a 
 
 # Faulty and edge-case table files, their reader, and whether the line loop
 # reads them.  It reads every graph file whose data the byte parser refuses,
-# and every float file whose data both the byte parser and np.loadtxt refuse
-# or that is not ASCII; a CRLF file is decoded as text mode reads it and then
+# and every float file whose data both the ±t tier and np.loadtxt refuse or
+# that is not ASCII; a CRLF file is decoded as text mode reads it and then
 # parsed as bytes, and trailing text follows good data.  A float file whose
-# every token is t or -t takes the ±t tier, one of blocks of a few distinct
-# tokens each is grouped and parsed by float, any other well-formed one by
-# one np.loadtxt call.
+# every token is t or -t takes the ±t tier, and any other well-formed one
+# takes one np.loadtxt call.
 _BYTE_PARSER_FAULTS = [
     (read_graph_file, "3 3\n0\t1\n0 2\n1 2\n", True),  # tab
     (read_graph_file, "3 3\r\n0 1\r\n0 2\r\n1 2\r\n", False),  # CRLF
@@ -448,7 +454,7 @@ _BYTE_PARSER_FAULTS = [
     # Bernoulli rows: two distinct tokens, each repeated
     (read_matrix_file, "2 3\n" + f"{_BERNOULLI_TOKEN} -{_BERNOULLI_TOKEN} {_BERNOULLI_TOKEN}\n" * 2,
      False),
-    # tokens of 1 to 7, 8, 9 to 32 and 33 bytes; 32 is the longest taken
+    # tokens of 1 to 7, 8, 9 to 32 and 33 bytes: np.loadtxt takes any length
     (read_matrix_file, "1 4\n1 0.125 -0.0625 1234567\n", False),
     (read_matrix_file, "1 3\n0.015625 -0.03125 12345678\n", False),
     (read_matrix_file,
@@ -463,8 +469,8 @@ _BYTE_PARSER_FAULTS = [
      False),
     (read_matrix_file, "1 2\nnan 1.0\n", False),
     (read_matrix_file, "2 1\n1.0\n-inf\n", False),
-    (read_matrix_file, "1 3\n1_000 1e5 1_000\n", False),  # float reads 1_000
-    (read_matrix_file, "1 6\n1_000 1e5 0.5 0.25 0.75 2.5\n", True),  # loadtxt does not
+    (read_matrix_file, "1 3\n1_000 1e5 1_000\n", True),  # loadtxt refuses 1_000, float reads it
+    (read_matrix_file, "1 6\n1_000 1e5 0.5 0.25 0.75 2.5\n", True),
     (read_matrix_file, "1 2\n- 1.0\n", True),
     (read_matrix_file, "1 6\n0.5 0.25 0.75 - 1.5 2.5\n", True),
     (read_matrix_file, "1 2\n1.0\t2.0\n", False),
@@ -486,7 +492,8 @@ def test_bulk_parse_matches_the_line_loop(tmp_path, monkeypatch):
 
     def line_loop_outcome(read):
         with monkeypatch.context() as mp:
-            mp.setattr(fileio, "_read_values", lambda *args: None)
+            mp.setattr(fileio, "_plus_minus", lambda *args: None)
+            mp.setattr(fileio, "_read_ints", lambda *args: None)
             mp.setattr(fileio, "_loadtxt", lambda *args: None)
             return _read_outcome(read, p)
 
@@ -524,12 +531,11 @@ def _no_line_loop(*args):
     raise AssertionError("the line loop ran on a well-formed file")
 
 
-def test_float_blocks_parse_alike_grouped_or_by_loadtxt(tmp_path, monkeypatch):
-    """A float file gives the same array whether its tokens are grouped and
-    parsed by float or all parsed by one np.loadtxt call.  A file with a
-    block that does not group takes that one call, wherever the block is.
-    The ±t tier is stubbed to refuse while _GROUPS decides; at the defaults
-    it takes the Bernoulli file, with no grouping and no np.loadtxt call."""
+def test_float_files_parse_alike_by_either_tier(tmp_path, monkeypatch):
+    """A float file gives the same array whether the ±t tier may take it or
+    is stubbed to refuse, so that one np.loadtxt call parses it.  At the
+    defaults the ±t tier takes the Bernoulli file, with no np.loadtxt call,
+    and any other file takes that one call, wherever its ±t rows are."""
     p = tmp_path / "m.txt"
     rng = np.random.default_rng(7)
     phi = gen_bernoulli_sensing(96, 400, Seed(3))  # six 64 KiB blocks
@@ -538,27 +544,20 @@ def test_float_blocks_parse_alike_grouped_or_by_loadtxt(tmp_path, monkeypatch):
     rounded = np.round(rng.standard_normal((40, 9)))  # seven distinct tokens
     # 20 Bernoulli rows fill more than two blocks, before or after the rest
     mixed = [np.vstack([phi[:20], gaussian]), np.vstack([gaussian, phi[:20]])]
+    model_a, model_b = gen_model_a(150, Seed(4)), gen_model_b(150, 0.3, Seed(4))
     loadtxt, calls = np.loadtxt, []
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
-    grouped, groupings = fileio._grouped, []
-    monkeypatch.setattr(fileio, "_grouped", lambda *args: groupings.append(1) or grouped(*args))
     monkeypatch.setattr(fileio, "_parse_lines", _no_line_loop)
-    # each file, and its np.loadtxt calls at the default _GROUPS
-    for m, default_calls in [(phi, 0), (sparse, 1), (gaussian[:, :40], 1), (rounded, 1),
-                             (mixed[0], 1), (mixed[1], 1)]:
+    for m in (phi, sparse, gaussian[:, :40], rounded, *mixed, model_a, model_b):
         write_matrix_file(p, m)
-        for groups, want in ((0, 1), (fileio._GROUPS, default_calls), (m.size, 0)):
-            calls.clear()
-            with monkeypatch.context() as mp:
-                mp.setattr(fileio, "_GROUPS", groups)
-                mp.setattr(fileio, "_plus_minus", lambda *args: None)
-                back = read_matrix_file(p)
-            assert back.tobytes() == m.tobytes()
-            assert len(calls) == want
         calls.clear()
-        groupings.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(fileio, "_plus_minus", lambda *args: None)
+            assert read_matrix_file(p).tobytes() == m.tobytes()
+        assert len(calls) == 1
+        calls.clear()
         assert read_matrix_file(p).tobytes() == m.tobytes()
-        assert (len(calls), bool(groupings)) == ((0, False) if m is phi else (default_calls, True))
+        assert len(calls) == (0 if m is phi else 1)
 
 
 def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):
@@ -572,7 +571,8 @@ def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):
     assert read_graph_file(p) == g
     rng = np.random.default_rng(1)
     for m in (gen_bernoulli_sensing(128, 200, Seed(1)), rng.standard_normal((96, 160)),
-              cholesky_reduce(gen_gnp_half(120, Seed(1)))):
+              cholesky_reduce(gen_gnp_half(120, Seed(1))), gen_model_a(120, Seed(1)),
+              gen_model_b(120, 0.3, Seed(1))):
         write_matrix_file(p, m)
         assert read_matrix_file(p).tobytes() == m.tobytes()
 
