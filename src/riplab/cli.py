@@ -250,7 +250,9 @@ def cmd_reduce(args):
     _require_finite_c(args)
     g = read_graph_file(args.graph)
     c_matrix = cholesky_reduce(g, ReductionParams(c=args.c))
-    not_psd = not c_matrix.any()
+    # R^T R has a unit diagonal, so R[0, 0] is 1 up to rounding for every
+    # factor, and 0 only in the zero matrix
+    not_psd = not c_matrix[0, 0]
     write_matrix_file(args.out, c_matrix)
     print("status=not-psd" if not_psd else "status=ok")
     print(f"wrote={args.out}")

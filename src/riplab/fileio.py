@@ -11,10 +11,14 @@ as byte arrays, a block of rows at a time, with the bytes of ``repr`` for
 each value.  Int tables, the graphs' edge lists, gather digit strings.  A
 float block formats each value repeated in a sample of it once, and computes
 ``repr``'s shortest round-trip digits exactly in numpy, on uint64 integers,
-for the floats ``repr`` writes in fixed notation; ``repr`` itself formats
-the rest (zeros, exponent notation, subnormals, exact ties).
+for the floats ``repr`` writes in fixed notation, then lays each out in four
+uint64 words, its integer part moved one column left by masks to open the
+point's; ``repr`` itself formats the rest (zeros, exponent notation,
+subnormals, exact ties).  Tokens of one size are copied into a block of
+spaces together.
 Both are read as bytes, and each file takes one parser.  Ints take a Horner
-pass over their digits, a block of lines at a time.  Floats take one of two
+pass over their digits, a block of lines at a time, with branch-free
+products for the positions left of a value.  Floats take one of two
 tiers.  A file whose every token is t or -t for one token t, such as a
 Bernoulli matrix's ``±1/√m``, has its ``-`` bytes deleted a block at a time
 and compared with a template of its first line, and ``float`` parses t and
@@ -35,6 +39,7 @@ and diagnostics such as timings or fallback counts must stay out of them.
 import json
 import warnings
 from array import array
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -54,7 +59,7 @@ def _fail(path, lineno, msg):
 
 
 # Values formatted per block by _write_table: whole rows, at least one.
-_WRITE_BLOCK = 1 << 13
+_WRITE_BLOCK = 1 << 15
 # Bytes scanned per block by _read_ints and _plus_minus, at least one line;
 # their whole lines are parsed.
 _READ_BLOCK = 1 << 16
@@ -77,31 +82,36 @@ def _digit_strings(top):
 # x = M * 2**(a - 52) with M in [2**52, 2**53) and binary exponent a in
 # [-13, 53], |x| in [2**-13, 2**54), is scaled by 10**s, s = _SCALE_S[a +
 # 1023]: the least s with 2**a * 10**s >= 1e16, so x * 10**s lies in [1e16,
-# 2e17) and s <= 20.  The scaled rounding interval of x, the reals that read
-# back as x, is (2M - 1) * C / 2**54 to (2M + 1) * C / 2**54, with C =
+# 2e17) and 1 <= s <= 20.  The scaled rounding interval of x, the reals that
+# read back as x, is (2M - 1) * C / 2**54 to (2M + 1) * C / 2**54, with C =
 # _SCALE_C[a + 1023] = 5**s * 2**(a + s + 1) = 2**(a + 1) * 10**s, an integer
-# below 2**58.  Other exponents hold C = 0.
-_SCALE_S = np.zeros(2048, np.intp)
-_SCALE_C = np.zeros(2048, np.uint64)
+# below 2**58.  Other exponents hold C = 0.  Both tables are indexed by the
+# top 12 bits of a float, so a sign bit adds 2048 and changes nothing.
+_SCALE_S = np.zeros(4096, np.intp)
+_SCALE_C = np.zeros(4096, np.uint64)
 for _a in range(-13, 54):
-    _SCALE_S[_a + 1023] = _s = next(s for s in range(32) if 10**s << max(_a, 0) >= 10**16 << max(-_a, 0))
-    _SCALE_C[_a + 1023] = 5**_s << (_a + _s + 1)
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+    _SCALE_S[_a + 1023 :: 2048] = _s = next(s for s in range(32) if 10**s << max(_a, 0) >= 10**16 << max(-_a, 0))
+    _SCALE_C[_a + 1023 :: 2048] = 5**_s << (_a + _s + 1)
+_SCALE_P = 10.0**_SCALE_S  # 10**s as a float, exact as 5**s < 2**53
 _U = np.uint64  # numpy 1.x turns uint64 mixed with int64 or a negative int into float64
-_LOW27, _LOW54, _HALF = _U(2**27 - 1), _U(2**54 - 1), _U(2**53)
-# "dddd" for 0..9999 as little-endian uint32, and "ddd." for 0..999.
+_LOW54, _HALF, _U4 = _U(2**54 - 1), _U(2**53), np.uint32(10**4)
+# A row of _float_spans is 32 bytes, four uint64 words, little-endian: the
+# scaled digits W < 1e18 of x, zero-padded to 18, at columns 6..23 after six
+# "0"s.  _HEAD holds "000000" and the two digits of 0..99, the first word,
+# and _QUADS "dddd" for 0..9999, two to each of the next two words;
+# _LEFT[k][s] masks the bytes of word k at columns <= 23 - s, where the
+# integer part of W / 10**s ends.
+_HEAD = np.array([int.from_bytes(b"000000%02d" % i, "little") for i in range(100)], np.uint64)
 _QUADS = np.array([int.from_bytes(b"%04d" % i, "little") for i in range(10000)], np.uint32)
-_POINTED = (_QUADS[::10] & np.uint32(0xFFFFFF)) | np.uint32(ord(".") << 24)
-# A row of _float_spans: 16 integer digits at columns 3..18, the point at 19,
-# 20 fraction digits at 20..39, and room for the separator after them.
-_POINT = 19
+_LEFT = np.array([[sum(255 << 8 * b for b in range(8) if 8 * k + b <= 23 - s) for s in range(21)]
+                  for k in range(3)], np.uint64)
 
 
 def _repr_tokens(values):
     """``repr`` of each float of ``values``, each followed by a space, as one
     bytes object, and the size of each."""
-    tokens = list(map(repr, values.tolist()))
-    return (" ".join(tokens) + " ").encode(), np.fromiter(map(len, tokens), np.intp, len(tokens)) + 1
+    text = (" ".join(map(repr, values.tolist())) + " ").encode()
+    return text, np.diff(np.flatnonzero(np.frombuffer(text, np.uint8) == ord(" ")), prepend=-1)
 
 
 def _split(number, unit):
@@ -112,11 +122,12 @@ def _split(number, unit):
 
 
 def _round_trip_digits(bits):
-    """For the float64 bit patterns ``bits`` of positive normal floats x
-    with a binary exponent in [-13, 53], the shortest round-trip digits of
-    each as the integer W = D * 10**j (D has no trailing zero) on the scale
-    x * 10**s, with j, and whether rounding x * 10**s to a multiple of
-    10**j was an exact tie, which ``repr`` decides instead.
+    """For the float64 bit patterns ``bits`` of normal floats x with a
+    binary exponent in [-13, 53] (their signs ignored), the shortest
+    round-trip digits of each as the integer W = D * 10**j (D has no
+    trailing zero) on the scale |x| * 10**s, with j, and whether rounding
+    |x| * 10**s to a multiple of 10**j was an exact tie, which ``repr``
+    decides instead.
 
     The scaled value V = 2M * C / 2**54 is held exactly, as its floor and
     its 2**-54ths, and its rounding interval V -+ C / 2**54 as the integers
@@ -127,108 +138,108 @@ def _round_trip_digits(bits):
     the answer itself: a multiple of 10**min(s, a + s), with no multiple of
     a higher power of ten within V / 2**53 < 12 of it (s = 1 only for
     a >= 50, and 2**a % 10 is neither 1 nor 9)."""
-    c = _SCALE_C[(bits >> _U(52)).astype(np.intp)]
-    # 2M * C as hi * 2**54 + lo: 27-bit halves keep each product below 2**61.
-    # Temporaries are updated in place: fewer arrays alive, fewer page faults.
-    m0 = ((bits & _U(2**52 - 1)) | _U(2**52)) << _U(1)
-    m1 = m0 >> _U(27)
-    m0 &= _LOW27
-    lo = m0 * (c & _LOW27)
-    mid = m1 * (c & _LOW27)
-    m0 *= c >> _U(27)
-    mid += m0
-    mid += lo >> _U(27)
-    hi = m1
-    hi *= c >> _U(27)
-    hi += mid >> _U(27)
-    lo &= _LOW27
-    mid &= _LOW27
-    lo |= mid << _U(27)
-    del m0, m1, mid
-    # the interval (L, U] as the integers first = floor(L) + 1 to last =
+    top12 = (bits >> _U(52)).astype(np.intp)
+    c = _SCALE_C[top12]
+    # 2M * C as hi * 2**54 + lo.  The float product |x| * 10**s is within 16
+    # of V, so 2M * C less it times 2**54, taken mod 2**64, is the exact
+    # remainder as an int64, below 2**59 in size.
+    hi = ((bits & _U(2**63 - 1)).view(np.float64) * _SCALE_P[top12]).astype(np.uint64)
+    rem = ((bits & _U(2**52 - 1)) | _U(2**52)) << _U(1)
+    rem *= c
+    rem -= hi << _U(54)
+    rem = rem.view(np.int64)
+    hi += (rem >> 54).view(np.uint64)
+    lo = (rem & (2**54 - 1)).view(np.uint64)
+    del rem
+    # the interval (L, U] as the integers low + 1 = floor(L) + 1 to last =
     # floor(U).  An end is an integer only when 2**54 divides C, for a >= 52,
     # where the ends are 10x -+ 5, or 10(x -+ 1) with x even: never a
     # multiple of 10**j that 10x is not, so whether the ends count (they do
     # iff M is even) changes no digit
     ch, cl = c >> _U(54), c & _LOW54
     last = hi + ch + ((lo + cl) >> _U(54))
-    room = last - (hi - ch - (lo < cl) + _U(1))
-    # j >= e iff last % 10**e <= last - first, which is below 100: so j >= 2
-    # iff last % 100 is, and j counts on by the zero digits of last // 100
-    top, two = _split(last, 100)
-    j = (_split(two, 10)[1] <= room).astype(np.intp)
-    live = np.flatnonzero(two <= room)
-    j[live] = 2
-    top = top[live]
+    low = hi - ch - (lo < cl)
+    # j >= e iff a multiple of 10**e lies in (low, last]: iff low and last
+    # differ above their last e digits.  last - low < 33, so j >= 3 also
+    # needs zero digits of last from 10**2 up, and j counts those on
+    hundreds = last // _U(100)
+    j = (last // _U(10) != low // _U(10)).astype(np.intp)
+    many = np.flatnonzero(hundreds != low // _U(100))
+    j[many] = 2
+    live, top = many, hundreds[many]
     while len(live):
         top, digit = _split(top, 10)
-        live, top = live[digit == 0], top[digit == 0]
+        zero = np.flatnonzero(digit == 0)
+        live, top = live[zero], top[zero]
         j[live] += 1
-    # round V to the nearest multiple p of 10**j: compare its remainder,
-    # (rest + lo / 2**54) * p, with p / 2, which for p = 1 is lo = 2**53
-    p = _POW10[j]
-    q = hi // p
-    rest, half, low_half = hi - q * p, p >> _U(1), _HALF * (j == 0)
-    at_half = rest == half
-    up = (rest > half) | (at_half & (lo > low_half))
-    return (q + up) * p, j, at_half & (lo == low_half)
+    # round V to the nearest multiple of 10**j: for j = 1, compare hi % 10
+    # (and lo) with 5; for j = 0, lo with 2**53; for j >= 2 it is the one
+    # multiple in the interval, as 10**j exceeds its width: last less its
+    # last two digits
+    tens, r = _split(hi, 10)
+    half = r == 5
+    w = (tens + ((r > 5) | (half & (lo != 0)))) * _U(10)
+    tie = half & (lo == 0)
+    ones = np.flatnonzero(j == 0)
+    w[ones], tie[ones] = hi[ones] + (lo[ones] > _HALF), lo[ones] == _HALF
+    w[many], tie[many] = hundreds[many] * _U(100), False
+    return w, j, tie
 
 
 def _float_spans(values):
     """Each float of the 1-D array ``values`` as ``repr`` writes it, followed
-    by a space: a uint8 buffer, and the offset and size of each token in it.
+    by a space: a uint8 buffer, and the offset and size (uint8) of each
+    token in it, the space counted.
 
     Most floats ``repr`` writes in fixed notation take exact digits
-    (:func:`_round_trip_digits`), laid out in a row of 44 bytes per value
-    with the point at column _POINT: W // 10**s is the integer part, and the
-    rest the fraction, padded to 20 digits.  Zeros, subnormals, exact ties,
-    |x| below 2**-13 and floats ``repr`` writes in exponent notation take
-    :func:`_repr_tokens`, whose bytes follow the rows; a zero repeated in
-    `_float_lines`' sample comes here once."""
+    (:func:`_round_trip_digits`), W on the scale |x| * 10**s, laid out in a
+    row of 32 bytes: "000000" and W's 18 digits, those up to column 23 - s
+    the integer part of W / 10**s.  That part moves one column left, which
+    opens column 23 - s for the point, and the sign goes before it.  Zeros,
+    subnormals, exact ties, |x| below 2**-13 and floats ``repr`` writes in
+    exponent notation take :func:`_repr_tokens`, whose bytes follow the
+    rows; a zero repeated in `_float_lines`' sample comes here once."""
     bits = values.view(np.uint64)
-    magnitude = bits & _U(2**63 - 1)
-    biased = (magnitude >> _U(52)).astype(np.intp)
-    exact = np.flatnonzero(_SCALE_C[biased] != 0)
-    scaled, j, tie = _round_trip_digits(magnitude[exact])
-    s = _SCALE_S[biased[exact]]
-    length = 17 + (scaled >= _POW10[17])  # W lies in [1e16, 2**58), so decpt >= -3
-    digits, decpt = length - j, length - s
-    keep = ~tie & (decpt <= 16)
-    fixed, scaled, s, digits, decpt = (a[keep] for a in (exact, scaled, s, digits, decpt))
-    unit = _POW10[np.minimum(s, 19)]  # W < 1e18: no integer part for s > 18
-    whole = scaled // unit
-    part = scaled - whole * unit
-    head = part // _POW10[np.maximum(s - 8, 0)]  # fraction digits 1..8
-    tail = (part - head * _POW10[np.maximum(s - 8, 0)]) * _POW10[20 - np.maximum(s, 8)]
-    head *= _POW10[np.maximum(8 - s, 0)]
-    # four digits a column: integer digits 15 | 14..11 | 10..7 | 6..3 | 2..0
-    # and the point, fraction digits 1..4 | 5..8 | 9..12 | 13..16 | 17..20,
-    # each number split from its last digits until what is left is all zero
-    quads = np.empty((len(fixed), 11), np.uint32)
-    whole, last3 = _split(whole, 1000)
-    quads[:, 4] = _POINTED[last3]
-    for number, cols in (whole, [3, 2, 1, 0]), (head, [6, 5]), (tail, [9, 8, 7]):
-        while cols and number.any():
-            number, quad = _split(number, 10**4)
-            quads[:, cols.pop(0)] = _QUADS[quad]
-        quads[:, cols] = _QUADS[0]
-    flat = quads.view(np.uint8).reshape(-1)
-    row = np.arange(0, flat.size, 44)
-    neg = np.flatnonzero(np.signbit(values[fixed]))
-    first = _POINT - np.maximum(decpt, 1)
-    first[neg] -= 1
-    ends = _POINT + np.maximum(digits - decpt, 1) + 2
-    flat[row[neg] + first[neg]] = ord("-")
-    flat[row + ends - 1] = ord(" ")
-    start, size = np.empty(len(bits), np.intp), np.empty(len(bits), np.intp)
-    start[fixed], size[fixed] = row + first, ends - first
-    rest = np.ones(len(bits), bool)
-    rest[fixed] = False
+    top12 = (bits >> _U(52)).astype(np.intp)
+    exact = np.flatnonzero(_SCALE_C[top12])
+    bits = bits[exact]
+    w, j, tie = _round_trip_digits(bits)
+    s = _SCALE_S[top12[exact]]
+    decpt = 17 + (w >= _U(10**17)) - s  # W lies in [1e16, 2**58), so decpt >= -3
+    rest = np.ones(len(values), bool)
+    rest[exact] = tie | (decpt > 16)
     fallback = np.flatnonzero(rest)
-    if len(fallback):  # their tokens follow the rows
-        text, size[fallback] = _repr_tokens(values[fallback])
-        start[fallback] = flat.size + np.cumsum(size[fallback]) - size[fallback]
-        flat = np.concatenate([flat, np.frombuffer(text, np.uint8)])
+    text, text_size = _repr_tokens(values[fallback]) if len(fallback) else (b"", 0)
+    rows = np.empty((len(w) + -(-len(text) // 32), 4), np.uint64)
+    flat = rows.view(np.uint8).reshape(-1)
+    flat[32 * len(w) : 32 * len(w) + len(text)] = np.frombuffer(text, np.uint8)
+    # W's 18 digits: two in the first word, then four groups of four, two
+    # to each of the next two words.  W // 10**8 < 2**32, as W < 2**58, so
+    # the groups split in uint32
+    halves = np.empty((2, len(w)), np.uint32)
+    halves[0] = high = w // _U(10**8)
+    halves[1] = w - high * _U(10**8)
+    fours = halves // _U4
+    halves -= fours * _U4
+    head = fours[0] // _U4
+    fours[0] -= head * _U4
+    pairs = np.stack([_QUADS.take(fours), _QUADS.take(halves)], axis=-1)
+    words = [_HEAD.take(head), *pairs.view(np.uint64)[..., 0]]
+    ints = [word & _LEFT[k].take(s) for k, word in enumerate(words)] + [_U(0)]
+    for k in range(3):
+        words[k] ^= ints[k]  # the fraction stays
+        words[k] |= ints[k] >> _U(8)
+        np.bitwise_or(words[k], ints[k + 1] << _U(56), out=rows[: len(w), k])
+    at = np.arange(23, 32 * len(w), 32) - s
+    flat[at] = ord(".")
+    whole = np.maximum(decpt, 1)
+    at -= whole + 1
+    flat[at] = ord("-")
+    neg = (bits >> _U(63)).astype(np.intp)
+    at += 1 - neg
+    start, size = np.empty(len(values), np.intp), np.empty(len(values), np.uint8)
+    start[exact], size[exact] = at, (neg + whole + np.maximum(s - j, 1) + 2).astype(np.uint8)
+    start[fallback], size[fallback] = 32 * len(w) + np.cumsum(text_size) - text_size, text_size
     return flat, start, size
 
 
@@ -242,28 +253,40 @@ def _float_lines(values, width):
 
     Each bit pattern repeated in a sample of _SAMPLE of the values, such as
     a triangular factor's zero or a Bernoulli matrix's two values, is
-    formatted once for all its copies.  Tokens of one size are then copied
-    out of :func:`_float_spans`' buffer together, as items of that many
-    bytes read and written at any byte offset."""
+    formatted once for all its copies.  The output starts as spaces, and
+    tokens of one size, found by one radix sort of the sizes, are copied
+    out of :func:`_float_spans`' buffer together, without their spaces, as
+    items of that many bytes read and written at any byte offset."""
     bits = values.view(np.uint64)
-    sample, counts = np.unique(bits[:: -(-len(bits) // _SAMPLE)], return_counts=True)
-    repeated = sample[counts > 1]
-    pick = np.full(len(values), -1)
-    for i, pattern in enumerate(repeated):
-        pick[bits == pattern] = i
-    rest = np.flatnonzero(pick < 0)
-    pick[rest] = np.arange(len(repeated), len(repeated) + len(rest))
-    buf, start, size = _float_spans(np.concatenate([repeated.view(np.float64), values[rest]]))
-    start, size = start[pick], size[pick]
-    stop = np.cumsum(size)
-    out = np.empty(int(stop[-1]), np.uint8)
-    at = stop - size
-    for length in np.flatnonzero(np.bincount(size)):
-        these = np.flatnonzero(size == length)
-        item = np.dtype((np.void, int(length)))
-        src = np.ndarray((len(buf) - length + 1,), item, buf, 0, (1,))
-        dst = np.ndarray((len(out) - length + 1,), item, out, 0, (1,))
-        dst[at[these]] = src[start[these]]
+    sample = Counter(bits[:: -(-len(bits) // _SAMPLE)].tolist())
+    repeated = [b for b, count in sorted(sample.items()) if count > 1]
+    seen, copies = np.zeros(len(values), bool), []
+    for pattern in repeated:
+        hit = bits == pattern
+        seen |= hit
+        copies.append(np.flatnonzero(hit))
+    rest = np.flatnonzero(~seen)
+    buf, start, size = _float_spans(np.concatenate([np.array(repeated, np.uint64).view(np.float64), values[rest]]))
+    lengths = np.empty(len(values), np.uint8)  # size of each value's token
+    for i, where in enumerate(copies):
+        lengths[where] = size[i]
+    lengths[rest] = size[len(repeated) :]
+    stop = np.cumsum(lengths, dtype=np.intp)
+    at = stop - lengths
+    out = np.full(int(stop[-1]), ord(" "), np.uint8)
+    # (size, offsets in out, offsets in buf): one group per repeated pattern,
+    # then the other tokens by size
+    order = np.argsort(size[len(repeated) :], kind="stable")
+    sorted_size = size[len(repeated) :][order]
+    at_rest, start_rest = at[rest[order]], start[len(repeated) :][order]
+    bounds = [0, *(np.flatnonzero(sorted_size[1:] != sorted_size[:-1]) + 1).tolist(), len(order)]
+    groups = [(size[i], at[where], start[i : i + 1]) for i, where in enumerate(copies)]
+    groups += [(sorted_size[lo], at_rest[lo:hi], start_rest[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    for length, dst_at, src_at in groups:
+        item = np.dtype((np.void, int(length) - 1))
+        src = np.ndarray((len(buf) - item.itemsize + 1,), item, buf, 0, (1,))
+        dst = np.ndarray((len(out) - item.itemsize + 1,), item, out, 0, (1,))
+        dst[dst_at] = src[src_at]
     out[stop[width - 1 :: width] - 1] = ord("\n")
     return out
 
@@ -374,8 +397,6 @@ def _read_ints(raw, start, rows, width):
     whole lines at a time, each value by a Horner pass over its digits."""
     out = np.empty((rows, width), np.int64)
     flat = out.reshape(-1)
-    pattern = np.full(width, ord(" "), np.uint8)  # the separators of one line
-    pattern[-1] = ord("\n")
     done, size = 0, _READ_BLOCK
     while done < rows:
         block = np.frombuffer(raw, np.uint8, min(size, len(raw) - start), start)
@@ -388,22 +409,26 @@ def _read_ints(raw, start, rows, width):
             continue
         seps = seps[: lines * width]
         block = block[: seps[-1] + 1]
-        gaps = np.diff(seps, prepend=-1)  # token bytes + 1
-        if ((block[seps].reshape(lines, width) != pattern).any() or gaps.min() < 2
-                or gaps.max() > _LONGEST + 1 or block.max() > ord("9")
-                or np.count_nonzero(block < ord("0")) > len(seps)):
+        gaps = np.empty_like(seps)  # token bytes + 1
+        gaps[0] = seps[0] + 1
+        np.subtract(seps[1:], seps[:-1], out=gaps[1:])
+        # each line's last separator a newline, and all others spaces: the
+        # seps are the only bytes below "0", and all but ``lines`` are spaces
+        if ((block[seps[width - 1 :: width]] != ord("\n")).any() or block.max() > ord("9")
+                or np.count_nonzero(block < ord("0")) != len(seps)
+                or np.count_nonzero(block == ord(" ")) != len(seps) - lines
+                or gaps.min() < 2 or gaps.max() > _LONGEST + 1):
             return None
         # Horner over each value's digits, right-aligned at its separator;
-        # positions left of a value read as "0", and the index seps - j wraps
-        # only there
+        # positions left of a value count 0 (a product, not a branchy
+        # np.where), and the index seps - j wraps only there
         longest = int(gaps.max()) - 1
         values = flat[done * width : (done + lines) * width]
-        values.fill(0)
-        for j in range(longest, 1, -1):
-            values += np.where(gaps > j, block[seps - j], ord("0"))
+        digits, lens = block - ord("0"), gaps.astype(np.uint8)
+        values[:] = digits[seps - longest] * (lens > longest)
+        for j in range(longest - 1, 0, -1):
             values *= 10
-        values += block[seps - 1]  # every value has a last digit
-        values -= ord("0") * (10**longest - 1) // 9
+            values += digits[seps - j] * (lens > j)
         done += lines
         start += len(block)
     return out, start
@@ -517,13 +542,13 @@ def _graph_shape(path, n, m):
 def read_graph_file(path):
     n, _, edges = _read_table(path, "n m", _graph_shape, int)
     u, v = edges.T
-    in_range = (0 <= u) & (u < v) & (v < n)
-    # u*n + v ranks in-range rows; keys of out-of-range rows never decide
     keys = u * n + v
-    ascending = np.diff(keys, prepend=-1) > 0
-    bad = np.flatnonzero(~(in_range & ascending))
-    if len(bad):
-        i = int(bad[0])
+    # whole-array verdicts first; only a file that fails one is searched for
+    # its first bad row, where u*n + v ranks in-range rows and keys of
+    # out-of-range rows never decide
+    if len(edges) and not (edges.min() >= 0 and edges.max() < n and (u < v).all() and (keys[1:] > keys[:-1]).all()):
+        in_range = (0 <= u) & (u < v) & (v < n)
+        i = int(np.flatnonzero(~(in_range & (np.diff(keys, prepend=-1) > 0)))[0])
         if not in_range[i]:
             _fail(path, i + 2, f"edge ({u[i]}, {v[i]}) violates 0 <= u < v < n={n}")
         _fail(path, i + 2, f"edges out of order or duplicated at ({u[i]}, {v[i]})")

@@ -19,6 +19,17 @@ PSD_TOL = 1e-10
 _GRAM_SAFE = float(np.finfo(np.float64).max) / 4
 
 
+# Values per row block of the finite and symmetry checks, which then build
+# no mask the size of the matrix.
+_CHECK_BLOCK = 1 << 16
+
+
+def _row_blocks(a):
+    """(first row, rows) of the 2-D array ``a``, a row block at a time."""
+    step = max(1, _CHECK_BLOCK // a.shape[1])
+    return ((i, a[i : i + step]) for i in range(0, len(a), step))
+
+
 def as_matrix(m, name="matrix"):
     """Coerce to a 2-D float64 array, rejecting non-finite entries."""
     a = np.asarray(m, dtype=np.float64)
@@ -26,17 +37,18 @@ def as_matrix(m, name="matrix"):
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
     if a.size == 0:
         raise ValueError(f"{name} is empty")
-    if not np.all(np.isfinite(a)):
+    if not all(np.isfinite(rows).all() for _, rows in _row_blocks(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
 def _symmetric(m):
-    """M as a square float64 array, rejected unless M == M^T exactly."""
+    """M as a square float64 array, rejected unless M == M^T exactly: each
+    row block's upper triangle is compared with the columns below it."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
+    if not all(np.array_equal(rows[:, i:], a[i:, i : i + len(rows)].T) for i, rows in _row_blocks(a)):
         asym = np.max(np.abs(a - a.T))
         raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
     return a

@@ -152,9 +152,10 @@ class Graph:
         np.divmod(keys, self.n, out=(out[:, 0], out[:, 1]))
         return out
 
-    def signed_adjacency(self):
-        """Symmetric float matrix with zero diagonal, +1 on edges, -1 on non-edges."""
-        a = self.adj * 2.0 - 1.0
+    def signed_adjacency(self, order=None):
+        """Symmetric float matrix with zero diagonal, +1 on edges, -1 on
+        non-edges; its leading block of order ``order`` when one is given."""
+        a = self.adj[:order, :order] * 2.0 - 1.0
         np.fill_diagonal(a, 0.0)
         return a
 

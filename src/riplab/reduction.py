@@ -231,11 +231,12 @@ def _rump_shift(n, k):
     return math.ldexp((k - 1) * (n + 1) ** 2, -52)
 
 
-def _rump_shifted(signed, k, m):
+def _rump_shifted(g, k, m):
     """The leading block of order m of (k-1)I - A shifted down by
-    :func:`_rump_shift`, as float64."""
-    f = np.negative(signed[:m, :m])
-    np.fill_diagonal(f, (k - 1) - _rump_shift(len(signed), k))
+    :func:`_rump_shift`, as float64, for the signed adjacency A of g."""
+    f = g.signed_adjacency(m)
+    np.negative(f, out=f)
+    np.fill_diagonal(f, (k - 1) - _rump_shift(g.n, k))
     return f
 
 
@@ -248,7 +249,7 @@ def _factors(f):
     return True
 
 
-def _failing_order(signed, k):
+def _failing_order(g, k):
     """(m, block): the order m of a leading block of f = :func:`_rump_shifted`
     that does not factor while the block of order m - 1 does, or None when
     all of f factors, and the largest leading block of f built, of order at
@@ -262,8 +263,8 @@ def _failing_order(signed, k):
     later probe factors a leading block of the last, so an early failure
     never builds the n x n f.
     """
-    n = len(signed)
-    f = signed[:0, :0]  # the largest block of f built so far
+    n = g.n
+    f = np.empty((0, 0))  # the largest block of f built so far
     lo, hi = 0, n + 1  # orders known to factor and not to (n + 1: none yet)
     while hi - lo > 1:
         if hi > n:
@@ -275,7 +276,7 @@ def _failing_order(signed, k):
         else:
             mid = (lo + hi) // 2
         if mid > len(f):
-            f = _rump_shifted(signed, k, mid)
+            f = _rump_shifted(g, k, mid)
         if _factors(f[:mid, :mid]):
             lo = mid
         else:
@@ -306,7 +307,7 @@ def _rational_scale(x):
     return scale
 
 
-def _vector_proves_reach(signed, k, f, m):
+def _vector_proves_reach(g, k, f, m):
     """True when an integer x != 0 with x^T ((k-1)I - A) x <= 0 is found from
     the Schur complement of f = (k-1-c)I - A at a failing pivot, the last of
     its leading block of order m: x is (-F11^-1 f12, 1) on the leading m
@@ -327,7 +328,7 @@ def _vector_proves_reach(signed, k, f, m):
     x /= np.max(np.abs(x))
     if not np.all(np.isfinite(x)):
         return False
-    block = signed[:m, :m]
+    block = g.signed_adjacency(m)
 
     def proves(scale):
         xi = np.rint(scale * x)
@@ -341,16 +342,17 @@ def _vector_proves_reach(signed, k, f, m):
     return scale is not None and proves(scale)
 
 
-def _lambda1_reaches(signed, k):
-    """(lambda_1(A) >= k-1, name of the proof) for an n x n signed adjacency
-    A and 2 <= k <= n, decided by the last three certificates that
-    :func:`spectral_clique_refuter` describes."""
-    m, f = _failing_order(signed, k)
+def _lambda1_reaches(g, k):
+    """(lambda_1(A) >= k-1, name of the proof) for the signed adjacency A of
+    g and 2 <= k <= n, decided by the last three certificates that
+    :func:`spectral_clique_refuter` describes.  The first two read only the
+    leading blocks of A they probe; Bareiss elimination builds all of it."""
+    m, f = _failing_order(g, k)
     if m is None:
         return False, PROOF_CHOLESKY
-    if _vector_proves_reach(signed, k, f, m):
+    if _vector_proves_reach(g, k, f, m):
         return True, PROOF_VECTOR
-    shifted = (k - 1) * np.eye(len(signed), dtype=np.int64) - signed.astype(np.int64)
+    shifted = (k - 1) * np.eye(g.n, dtype=np.int64) - signed_adjacency(g).astype(np.int64)
     return not _is_positive_definite_exact(shifted), PROOF_BAREISS
 
 
@@ -382,7 +384,7 @@ def spectral_clique_refuter(g, k, diagnostics=None):
     if k > g.n:  # lambda_1 <= n - 1 < k - 1
         reaches, proof = False, PROOF_K_GT_N
     else:
-        reaches, proof = _lambda1_reaches(signed_adjacency(g), k)
+        reaches, proof = _lambda1_reaches(g, k)
     if diagnostics is not None:
         diagnostics["proof"] = proof
     return YES if reaches else NO_CLIQUE
@@ -464,10 +466,9 @@ def run_distinguishing_experiment(
         null_seed = base_seed.child(t, 0)
         g0 = gen_gnp_half(n, null_seed)
         if null_statistic == STAT_LAMBDA1:
-            signed0 = signed_adjacency(g0)
-            stat0 = float(sym_eigenvalues(signed0)[0])
+            stat0 = float(sym_eigenvalues(signed_adjacency(g0))[0])
             # the reduction matters only when the refuter does not flag the graph
-            flagged0 = _lambda1_reaches(signed0, k)[0] or not cholesky_reduce(g0, params).any()
+            flagged0 = _lambda1_reaches(g0, k)[0] or not cholesky_reduce(g0, params).any()
         else:
             c0 = cholesky_reduce(g0, params)
             if rect_cols is not None:

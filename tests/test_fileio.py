@@ -248,24 +248,26 @@ def test_repr_fallback_stays_narrow(tmp_path, monkeypatch):
         assert np.array_equal(read_matrix_file(p), a)
 
 
+_BAD_GRAPHS = [
+    "",  # no header
+    "3\n",
+    "x y\n",
+    "0 0\n",  # no vertices
+    "3 -1\n",
+    "3 2\n0 1\n",  # missing edge row
+    "3 1\n0\n",  # malformed edge
+    "3 1\na b\n",
+    "3 1\n1 0\n",  # u >= v
+    "3 1\n0 0\n",  # self-loop
+    "3 1\n0 5\n",  # out of range
+    "3 2\n0 2\n0 1\n",  # out of order
+    "3 2\n0 1\n0 1\n",  # duplicate
+    "3 1\n0 1\nextra\n",  # trailing junk
+]
+
+
 def test_graph_read_errors(tmp_path):
-    cases = [
-        "",  # no header
-        "3\n",
-        "x y\n",
-        "0 0\n",  # no vertices
-        "3 -1\n",
-        "3 2\n0 1\n",  # missing edge row
-        "3 1\n0\n",  # malformed edge
-        "3 1\na b\n",
-        "3 1\n1 0\n",  # u >= v
-        "3 1\n0 0\n",  # self-loop
-        "3 1\n0 5\n",  # out of range
-        "3 2\n0 2\n0 1\n",  # out of order
-        "3 2\n0 1\n0 1\n",  # duplicate
-        "3 1\n0 1\nextra\n",  # trailing junk
-    ]
-    for i, text in enumerate(cases):
+    for i, text in enumerate(_BAD_GRAPHS):
         p = tmp_path / f"bad{i}.txt"
         p.write_text(text)
         with pytest.raises(FileFormatError):
@@ -295,6 +297,32 @@ def test_graph_read_limits(tmp_path):
         p.write_text(text)
         with pytest.raises(FileFormatError, match=msg):
             read_graph_file(p)
+
+
+def test_block_seams_change_no_byte(tmp_path, monkeypatch):
+    """With write blocks of 7 values and read blocks of 16 bytes, a seam
+    falls every row or every few tokens: a reduction factor, a Bernoulli
+    matrix and a G(120, 1/2) graph still write the bytes of a row-by-row
+    formatter and read back identical, and bad graph files keep the
+    messages they give at the usual block sizes."""
+    p = tmp_path / "t.txt"
+    want = {}
+    for i, text in enumerate(_BAD_GRAPHS):
+        (tmp_path / f"bad{i}.txt").write_text(text)
+        want[i] = _read_outcome(read_graph_file, tmp_path / f"bad{i}.txt")
+    monkeypatch.setattr(fileio, "_WRITE_BLOCK", 7)
+    monkeypatch.setattr(fileio, "_READ_BLOCK", 16)
+    for a in (cholesky_reduce(gen_gnp_half(120, Seed(3))), gen_bernoulli_sensing(30, 120, Seed(3))):
+        write_matrix_file(p, a)
+        assert p.read_text() == _reference_table(a.shape, a.tolist())
+        assert np.array_equal(read_matrix_file(p), a)
+    g = gen_gnp_half(120, Seed(3))
+    write_graph_file(p, g)
+    assert p.read_text() == _reference_table((g.n, len(g.edges())), g.edges().tolist())
+    assert read_graph_file(p) == g
+    for i in range(len(_BAD_GRAPHS)):
+        assert _read_outcome(read_graph_file, tmp_path / f"bad{i}.txt") == want[i]
+        assert isinstance(want[i], str)
 
 
 def _first_edge_error(n, edges):

@@ -394,7 +394,7 @@ def test_rump_step_never_factors_a_singular_psd_matrix():
                     if reaches]
     on_threshold += [(Graph(n), 2) for n in range(2, 60)]  # (k-1)I - A = J
     for g, k in on_threshold:
-        assert not reduction._factors(reduction._rump_shifted(signed_adjacency(g), k, g.n)), (g, k)
+        assert not reduction._factors(reduction._rump_shifted(g, k, g.n)), (g, k)
 
 
 def test_refuter_decides_k1000_knife_edges_without_bareiss(monkeypatch):
@@ -422,7 +422,7 @@ def test_bareiss_decides_what_the_other_proofs_leave(monkeypatch):
         if reaches:
             assert spectral_clique_refuter(g, k, diagnostics) == YES, (g, k)
             assert diagnostics == {"proof": "bareiss"}, (g, k)
-    monkeypatch.setattr(reduction, "_failing_order", lambda signed, k: (len(signed), None))
+    monkeypatch.setattr(reduction, "_failing_order", lambda g, k: (g.n, None))
     assert not all(reaches for _, _, reaches in edges)
     for g, k, reaches in edges:
         diagnostics = {}
