@@ -16,17 +16,16 @@ uint64 words, its integer part moved one column left by masks to open the
 point's; ``repr`` itself formats the rest (zeros, exponent notation,
 subnormals, exact ties).  Tokens of one size are copied into a block of
 spaces together.
-Both are read as bytes, and each file takes one parser.  Ints take a Horner
-pass over their digits, a block of lines at a time, with branch-free
-products for the positions left of a value.  Floats take one of two
-tiers.  A file whose every token is t or -t for one token t, such as a
+Both are read as bytes, and each file takes one of two byte parsers or the
+line loop.  Ints take a Horner pass over their digits, a block of lines at
+a time, with branch-free products for the positions left of a value.  A
+float file whose every token is t or -t for one token t, such as a
 Bernoulli matrix's ``±1/√m``, has its ``-`` bytes deleted a block at a time
 and compared with a template of its first line, and ``float`` parses t and
--t once each.  The data lines of any other ASCII float file, such as a
-Gaussian, model-A or model-B matrix or a reduction factor, take one
-``np.loadtxt`` call.  A file its parser refuses (blank lines, ``1_000``,
-non-ASCII text) is re-read line by line, which gives the same arrays and
-names the first bad line.
+-t once each.  Any other file, such as a Gaussian, model-A or model-B
+matrix, a reduction factor, or one its byte parser refuses (blank lines,
+``1_000``, non-ASCII text), is read line by line, which names the first
+bad line.
 
 Reports are JSON documents carrying the tool version, the invoked command,
 the seed, the full parameter set, and a results object — everything needed
@@ -37,7 +36,6 @@ and diagnostics such as timings or fallback counts must stay out of them.
 """
 
 import json
-import warnings
 from array import array
 from collections import Counter
 from dataclasses import asdict
@@ -434,22 +432,6 @@ def _read_ints(raw, start, rows, width):
     return out, start
 
 
-def _loadtxt(lines, rows, width):
-    """The float lines ``lines`` as a (rows, width) array, by one
-    ``np.loadtxt`` call.  None when it raises or warns, or reads another
-    shape (it skips blank lines); then the line loop decides.  On ASCII text
-    loadtxt splits at the whitespace ``str.split`` splits at, and parses a
-    token as ``float`` does, with ``PyOS_string_to_double``, or refuses it,
-    as it does ``1_000``."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(lines, np.float64, comments=None, ndmin=2)
-    except (ValueError, Warning):
-        return None
-    return table if table.shape == (rows, width) else None
-
-
 def _read_table(path, header, shape, parse):
     """Header integers a, b and the rows of a table file as a 2-D float64 or
     int64 array (``parse`` is float or int).  ``shape(path, a, b)`` checks the
@@ -459,13 +441,11 @@ def _read_table(path, header, shape, parse):
 
     Each file takes one parser.  Int rows take :func:`_read_ints`, and float
     rows :func:`_plus_minus`, which takes ±t files (Bernoulli matrices).  The
-    data lines of a float file it refuses, such as a Gaussian matrix or a
-    reduction factor, take :func:`_loadtxt` when the file is ASCII, and
-    :func:`_parse_lines` when that refuses them too, or they are ints or not
-    ASCII.  The line loop names the first bad line or accepts what Python's
-    ``int``/``float`` accept (``1_000``, tabs).  A file with a non-ASCII byte
-    or a carriage return is first decoded as text mode reads it, as UTF-8
-    with universal newlines."""
+    data lines of a file its byte parser refuses, such as a Gaussian matrix
+    or a reduction factor, take :func:`_parse_lines`, which names the first
+    bad line or accepts what Python's ``int``/``float`` accept (``1_000``,
+    tabs).  A file with a non-ASCII byte or a carriage return is first
+    decoded as text mode reads it, as UTF-8 with universal newlines."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.isascii() or b"\r" in raw:
@@ -493,12 +473,9 @@ def _read_table(path, header, shape, parse):
     else:
         # at most two copies of the file alive at once, as when it was read as text
         text, raw = raw.decode("utf-8"), None
-        ascii_floats = parse is float and text.isascii()
         lines, text = text.split("\n"), None
-        data, tail = lines[1 : rows + 1], lines[rows + 1 :]
-        table = _loadtxt(data, rows, width) if ascii_floats else None
-        if table is None:
-            table = _parse_lines(path, data, width, parse)
+        table = _parse_lines(path, lines[1 : rows + 1], width, parse)
+        tail = lines[rows + 1 :]
     for lineno, line in enumerate(tail, start=rows + 2):
         if line.strip():
             _fail(path, lineno, f"unexpected trailing content {line!r}")

@@ -79,9 +79,12 @@ def _raw_words(seed, label, count):
 
 
 def _signs(seed, label, count):
-    # low bit of each word: 1 -> +1, 0 -> -1
-    words = _raw_words(seed, label, count)
-    return np.where(words & np.uint64(1), 1.0, -1.0)
+    # low bit of each word: 1 -> +1, 0 -> -1, by arithmetic, not a select
+    # on random bits
+    signs = (_raw_words(seed, label, count) & np.uint64(1)).astype(np.float64)
+    signs *= 2.0
+    signs -= 1.0
+    return signs
 
 
 # A graph's n sizes an n x n adjacency (and a generator's n(n-1)/2 sign

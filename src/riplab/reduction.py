@@ -467,8 +467,10 @@ def run_distinguishing_experiment(
         g0 = gen_gnp_half(n, null_seed)
         if null_statistic == STAT_LAMBDA1:
             stat0 = float(sym_eigenvalues(signed_adjacency(g0))[0])
-            # the reduction matters only when the refuter does not flag the graph
-            flagged0 = _lambda1_reaches(g0, k)[0] or not cholesky_reduce(g0, params).any()
+            # the reduction matters only when the refuter does not flag the
+            # graph; R^T R has a unit diagonal, so R[0, 0] is 0 only in the
+            # zero matrix
+            flagged0 = _lambda1_reaches(g0, k)[0] or not cholesky_reduce(g0, params)[0, 0]
         else:
             c0 = cholesky_reduce(g0, params)
             if rect_cols is not None:

@@ -248,6 +248,19 @@ def test_repr_fallback_stays_narrow(tmp_path, monkeypatch):
         assert np.array_equal(read_matrix_file(p), a)
 
 
+def test_round_trip_digits_returns_outside_its_domain():
+    """Zeros, subnormals and binary exponents outside [-13, 53], which
+    ``_float_spans`` sends to ``repr``, still return at once: there C = 0,
+    so the rounding interval is empty, and no value reaches the loop that
+    counts zero digits.  |x| stays below 2**64, where the uint64 cast holds."""
+    values = np.array([0.0, -0.0, 5e-324, 3 * 2.0**-1074, 2.0**-1022, 2.0**-20, 2.0**-14, 1e-5,
+                       -3e-6, -1e-300, 2.0**54, 2.0**60, -(2.0**63.5)])
+    with np.errstate(all="raise"):
+        w, j, tie = fileio._round_trip_digits(values.view(np.uint64))
+    assert j.tolist() == [0] * len(values) and not tie.any()
+    assert w.tolist() == [int(abs(x)) for x in values.tolist()]
+
+
 _BAD_GRAPHS = [
     "",  # no header
     "3\n",
@@ -383,12 +396,11 @@ def _read_outcome(read, p):
 
 
 def test_bulk_parse_divergences_keep_the_line_loop_outcome(tmp_path):
-    """Where the byte parser (np.loadtxt, for floats) and Python's int/float
-    disagree, a file reads to the array or the message of the line-by-line
-    reader."""
+    """Where the byte parsers and Python's int/float disagree, a file reads
+    to the array or the message of the line-by-line reader."""
     p = tmp_path / "t.txt"
     graph_errors = [
-        ("3 2\n0 1\n\n0 2\n", "3: expected 2 values, got 0"),  # loadtxt skips blanks
+        ("3 2\n0 1\n\n0 2\n", "3: expected 2 values, got 0"),  # a blank line inside the data
         ("3 2\n0 1\n \t \n", "3: expected 2 values, got 0"),
         ("3 2\n\n0 1\n", "2: expected 2 values, got 0"),
         ("3 2\n0 1\x0b0 2\n\n", "2: expected 2 values, got 4"),  # one row of 4
@@ -458,12 +470,11 @@ _BERNOULLI_TOKEN = "0.10206207261596577"  # 1/sqrt(96)
 _ROW = " ".join(repr(0.1 + i / 7) for i in range(4000)) + "\n"  # longer than a block
 
 # Faulty and edge-case table files, their reader, and whether the line loop
-# reads them.  It reads every graph file whose data the byte parser refuses,
-# and every float file whose data both the ±t tier and np.loadtxt refuse or
-# that is not ASCII; a CRLF file is decoded as text mode reads it and then
-# parsed as bytes, and trailing text follows good data.  A float file whose
-# every token is t or -t takes the ±t tier, and any other well-formed one
-# takes one np.loadtxt call.
+# reads them.  It reads every file whose data its byte parser refuses: every
+# float file whose tokens are not all t or -t for one token t, and every
+# graph file that is not single-spaced digits; a CRLF file is decoded as text
+# mode reads it and then parsed as bytes, and trailing text follows good
+# data.  A float file whose every token is t or -t takes the ±t tier.
 _BYTE_PARSER_FAULTS = [
     (read_graph_file, "3 3\n0\t1\n0 2\n1 2\n", True),  # tab
     (read_graph_file, "3 3\r\n0 1\r\n0 2\r\n1 2\r\n", False),  # CRLF
@@ -482,34 +493,34 @@ _BYTE_PARSER_FAULTS = [
     # Bernoulli rows: two distinct tokens, each repeated
     (read_matrix_file, "2 3\n" + f"{_BERNOULLI_TOKEN} -{_BERNOULLI_TOKEN} {_BERNOULLI_TOKEN}\n" * 2,
      False),
-    # tokens of 1 to 7, 8, 9 to 32 and 33 bytes: np.loadtxt takes any length
-    (read_matrix_file, "1 4\n1 0.125 -0.0625 1234567\n", False),
-    (read_matrix_file, "1 3\n0.015625 -0.03125 12345678\n", False),
+    # tokens of 1 to 7, 8, 9 to 32 and 33 bytes: the line loop takes any length
+    (read_matrix_file, "1 4\n1 0.125 -0.0625 1234567\n", True),
+    (read_matrix_file, "1 3\n0.015625 -0.03125 12345678\n", True),
     (read_matrix_file,
      "1 3\n0.1000000000000000055511151 -1.2345678901234567e-300 0.100000000000000005551115123125\n",
-     False),
+     True),
     (read_matrix_file, "1 1\n0.1000000000000000055511151231257\n", False),
     (read_matrix_file, "2 2\n0.0 -0.0\n-0.0 0.0\n", False),
-    (read_matrix_file, "2 2\n0.125 0.126\n0.126 0.125\n", False),  # only the last byte differs
+    (read_matrix_file, "2 2\n0.125 0.126\n0.126 0.125\n", True),  # only the last byte differs
     # 20-byte tokens that differ only in byte 12
     (read_matrix_file,
      "2 2\n-0.10206207261596577 -0.10206207271596577\n-0.10206207271596577 -0.10206207261596577\n",
-     False),
-    (read_matrix_file, "1 2\nnan 1.0\n", False),
-    (read_matrix_file, "2 1\n1.0\n-inf\n", False),
-    (read_matrix_file, "1 3\n1_000 1e5 1_000\n", True),  # loadtxt refuses 1_000, float reads it
+     True),
+    (read_matrix_file, "1 2\nnan 1.0\n", True),
+    (read_matrix_file, "2 1\n1.0\n-inf\n", True),
+    (read_matrix_file, "1 3\n1_000 1e5 1_000\n", True),  # float reads 1_000
     (read_matrix_file, "1 6\n1_000 1e5 0.5 0.25 0.75 2.5\n", True),
     (read_matrix_file, "1 2\n- 1.0\n", True),
     (read_matrix_file, "1 6\n0.5 0.25 0.75 - 1.5 2.5\n", True),
-    (read_matrix_file, "1 2\n1.0\t2.0\n", False),
+    (read_matrix_file, "1 2\n1.0\t2.0\n", True),
     (read_matrix_file, "1 2\n1.0\u00a02.0\n", True),  # NO-BREAK SPACE
     (read_matrix_file, "1 2\n\u0661.5 2.0\n", True),  # ARABIC-INDIC DIGIT ONE
-    (read_matrix_file, "2 2\r\n1.0 2.0\r\n3.0 4.0\r\n", False),
+    (read_matrix_file, "2 2\r\n1.0 2.0\r\n3.0 4.0\r\n", True),
     (read_matrix_file, "1 2\n0x10 1.0\n", True),  # float refuses
     (read_matrix_file, "1 1\n5\n", False),  # shorter than a word
-    (read_matrix_file, "1 2\n0.5 0.25", False),  # no final newline
-    (read_matrix_file, "2 2\n1.0 2.0\n3.0 4.0\n\t\n", False),
-    (read_matrix_file, "1 4000\n" + _ROW, False),
+    (read_matrix_file, "1 2\n0.5 0.25", True),  # no final newline
+    (read_matrix_file, "2 2\n1.0 2.0\n3.0 4.0\n\t\n", True),
+    (read_matrix_file, "1 4000\n" + _ROW, True),
 ]
 
 
@@ -522,7 +533,6 @@ def test_bulk_parse_matches_the_line_loop(tmp_path, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(fileio, "_plus_minus", lambda *args: None)
             mp.setattr(fileio, "_read_ints", lambda *args: None)
-            mp.setattr(fileio, "_loadtxt", lambda *args: None)
             return _read_outcome(read, p)
 
     for s in range(450):
@@ -559,12 +569,10 @@ def _no_line_loop(*args):
     raise AssertionError("the line loop ran on a well-formed file")
 
 
-def test_float_files_parse_alike_by_either_tier(tmp_path, monkeypatch):
-    """A float file gives the same array whether the ±t tier may take it or
-    is stubbed to refuse, so that one np.loadtxt call parses it.  At the
-    defaults the ±t tier takes the Bernoulli file, with no np.loadtxt call,
-    and any other file takes that one call, wherever its ±t rows are."""
-    p = tmp_path / "m.txt"
+def _float_fixtures():
+    """A Bernoulli matrix, and float matrices that are not ±t: sparse,
+    Gaussian, of few distinct values, with ±t rows before or after Gaussian
+    ones, and of models A and B."""
     rng = np.random.default_rng(7)
     phi = gen_bernoulli_sensing(96, 400, Seed(3))  # six 64 KiB blocks
     sparse = np.where(rng.random((60, 300)) < 0.9, 0.0, rng.standard_normal((60, 300)))
@@ -573,10 +581,19 @@ def test_float_files_parse_alike_by_either_tier(tmp_path, monkeypatch):
     # 20 Bernoulli rows fill more than two blocks, before or after the rest
     mixed = [np.vstack([phi[:20], gaussian]), np.vstack([gaussian, phi[:20]])]
     model_a, model_b = gen_model_a(150, Seed(4)), gen_model_b(150, 0.3, Seed(4))
-    loadtxt, calls = np.loadtxt, []
-    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
-    monkeypatch.setattr(fileio, "_parse_lines", _no_line_loop)
-    for m in (phi, sparse, gaussian[:, :40], rounded, *mixed, model_a, model_b):
+    return phi, [sparse, gaussian[:, :40], rounded, *mixed, model_a, model_b]
+
+
+def test_float_files_parse_alike_by_either_tier(tmp_path, monkeypatch):
+    """A float file gives the same array whether the ±t tier may take it or
+    is stubbed to refuse, so that the line loop parses it.  At the defaults
+    the ±t tier takes the Bernoulli file, with no line loop, and any other
+    file takes the line loop once, wherever its ±t rows are."""
+    p = tmp_path / "m.txt"
+    phi, others = _float_fixtures()
+    parse_lines, calls = fileio._parse_lines, []
+    monkeypatch.setattr(fileio, "_parse_lines", lambda *args: calls.append(1) or parse_lines(*args))
+    for m in (phi, *others):
         write_matrix_file(p, m)
         calls.clear()
         with monkeypatch.context() as mp:
@@ -597,12 +614,26 @@ def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):
     g = gen_gnp_half(300, Seed(1))
     write_graph_file(p, g)
     assert read_graph_file(p) == g
+    m = gen_bernoulli_sensing(128, 200, Seed(1))
+    write_matrix_file(p, m)
+    assert read_matrix_file(p).tobytes() == m.tobytes()
+
+
+def test_float_files_read_as_np_loadtxt_reads_them(tmp_path):
+    """np.loadtxt as an oracle for the line loop: every well-formed float
+    file that is not ±t reads back to the array written, and to the array
+    np.loadtxt reads from it, byte for byte."""
+    p = tmp_path / "m.txt"
     rng = np.random.default_rng(1)
-    for m in (gen_bernoulli_sensing(128, 200, Seed(1)), rng.standard_normal((96, 160)),
+    for m in (*_float_fixtures()[1], rng.standard_normal((96, 160)),
               cholesky_reduce(gen_gnp_half(120, Seed(1))), gen_model_a(120, Seed(1)),
               gen_model_b(120, 0.3, Seed(1))):
         write_matrix_file(p, m)
-        assert read_matrix_file(p).tobytes() == m.tobytes()
+        back = read_matrix_file(p)
+        assert back.tobytes() == m.tobytes()
+        assert back.tobytes() == np.loadtxt(p, skiprows=1, ndmin=2).tobytes()
+    factor = Path(__file__).parent / "golden" / "reduce_gnp16_factor.txt"
+    assert read_matrix_file(factor).tobytes() == np.loadtxt(factor, skiprows=1, ndmin=2).tobytes()
 
 
 def test_factor_read_holds_about_two_copies_of_its_text(tmp_path):
@@ -664,7 +695,7 @@ def test_plus_minus_files_read_alike_with_or_without_their_tier(tmp_path, monkey
     """Files whose tokens are t and -t, and mutations of them, read to the
     same array bytes or FileFormatError message whether the ±t tier may take
     them or is stubbed to refuse; it takes the well-formed ones and refuses
-    the rest, which the other parsers then read as before."""
+    the rest, which the line loop then reads."""
     p = tmp_path / "m.txt"
     plus_minus, took = fileio._plus_minus, []
 
