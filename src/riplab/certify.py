@@ -182,20 +182,21 @@ _SCREEN_MARGIN = 8 * np.finfo(np.float64).eps
 
 
 def _row_maxima(g):
-    """Each row's largest off-diagonal |G_ij| (-1 for a row without one,
-    when n = 1), and its column j, formed in row blocks: no n x n
-    temporary."""
+    """Each row's largest off-diagonal |G_ij| and its column j (when n = 1,
+    where there is none, |G_00| and 0), formed in row blocks: no n x n
+    temporary.
+
+    Each block is copied before its abs is taken in place: numpy (2.4) runs
+    a ufunc on strided rows shorter than its buffer, such as a row block of
+    a padded G (`gram`), by copying them into the buffer, at twice the time."""
     n = len(g)
-    top_v = np.empty(n)
     top_j = np.empty(n, dtype=np.intp)
     step = max(1, _SLICE_DOUBLES // n)
     for lo in range(0, n, step):
-        blk = np.abs(g[lo:lo + step])
-        r = np.arange(len(blk))
-        blk[r, lo + r] = -1.0
-        top_j[lo:lo + step] = blk.argmax(axis=1)
-        top_v[lo:lo + step] = blk[r, top_j[lo:lo + step]]
-    return top_v, top_j
+        blk = g[lo:lo + step].copy()
+        np.abs(blk, out=blk).reshape(-1)[lo::n + 1] = -1.0  # the diagonal
+        blk.argmax(axis=1, out=top_j[lo:lo + step])
+    return np.abs(g[np.arange(n), top_j]), top_j
 
 
 def _seed_level(g, k):

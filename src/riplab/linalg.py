@@ -68,12 +68,21 @@ def gram(phi):
     upper triangle and eigvalsh the lower, so the scan relies on that.
     ValueError when the product overflows, detected by its min and max
     unless the input rules overflow out (see `_GRAM_SAFE`).
+
+    The result is a view: the leading N columns of a buffer whose rows are
+    an odd number of 64-byte lines long.  numpy mirrors the triangle column
+    by column, so with rows of 2^p doubles its writes would all fall in the
+    same few cache sets; padded rows spread them.  The same update and
+    mirror run on the same operands, so the bits are those of a.T @ a.  An N
+    that is an odd multiple of 8 needs no padding: G is then contiguous.
     """
     a = as_matrix(phi, "phi")
     if not (a.flags.c_contiguous or a.flags.f_contiguous):
         a = np.ascontiguousarray(a)
+    n = a.shape[1]
+    g = np.empty((n, 8 * (-(-n // 8) | 1)))[:, :n]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, with a message
-        g = a.T @ a
+        np.matmul(a.T, a, out=g)
     big = max(float(a.max()), -float(a.min()))
     if not a.shape[0] * big * big <= _GRAM_SAFE:
         if not (np.isfinite(g.min()) and np.isfinite(g.max())):

@@ -621,6 +621,27 @@ def test_block_compose_shapes_and_law():
         assert abs(dc - max(da, db)) <= 1e-10
 
 
+def test_scans_do_not_depend_on_the_gram_layout(monkeypatch):
+    """gram returns a view of row-padded storage; scans and coherence read
+    that view exactly as they read a contiguous copy of it."""
+    shapes = [(64, 1024, 2, None), (40, 160, 3, None), (64, 128, 3, None), (96, 160, 3, 0.6)]
+    mats = [gen_bernoulli_sensing(rows, cols, Seed(rows + cols)) for rows, cols, _, _ in shapes]
+    assert not any(gram(phi).flags.c_contiguous for phi in mats)
+
+    def run(layout):
+        monkeypatch.setattr(certify, "gram", lambda a: layout(gram(a)))
+        out = []
+        for phi, (_, _, k, threshold) in zip(mats, shapes):
+            diag = {}
+            rep, wit = exact_rip(phi, k, threshold=threshold, diagnostics=diag)
+            out.append((rep, wit.subset, wit.vector.tobytes(), wit.excess, diag, coherence(phi)))
+        return out
+
+    padded, contiguous = run(lambda g: g), run(np.ascontiguousarray)
+    assert padded == contiguous
+    assert padded[-1][0].direction == LOWER_BOUND  # the threshold scan stops
+
+
 @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
 def test_non_finite_budget_is_refused_before_any_scan(budget, monkeypatch):
     # "nan < 1" and "C(N, k) > nan" are both false, so a NaN budget bounded nothing

@@ -126,6 +126,47 @@ def test_gram_is_exactly_symmetric(layout):
     assert (g == g.T).all()
 
 
+def _draw(dist, rows, cols, seed):
+    rng = np.random.default_rng([seed, rows, cols])
+    if dist == "bernoulli":
+        return rng.choice([-1.0, 1.0], size=(rows, cols)) / math.sqrt(rows)
+    return rng.standard_normal((rows, cols))
+
+
+def _strided(a):
+    big = np.zeros((2 * a.shape[0], 2 * a.shape[1]))
+    big[::2, ::2] = a
+    return big[::2, ::2]
+
+
+def _has_product_bits(form, a):
+    """Whether form(a) is N x N, exactly symmetric and bit for bit a.T @ a,
+    formed on a itself when it is C- or F-contiguous, else on a C copy."""
+    c = a if a.flags.c_contiguous or a.flags.f_contiguous else np.ascontiguousarray(a)
+    g = form(a)
+    return g.shape == (a.shape[1],) * 2 and bool((g == g.T).all()) and g.tobytes() == (c.T @ c).tobytes()
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray, _strided],
+                         ids=["C", "F", "strided"])
+@pytest.mark.parametrize("cols", [36, 128, 160, 200, 500, 512, 1000, 1024, 2048])
+@pytest.mark.parametrize("dist", ["bernoulli", "gaussian"])
+def test_gram_has_the_bits_of_the_product(dist, cols, layout):
+    # gram writes into row-padded storage for most N (not 200 or 1000, whose
+    # rows are already an odd number of cache lines); the bits must not move
+    a = layout(_draw(dist, 64, cols, 1))
+    assert _has_product_bits(gram, a)
+
+
+@pytest.mark.parametrize(("dist", "rows", "cols"), [("bernoulli", 20, 36), ("gaussian", 100, 500)])
+def test_a_gemm_on_a_transposed_copy_fails_the_bit_check(dist, rows, cols):
+    # the check above tells numpy's symmetric rank-k update from another
+    # product of the same operands
+    a = _draw(dist, rows, cols, 1)
+    assert _has_product_bits(gram, a)
+    assert not _has_product_bits(lambda x: np.ascontiguousarray(x.T) @ x, a)
+
+
 def test_gram_refuses_an_overflowing_product():
     # finite entries whose Gram overflows: inf on the diagonal, and
     # 1e400 - 1e400 = inf - inf = NaN between the first two columns
