@@ -199,9 +199,10 @@ def _row_maxima(g):
     return np.abs(g[np.arange(n), top_j]), top_j
 
 
-def _seed_level(g, k):
+def _seed_level(g, k, diag):
     """Largest deviation among up to _SEEDS greedy k-subsets, and each row's
-    largest off-diagonal |G_ij| (`_row_maxima`).
+    largest off-diagonal |G_ij| (`_row_maxima`); ``diag`` holds each
+    |G_ii - 1|.
 
     Each starts from a row's largest off-diagonal |G_ij| (the rows with the
     largest such entries; the largest diagonal deviations when k = 1) and
@@ -209,7 +210,6 @@ def _seed_level(g, k):
     largest.  Solved with the scan's own kernel, the value is a deviation the
     scan reaches, so it may serve as the prune level from the start.
     """
-    diag = np.abs(np.diagonal(g) - 1.0)
     top_v, top_j = _row_maxima(g)
     if k == 1:
         members = np.argsort(-diag, kind="stable")[:_SEEDS, None]
@@ -308,13 +308,13 @@ class _Walk:
 
     def __init__(self, g, k, threshold=None):
         self.g, self.k, self.n = g, k, len(g)
-        self.seed, row_max = _seed_level(g, k)
+        self.diag = np.abs(np.diagonal(g) - 1.0)
+        self.seed, row_max = _seed_level(g, k, self.diag)
         self.level = self.seed if threshold is None else min(self.seed, threshold)
         self.best = -1.0
         self.pruned = self.screened = self.solved = 0
         self.prefixes = [0] * k
         self.full = threshold is None
-        self.diag = np.abs(np.diagonal(g) - 1.0)
         self.cols = np.arange(self.n)
         self.tables = _top_tables(g, k)
         # top-1 values for `gate`, read at cell (q + 1) // step: the row

@@ -358,7 +358,8 @@ def _plus_minus(raw, start, rows, width):
         return None
     out = np.empty((rows, width))
     flat = out.reshape(-1)
-    window = max(_READ_BLOCK, 2 * len(line))  # a signed line is under twice its unsigned size
+    # a signed line is under twice its unsigned size; no template outgrows the data
+    window = max(min(_READ_BLOCK, len(raw) - start), 2 * len(line))
     template = line * (window // len(line) + 1)
     done = 0
     while done < rows:
@@ -435,9 +436,9 @@ def _read_ints(raw, start, rows, width):
 def _read_table(path, header, shape, parse):
     """Header integers a, b and the rows of a table file as a 2-D float64 or
     int64 array (``parse`` is float or int).  ``shape(path, a, b)`` checks the
-    header and gives (rows, width).  The file is read once, as bytes; its
-    newlines are counted, and the values checked to fit in its bytes, before
-    anything is allocated from the header.
+    header and gives (rows, width).  The file is read once, as bytes, and
+    the values checked to fit in its bytes before anything is allocated from
+    the header; its lines are checked by the parser that reads them.
 
     Each file takes one parser.  Int rows take :func:`_read_ints`, and float
     rows :func:`_plus_minus`, which takes ±t files (Bernoulli matrices).  The
@@ -457,12 +458,6 @@ def _read_table(path, header, shape, parse):
     except ValueError:
         _fail(path, 1, f"expected header '{header}' of two integers, got {first!r}")
     rows, width = shape(path, a, b)
-    # numpy counts a byte several times faster than bytes.count; per block, no
-    # file-sized mask, and no view that outlives the count and keeps raw alive
-    blocks = (np.frombuffer(raw, np.uint8, min(_READ_BLOCK, len(raw) - i), i)
-              for i in range(0, len(raw), _READ_BLOCK))
-    if (newlines := sum(int(np.count_nonzero(b == ord("\n"))) for b in blocks)) < rows:
-        _fail(path, newlines + 1, f"expected {rows} data rows, file ends early")
     start = len(raw) if end < 0 else end + 1
     found = None
     if 2 * rows * width <= len(raw) - start:  # each value takes a byte and a separator
@@ -474,6 +469,8 @@ def _read_table(path, header, shape, parse):
         # at most two copies of the file alive at once, as when it was read as text
         text, raw = raw.decode("utf-8"), None
         lines, text = text.split("\n"), None
+        if len(lines) <= rows:
+            _fail(path, len(lines), f"expected {rows} data rows, file ends early")
         table = _parse_lines(path, lines[1 : rows + 1], width, parse)
         tail = lines[rows + 1 :]
     for lineno, line in enumerate(tail, start=rows + 2):

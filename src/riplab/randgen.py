@@ -223,8 +223,17 @@ def gen_model_b(n, c, seed):
     c = float(c)
     if not 0 < c < math.inf:
         raise ValueError(f"scale c must be finite and positive, got {c}")
-    a = gen_model_a(n, seed)
-    return np.eye(int(n)) + (c / np.sqrt(float(n))) * a
+    return identity_plus_scaled(gen_model_a(n, seed), c)
+
+
+def identity_plus_scaled(a, c):
+    """I + c*A/sqrt(n) for the n x n zero-diagonal matrix A = ``a``, built in
+    ``a`` with the bits of the out-of-place sum: adding 0.0 turns the -0.0 of
+    -1 * s at s = 0 into the 0.0 of I + 0*A."""
+    a *= c / math.sqrt(len(a))
+    a += 0.0
+    np.fill_diagonal(a, 1.0)
+    return a
 
 
 def gen_gnp_half(n, seed):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .certify import DEFAULT_BUDGET, LOWER_BOUND, Witness, exact_rip
 from .linalg import as_matrix, cholesky_psd, sym_eigenvalues
-from .randgen import Seed, gen_bernoulli_sensing, gen_gnp_half, plant_clique
+from .randgen import Seed, gen_bernoulli_sensing, gen_gnp_half, identity_plus_scaled, plant_clique
 
 YES = "yes"
 NO_CLIQUE = "no-clique"
@@ -111,16 +111,9 @@ def cholesky_reduce(g, params=ReductionParams()):
     below -PSD_TOL (see :func:`riplab.linalg.cholesky_psd`); downstream checks
     treat that as an automatic isometry violation.
     """
-    n = g.n
-    # B = I + s*A built in place, with the bits of the out-of-place sum:
-    # adding 0.0 turns the -0.0 of -1 * s at s = 0 into the 0.0 of I + 0*A
-    b = signed_adjacency(g)
-    b *= params.c / math.sqrt(n)
-    b += 0.0
-    np.fill_diagonal(b, 1.0)
-    factor = cholesky_psd(b)
+    factor = cholesky_psd(identity_plus_scaled(signed_adjacency(g), params.c))
     if factor is None:
-        return np.zeros((n, n))
+        return np.zeros((g.n, g.n))
     return factor
 
 

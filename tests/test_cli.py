@@ -191,8 +191,9 @@ def test_oversized_headers_exit_two(tmp_path, capsys):
         assert rc == 2 and out == ""
         assert f"{g}:1: n=100000 exceeds the cap of 16384 vertices" in err
     assert not (tmp_path / "f.txt").exists()
-    # an edge count of 10^9 over two edge lines: the lines are counted before
-    # anything is allocated from the header
+    # an edge count of 10^9 over two edge lines: the size guard comes before
+    # anything is allocated from the header, and the line loop, which checks
+    # the lines it reads, names the file's end
     g.write_text("16 1000000000\n0 1\n0 2\n")
     rc, out, err = run_cli(["refute", "--graph", str(g), "--k", "3"], capsys)
     assert (rc, out) == (2, "")

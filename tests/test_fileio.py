@@ -636,18 +636,23 @@ def test_float_files_read_as_np_loadtxt_reads_them(tmp_path):
     assert read_matrix_file(factor).tobytes() == np.loadtxt(factor, skiprows=1, ndmin=2).tobytes()
 
 
+def _traced_peak(fn):
+    """The tracemalloc peak of calling ``fn``, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_factor_read_holds_about_two_copies_of_its_text(tmp_path):
     """Reading a reduction factor, a file of mostly distinct floats, peaks
     below three times the file's size: the text once as bytes and once as
     lines, and the array."""
     p = tmp_path / "c.txt"
     write_matrix_file(p, cholesky_reduce(gen_gnp_half(200, Seed(1))))
-    tracemalloc.start()
-    try:
-        read_matrix_file(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: read_matrix_file(p))
     assert peak < 3 * p.stat().st_size, (peak, p.stat().st_size)
 
 
@@ -738,13 +743,40 @@ def test_plus_minus_read_holds_the_text_and_the_array(tmp_path):
     bytes, the array and one block's transients."""
     p = tmp_path / "b.txt"
     write_matrix_file(p, gen_bernoulli_sensing(128, 1024, Seed(1)))
-    tracemalloc.start()
-    try:
-        read_matrix_file(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: read_matrix_file(p))
     assert peak < 2 * p.stat().st_size, (peak, p.stat().st_size)
+
+
+@pytest.mark.parametrize("block", [fileio._READ_BLOCK, 16])
+def test_short_files_end_where_the_line_loop_says(tmp_path, monkeypatch, block):
+    """A file that passes the size guard but holds fewer data lines than its
+    header states runs its byte parser out of lines; the parser refuses it,
+    and the line loop gives the message and line number of the file's end.
+    The byte parser adds less than four times the file's size to the peak of
+    reading the file with the line loop alone."""
+    monkeypatch.setattr(fileio, "_READ_BLOCK", block)
+    p = tmp_path / "t.txt"
+    cases = [(read_graph_file, "_read_ints", "1000 3\n000000001 000000002\n000000003 000000004\n"),
+             (read_matrix_file, "_plus_minus", "3 2\n0.5 -0.5\n-0.5 0.5\n")]
+    for read, tier, text in cases:
+        parse, took = getattr(fileio, tier), []
+
+        def recorded(*args):
+            found = parse(*args)
+            took.append(found is not None)
+            return found
+
+        # with a final newline the third data line is blank; without, the file ends early
+        for body, msg in [(text, "4: expected 2 values, got 0"),
+                          (text[:-1], "3: expected 3 data rows, file ends early")]:
+            p.write_text(body)
+            peaks, took[:] = [], []
+            for stub in (recorded, lambda *args: None):
+                monkeypatch.setattr(fileio, tier, stub)
+                assert _read_outcome(read, p) == f"{p}:{msg}", (tier, body)
+                peaks.append(_traced_peak(lambda: _read_outcome(read, p)))
+            assert took == [False, False], (tier, body)
+            assert peaks[0] < peaks[1] + 4 * len(body), (tier, body, peaks)
 
 
 def test_graph_from_edge_array():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,28 @@ def test_model_b_from_model_a():
     for c in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"got {c}"):
             gen_model_b(4, c, Seed(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 301])
+def test_model_b_matches_the_out_of_place_sum_bit_for_bit(n):
+    # 5e-324 / sqrt(n) rounds to 0 for n > 1, so -1 * s is -0.0 there
+    for c in (0.3, 1e-3, 2.5, 5e-324):
+        want = np.eye(n) + (c / np.sqrt(float(n))) * gen_model_a(n, Seed(n))
+        assert gen_model_b(n, c, Seed(n)).tobytes() == want.tobytes(), c
+
+
+def test_model_b_peaks_near_one_matrix():
+    """Model B is built in the model-A matrix it scales: at n = 2000 the
+    peak stays within 1.2 n^2 doubles, the matrix and the graph's bool
+    adjacency it comes from."""
+    n = 2000
+    tracemalloc.start()
+    try:
+        gen_model_b(n, 0.3, Seed(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_model_a_spectral_concentration():
