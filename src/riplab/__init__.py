@@ -1,10 +1,10 @@
 """Restricted isometry certification and clique-based hardness experiments.
 
-The package has five pieces: dense symmetric linear algebra (`linalg`),
+The package has six modules: dense symmetric linear algebra (`linalg`),
 exact and lazy restricted-isometry certification (`certify`), seeded
 counter-based random models (`randgen`), the graph-to-matrix reduction with
-its distinguishing experiments (`reduction`), and text/JSON persistence plus
-the command line (`fileio`, `cli`).
+its distinguishing experiments (`reduction`), text/JSON persistence
+(`fileio`) and the command line (`cli`).
 """
 
 from .certify import (

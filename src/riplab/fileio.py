@@ -24,8 +24,8 @@ Bernoulli matrix's ``±1/√m``, has its ``-`` bytes deleted a block at a time
 and compared with a template of its first line, and ``float`` parses t and
 -t once each.  Any other file, such as a Gaussian, model-A or model-B
 matrix, a reduction factor, or one its byte parser refuses (blank lines,
-``1_000``, non-ASCII text), is read line by line, which names the first
-bad line.
+``1_000``, non-ASCII text), takes the line loop, which decodes a block of
+whole lines at a time and names the first bad line.
 
 Reports are JSON documents carrying the tool version, the invoked command,
 the seed, the full parameter set, and a results object — everything needed
@@ -58,8 +58,7 @@ def _fail(path, lineno, msg):
 
 # Values formatted per block by _write_table: whole rows, at least one.
 _WRITE_BLOCK = 1 << 15
-# Bytes scanned per block by _read_ints and _plus_minus, at least one line;
-# their whole lines are parsed.
+# Bytes scanned per block by the readers; their whole lines are parsed.
 _READ_BLOCK = 1 << 16
 # Digits of the longest int _read_ints takes: 18 stay below 2**63.
 _LONGEST = 18
@@ -318,20 +317,29 @@ def _write_table(path, header, table):
                 fh.write(chars.tobytes().replace(b"\0", b""))
 
 
-def _parse_lines(path, lines, width, parse):
-    """The values of ``lines`` (file lines 2, 3, ...) as a (len(lines),
-    width) array, each line checked before its values are stored; the first
-    bad line raises its ``path:line:`` message."""
-    values = array("d" if parse is float else "q")
-    for lineno, line in enumerate(lines, start=2):
-        tokens = line.split()
-        if len(tokens) != width:
-            _fail(path, lineno, f"expected {width} values, got {len(tokens)}")
-        try:
-            values.extend(map(parse, tokens))
-        except (ValueError, OverflowError):  # not a number, or beyond int64
-            _fail(path, lineno, f"invalid {parse.__name__} value in {line!r}")
-    return np.asarray(values).reshape(-1, width)  # a view: a copy doubles the peak
+def _parse_lines(path, raw, start, rows, width, parse):
+    """The ``rows`` lines of ``raw`` from offset ``start`` as a (rows, width)
+    array, and the offset past them; ``raw`` holds ``rows`` newlines or more.
+    Each block of about _READ_BLOCK bytes of whole lines (or one longer line)
+    is decoded and split alone, and each line checked before its values are
+    stored; the first bad line raises its ``path:line:`` message."""
+    values, lineno = array("d" if parse is float else "q"), 2
+    while lineno <= rows + 1:
+        cut = raw.rfind(b"\n", start, start + _READ_BLOCK) + 1 or raw.find(b"\n", start) + 1 or len(raw)
+        left = rows + 2 - lineno
+        lines = raw[start:cut].decode("utf-8").split("\n", left)
+        # the piece after the block's last newline is a data line only at the file's end
+        rest = lines.pop() if cut < len(raw) or len(lines) > left else ""
+        for lineno, line in enumerate(lines, start=lineno):
+            tokens = line.split()
+            if len(tokens) != width:
+                _fail(path, lineno, f"expected {width} values, got {len(tokens)}")
+            try:
+                values.extend(map(parse, tokens))
+            except (ValueError, OverflowError):  # not a number, or beyond int64
+                _fail(path, lineno, f"invalid {parse.__name__} value in {line!r}")
+        lineno, start = lineno + 1, cut - len(rest.encode("utf-8"))
+    return np.asarray(values).reshape(-1, width), start  # a view: a copy doubles the peak
 
 
 def _plus_minus(raw, start, rows, width):
@@ -393,19 +401,17 @@ def _read_ints(raw, start, rows, width):
     and ended by a newline.
 
     The lines are checked and parsed a block of about _READ_BLOCK bytes of
-    whole lines at a time, each value by a Horner pass over its digits."""
+    whole lines at a time, each value by a Horner pass over its digits; a
+    block with no whole line refuses."""
     out = np.empty((rows, width), np.int64)
     flat = out.reshape(-1)
-    done, size = 0, _READ_BLOCK
+    done = 0
     while done < rows:
-        block = np.frombuffer(raw, np.uint8, min(size, len(raw) - start), start)
+        block = np.frombuffer(raw, np.uint8, min(_READ_BLOCK, len(raw) - start), start)
         seps = np.flatnonzero(block <= ord(" "))  # the byte after each token
         lines = min(len(seps) // width, rows - done)
         if lines == 0:  # a line longer than the block, or no newline at the end
-            if len(block) == len(raw) - start:
-                return None
-            size *= 2
-            continue
+            return None
         seps = seps[: lines * width]
         block = block[: seps[-1] + 1]
         gaps = np.empty_like(seps)  # token bytes + 1
@@ -438,15 +444,15 @@ def _read_table(path, header, shape, parse):
     int64 array (``parse`` is float or int).  ``shape(path, a, b)`` checks the
     header and gives (rows, width).  The file is read once, as bytes, and
     the values checked to fit in its bytes before anything is allocated from
-    the header; its lines are checked by the parser that reads them.
-
-    Each file takes one parser.  Int rows take :func:`_read_ints`, and float
-    rows :func:`_plus_minus`, which takes ±t files (Bernoulli matrices).  The
-    data lines of a file its byte parser refuses, such as a Gaussian matrix
-    or a reduction factor, take :func:`_parse_lines`, which names the first
-    bad line or accepts what Python's ``int``/``float`` accept (``1_000``,
-    tabs).  A file with a non-ASCII byte or a carriage return is first
-    decoded as text mode reads it, as UTF-8 with universal newlines."""
+    the header; its lines are checked by the parser that reads them, and only
+    blank lines may follow them.  Each file takes one parser.  Int rows take
+    :func:`_read_ints`, and float rows :func:`_plus_minus`, which takes ±t
+    files (Bernoulli matrices).  A file its byte parser refuses, such as a
+    Gaussian matrix or a reduction factor, takes :func:`_parse_lines`, which
+    holds one decoded block at a time and names the first bad line or
+    accepts what Python's ``int``/``float`` accept (``1_000``, tabs).  A
+    file with a non-ASCII byte or a carriage return is first decoded as
+    text mode reads it, as UTF-8 with universal newlines."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.isascii() or b"\r" in raw:
@@ -462,20 +468,13 @@ def _read_table(path, header, shape, parse):
     found = None
     if 2 * rows * width <= len(raw) - start:  # each value takes a byte and a separator
         found = (_plus_minus if parse is float else _read_ints)(raw, start, rows, width)
-    if found is not None:
-        table, stop = found
-        tail = raw[stop:].decode("utf-8").split("\n")
-    else:
-        # at most two copies of the file alive at once, as when it was read as text
-        text, raw = raw.decode("utf-8"), None
-        lines, text = text.split("\n"), None
-        if len(lines) <= rows:
-            _fail(path, len(lines), f"expected {rows} data rows, file ends early")
-        table = _parse_lines(path, lines[1 : rows + 1], width, parse)
-        tail = lines[rows + 1 :]
-    for lineno, line in enumerate(tail, start=rows + 2):
-        if line.strip():
-            _fail(path, lineno, f"unexpected trailing content {line!r}")
+    if found is None and raw.count(b"\n") < rows:  # the header and rows - 1 data lines end in one
+        _fail(path, raw.count(b"\n") + 1, f"expected {rows} data rows, file ends early")
+    table, stop = found or _parse_lines(path, raw, start, rows, width, parse)
+    if raw[stop:].strip():  # ASCII whitespace is str whitespace; a tail of only that is blank
+        for lineno, line in enumerate(raw[stop:].decode("utf-8").split("\n"), start=rows + 2):
+            if line.strip():
+                _fail(path, lineno, f"unexpected trailing content {line!r}")
     return a, b, table
 
 

@@ -63,6 +63,8 @@ def test_subset_deviation_identity_and_repeats():
         subset_deviation(phi, (2, 0))  # must be strictly increasing
     with pytest.raises(ValueError):
         subset_deviation(phi, (0, 9))
+    with pytest.raises(ValueError, match="index subset must be nonempty"):
+        subset_deviation(phi, [])
 
 
 def test_subset_deviation_is_max_rayleigh_deviation():

@@ -181,6 +181,33 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
     assert rc == 2 and "expected header" in err
 
 
+def test_unexpected_exception_exits_one_with_a_traceback(tmp_path, capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(importlib.import_module("riplab.cli"), "_run", boom)
+    rc, out, err = run_cli(["coherence", "--matrix", str(tmp_path / "m.txt")], capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: boom\n")
+
+
+@pytest.mark.parametrize("where", ["header", "data line", "tail"])
+def test_non_utf8_input_exits_two_and_writes_nothing(where, tmp_path, capsys):
+    """A 0xFF byte, which no UTF-8 text holds, in a matrix or graph file's
+    header, a data line or the blank tail: one error line, exit 2, no report."""
+    m, g, rep = tmp_path / "m.txt", tmp_path / "g.txt", tmp_path / "r.json"
+    for path, lines in ((m, [b"2 2", b"0.5 -0.5", b"-0.5 0.5", b""]), (g, [b"4 2", b"0 1", b"2 3", b""])):
+        lines[{"header": 0, "data line": 2, "tail": 3}[where]] += b"\xff"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+    for argv in (["exact", "--matrix", str(m), "--order", "2", "--out", str(rep)],
+                 ["refute", "--graph", str(g), "--k", "3", "--report", str(rep)]):
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not rep.exists()
+
+
 def test_oversized_headers_exit_two(tmp_path, capsys):
     # a graph header alone would ask for a 100000 x 100000 adjacency
     g = tmp_path / "g.txt"
@@ -192,8 +219,8 @@ def test_oversized_headers_exit_two(tmp_path, capsys):
         assert f"{g}:1: n=100000 exceeds the cap of 16384 vertices" in err
     assert not (tmp_path / "f.txt").exists()
     # an edge count of 10^9 over two edge lines: the size guard comes before
-    # anything is allocated from the header, and the line loop, which checks
-    # the lines it reads, names the file's end
+    # anything is allocated from the header, and the file's newline count,
+    # taken before the line loop decodes a line, names the file's end
     g.write_text("16 1000000000\n0 1\n0 2\n")
     rc, out, err = run_cli(["refute", "--graph", str(g), "--k", "3"], capsys)
     assert (rc, out) == (2, "")

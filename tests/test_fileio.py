@@ -647,9 +647,9 @@ def _traced_peak(fn):
 
 
 def test_factor_read_holds_about_two_copies_of_its_text(tmp_path):
-    """Reading a reduction factor, a file of mostly distinct floats, peaks
-    below three times the file's size: the text once as bytes and once as
-    lines, and the array."""
+    """Reading a reduction factor, a file of mostly distinct floats, which
+    the line loop reads, peaks below three times the file's size: the bytes,
+    one decoded block as lines, and the array."""
     p = tmp_path / "c.txt"
     write_matrix_file(p, cholesky_reduce(gen_gnp_half(200, Seed(1))))
     peak = _traced_peak(lambda: read_matrix_file(p))
@@ -777,6 +777,76 @@ def test_short_files_end_where_the_line_loop_says(tmp_path, monkeypatch, block):
                 peaks.append(_traced_peak(lambda: _read_outcome(read, p)))
             assert took == [False, False], (tier, body)
             assert peaks[0] < peaks[1] + 4 * len(body), (tier, body, peaks)
+
+
+@pytest.mark.parametrize("block", [fileio._READ_BLOCK, 16])
+def test_line_loop_blocks_read_as_one_text(tmp_path, monkeypatch, block):
+    """The line loop decodes and splits a block of whole lines at a time and
+    reads as if it split the whole text: a row longer than a block, a last
+    data line with no newline and a blank tail give np.loadtxt's array (a
+    tail blank only to ``str.strip`` gives the array written), and
+    a bad data line or trailing content near the last data row, in its
+    block or the next, is named by its line."""
+    monkeypatch.setattr(fileio, "_READ_BLOCK", block)
+    parse_lines, calls = fileio._parse_lines, []
+    monkeypatch.setattr(fileio, "_parse_lines", lambda *args: calls.append(1) or parse_lines(*args))
+    p = tmp_path / "m.txt"
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((40, 4))
+    text = _reference_table(m.shape, m.tolist())
+    wide = rng.standard_normal((1, 20000))
+    for body in (_reference_table(wide.shape, wide.tolist()), text[:-1], text + "\n\t\n"):
+        p.write_text(body)
+        assert read_matrix_file(p).tobytes() == np.loadtxt(p, skiprows=1, ndmin=2).tobytes()
+    p.write_text(text + "\x1c \x0c\n\u3000\n", encoding="utf-8")  # whitespace to str.strip, not to bytes.strip
+    assert read_matrix_file(p).tobytes() == m.tobytes()
+    lines = text.splitlines()
+    lines[28] += " 1.0"
+    errors = [(text + "junk 1\n", "42: unexpected trailing content 'junk 1'"),
+              (text + "\n \n1.0\n", "44: unexpected trailing content '1.0'"),
+              (text + "x", "42: unexpected trailing content 'x'"),
+              ("\n".join(lines) + "\n", "29: expected 4 values, got 5")]
+    for body, msg in errors:
+        p.write_text(body)
+        assert _read_outcome(read_matrix_file, p) == f"{p}:{msg}"
+    g = tmp_path / "g.txt"
+    g.write_text("4 3\n0\t1\n0\t2\n1\t3")
+    assert read_graph_file(g).edges().tolist() == [[0, 1], [0, 2], [1, 3]]
+    g.write_text("4 3\n0\t1\n0\t2\n1\t3\n\n0 1\n")
+    assert _read_outcome(read_graph_file, g) == f"{g}:6: unexpected trailing content '0 1'"
+    assert len(calls) == 10
+
+
+def test_line_loop_holds_the_bytes_and_one_block(tmp_path):
+    """A short file is refused by its newline count before the line loop
+    decodes a line, and the line loop holds the bytes, one decoded block and
+    the values: a ``1000 40000`` graph header over 20,000 lines peaks below
+    twice the file's size, and a tab-separated G(1000, 1/2) edge list below
+    six times.  A tail of 200,000 blank lines is not split: below three
+    times."""
+    p = tmp_path / "g.txt"
+    p.write_text("1000 40000\n" + "1 2\n" * 20000)
+    assert _read_outcome(read_graph_file, p) == f"{p}:20002: expected 40000 data rows, file ends early"
+    peak = _traced_peak(lambda: _read_outcome(read_graph_file, p))
+    assert peak < 2 * p.stat().st_size, (peak, p.stat().st_size)
+    g = gen_gnp_half(1000, Seed(1))
+    write_graph_file(p, g)
+    p.write_bytes(p.read_bytes().replace(b" ", b"\t"))
+    assert read_graph_file(p) == g
+    peak = _traced_peak(lambda: read_graph_file(p))
+    assert peak <= 6 * p.stat().st_size, (peak, p.stat().st_size)
+    p.write_text("2 2\n1.0 2.0\n3.0 4.0\n" + "\n \t\n" * 100_000)
+    assert read_matrix_file(p).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    peak = _traced_peak(lambda: read_matrix_file(p))
+    assert peak < 3 * p.stat().st_size, (peak, p.stat().st_size)
+
+
+def test_write_table_refuses_ints_outside_the_vertex_range(tmp_path):
+    p = tmp_path / "t.txt"
+    for bad in ([[0, MAX_GRAPH_VERTICES]], [[-1, 2]]):
+        with pytest.raises(ValueError, match=rf"int table values must lie in \[0, {MAX_GRAPH_VERTICES}\)"):
+            fileio._write_table(p, (1, 2), np.array(bad))
+    assert not p.exists()
 
 
 def test_graph_from_edge_array():

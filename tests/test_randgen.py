@@ -287,6 +287,15 @@ def test_graph_validation_and_helpers():
         Graph(3, bad)
 
 
+def test_graph_refuses_a_misshapen_adjacency_and_self_loops():
+    with pytest.raises(ValueError, match=r"adjacency shape \(3, 4\) does not match n=3"):
+        Graph(3, np.zeros((3, 4), dtype=bool))
+    with pytest.raises(ValueError, match=r"adjacency shape \(4, 4\) does not match n=3"):
+        Graph(3, np.zeros((4, 4), dtype=bool))
+    with pytest.raises(ValueError, match="self-loops are not allowed"):
+        Graph(3, np.eye(3, dtype=bool))
+
+
 def test_edges_are_a_contiguous_int64_argwhere_of_the_upper_triangle(tmp_path):
     graphs = [Graph(1), Graph(7), Graph(7, ~np.eye(7, dtype=bool)), gen_gnp_half(50, Seed(4)),
               plant_clique(gen_gnp_half(50, Seed(4)), 9, Seed(5)).graph]

@@ -600,6 +600,17 @@ def test_experiment_validation_and_warning():
         run_distinguishing_experiment(100, 5, 5, 0.5, trials=1, base_seed=Seed(0))
 
 
+def test_experiment_refuses_bad_order_rect_cols_and_statistic():
+    for k in (1, 21):
+        with pytest.raises(ValueError, match=f"order must be in \\[2, 20\\], got {k}"):
+            run_distinguishing_experiment(20, 8, k, 0.2, base_seed=Seed(0))
+    for cols in (0, -3):
+        with pytest.raises(ValueError, match=f"rect_cols must be positive, got {cols}"):
+            run_distinguishing_experiment(20, 8, 8, 0.2, base_seed=Seed(0), rect_cols=cols)
+    with pytest.raises(ValueError, match="unknown null statistic 'lambda2'"):
+        run_distinguishing_experiment(20, 8, 8, 0.2, base_seed=Seed(0), null_statistic="lambda2")
+
+
 def test_presets():
     assert set(PRESETS) == {"desk-200", "desk-200-k35", "desk-400"}
     assert PRESETS["desk-200"] == dict(n=200, clique_size=14, k=14, delta=0.2, trials=20)
