@@ -15,16 +15,19 @@ subsets are solved; the prune level is the larger of their best deviation
 and the running best, capped at the threshold of a threshold scan.  A prefix
 whose bound on every completion's Gershgorin bound (max_i sum_j
 |(G_S - I)_ij|, which caps a subset's deviation) lies below the level is
-skipped with all its completions.  Every order k >= 2 ends in one pass over
-the prefixes of length k-2 (at k = 2, the empty prefix): each of their
-children is bounded from its parent's row sums, at O(k) cost, and skipped
-before its own row sums are built; the completions of the others are
-bounded one by one, and only subsets whose bound reaches the level go to a
-batched eigensolve.  At k = 1 each column is bounded by its |G_ii - 1|.
-Nothing skipped could be the maximum or the first subset over a threshold,
-so the reported value, the witness (always the lexicographically smallest
-argmax subset) and the rank-defined examined-subset count are those of a
-scan that solves every subset.
+skipped with all its completions.  An order-3 threshold scan whose seed
+beats its threshold stops by the seed's rank, too soon to repay tables of
+the q largest |G_ij| beyond each prefix: it bounds them by q times row i's
+largest, which rounding keeps an upper bound.  Every order k >= 2 ends in
+one pass over the prefixes of length k-2 (at k = 2, the empty prefix): each
+of their children is bounded from its parent's row sums, at O(k) cost, and
+skipped before its own row sums are built; the completions of the others
+are bounded one by one, and only subsets whose bound reaches the level go
+to a batched eigensolve.  At k = 1 each column is bounded by its
+|G_ii - 1|.  Nothing skipped could be the maximum or the first subset over
+a threshold, so the reported value, the witness (always the
+lexicographically smallest argmax subset) and the rank-defined
+examined-subset count are those of a scan that solves every subset.
 `lazy_certify` probes a small order m exhaustively, then lifts the measured
 parameter to larger orders via the bound delta_k <= eps*(k-1)/(m-1).
 """
@@ -162,7 +165,8 @@ _SEEDS = 8
 # `_Walk.completions` or a bound on all completions of a prefix of S, is a
 # computed sum b' of at most 2k nonnegative pieces: |M_ij| values, D_i =
 # |fl(G_ii - 1)|, prefix row sums s_i and c_i, and top-r table entries,
-# each at least a computed sum of the r values it stands for.
+# each at least a computed sum of the r values it stands for (so is the
+# row-maximum cell's r-fold sum of a row's largest: rounding is monotone).
 # (`_Walk.gate` sums k pieces: a parent's row sum s_i, or the largest
 # s_i + D_i over i >= q, then |G_iq| or nothing, then a top-1 entry or a
 # row's largest off-diagonal |G_ij|; the max over them is exact.)
@@ -292,15 +296,18 @@ class _Walk:
       max( max_{i in P} s_i + top_r(i, p),  max_{i > p} D_i + s_i + top_{r-1}(i, p) ),
     top_q(i, p) being the sum of the q largest |G_ij| over j > p.  The walk
     bounds prefixes of lengths 1 to k-2 when `_top_tables` gives the tables
-    and skips each prefix whose bound lies below the cutoff.  Every k >= 2
-    ends in one pass over the prefixes of length k-2 (at k = 2 the empty
-    root; see `completions`): each child P + {q} is bounded from its
-    parent's row sums, with top-1 values from the tables or else from each
-    row's largest off-diagonal |G_ij|; the completions of the children that
-    pass are bounded one by one.  At k = 1 the subsets are the columns whose
-    D_i reaches the cutoff.  ``pruned`` and ``screened`` add up the subsets
-    skipped each way, ``prefixes[m]`` the prefixes of length m pruned, and
-    ``solved`` the subsets the caller solves.
+    (an order-3 threshold scan whose seed beats its threshold stops by the
+    seed's rank and reads top_q(i, p) as q times row i's maximum instead, a
+    bound rounding keeps) and skips each prefix whose bound lies below the
+    cutoff.  Every k >= 2 ends in one pass over the prefixes of length k-2
+    (at k = 2 the empty root; see `completions`): each child P + {q} is
+    bounded from its parent's row sums, with top-1 values from the tables
+    or else from each row's largest off-diagonal |G_ij|; the completions of
+    the children that pass are bounded one by one.  At k = 1 the subsets
+    are the columns whose D_i reaches the cutoff.  ``pruned`` and
+    ``screened`` add up the subsets skipped each way, ``prefixes[m]`` the
+    prefixes of length m pruned, and ``solved`` the subsets the caller
+    solves.
 
     The walk's generators reach it through ``self``, which holds no
     reference back to them, so an abandoned walk frees G and its tables at
@@ -316,7 +323,12 @@ class _Walk:
         self.prefixes = [0] * k
         self.full = threshold is None
         self.cols = np.arange(self.n)
-        self.tables = _top_tables(g, k)
+        if k == 3 and not self.full and self.seed > threshold:
+            tops = np.zeros((k, 2, self.n))  # the row-maximum cell, then zeros
+            tops[1:, 0] = row_max, row_max + row_max
+            self.tables = tops, self.n
+        else:
+            self.tables = _top_tables(g, k)
         # top-1 values for `gate`, read at cell (q + 1) // step: the row
         # maxima as one cell that every q reads, or the tables'
         self.top1 = row_max[None], self.n

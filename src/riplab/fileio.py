@@ -99,7 +99,8 @@ _LOW54, _HALF, _U4 = _U(2**54 - 1), _U(2**53), np.uint32(10**4)
 # _LEFT[k][s] masks the bytes of word k at columns <= 23 - s, where the
 # integer part of W / 10**s ends.
 _HEAD = np.array([int.from_bytes(b"000000%02d" % i, "little") for i in range(100)], np.uint64)
-_QUADS = np.array([int.from_bytes(b"%04d" % i, "little") for i in range(10000)], np.uint32)
+_i = np.arange(10000, dtype=np.uint32)  # byte k of "dddd" is "0" plus the digit of 10**(3 - k)
+_QUADS = _i // 1000 + (_i // 100 % 10 << 8) + (_i // 10 % 10 << 16) + (_i % 10 << 24) + np.uint32(0x30303030)
 _LEFT = np.array([[sum(255 << 8 * b for b in range(8) if 8 * k + b <= 23 - s) for s in range(21)]
                   for k in range(3)], np.uint64)
 
@@ -451,12 +452,19 @@ def _read_table(path, header, shape, parse):
     Gaussian matrix or a reduction factor, takes :func:`_parse_lines`, which
     holds one decoded block at a time and names the first bad line or
     accepts what Python's ``int``/``float`` accept (``1_000``, tabs).  A
-    file with a non-ASCII byte or a carriage return is first decoded as
-    text mode reads it, as UTF-8 with universal newlines."""
+    file with a non-ASCII byte or a carriage return is first read as text
+    mode reads it, as UTF-8 with universal newlines; a byte that is not
+    UTF-8 fails with its line."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.isascii() or b"\r" in raw:
-        raw = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").encode("utf-8")
+        # no UTF-8 sequence holds a CR or LF byte, so newlines are the same in bytes
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            _fail(path, raw.count(b"\n", 0, exc.start) + 1,
+                  f"not valid UTF-8, byte 0x{raw[exc.start]:02x}: {exc.reason}")
     end = raw.find(b"\n")
     first = (raw if end < 0 else raw[:end]).decode("utf-8")
     try:

@@ -233,10 +233,12 @@ def _sweep_matrices():
         yield block_compose(reduced, gen_bernoulli_sensing(12, 5, Seed(50 + s)))
 
 
-def _walk(g, k, cutoff):
+def _walk(g, k, cutoff, threshold=math.inf):
     """The subsets of a threshold scan's walk held at a fixed cutoff, and
-    the walk, which holds its counts."""
-    walk = certify._Walk(g, k, threshold=cutoff)
+    the walk, which holds its counts.  The default threshold lies above
+    every seed, so the walk builds its top-q tables; at order 3 a threshold
+    the seed beats makes it read q times each row's maximum instead."""
+    walk = certify._Walk(g, k, threshold=threshold)
     walk.cutoff = lambda: cutoff
     blocks = list(walk.blocks())
     for block in blocks:
@@ -265,7 +267,7 @@ def _gershgorin_bounds(g, subsets):
     return m[subsets[:, :, None], subsets[:, None, :]].sum(axis=2).max(axis=1)
 
 
-@pytest.mark.parametrize("tables", ["exact", "grid", "none"])
+@pytest.mark.parametrize("tables", ["exact", "grid", "none", "row-max"])
 @pytest.mark.parametrize("n, k", [(9, 1), (30, 2), (200, 2), (24, 3), (110, 3), (20, 4),
                                   (14, 6), (11, 9)])
 def test_subset_blocks_keep_exactly_the_subsets_over_the_cutoff(n, k, tables, monkeypatch):
@@ -273,7 +275,9 @@ def test_subset_blocks_keep_exactly_the_subsets_over_the_cutoff(n, k, tables, mo
     subsets whose Gershgorin bound reaches it and counts every other subset
     once, pruned with a prefix or screened on its own, whether the top-q
     tables bound the prefixes at every prefix end, on a coarser grid of them
-    or not at all; its first batches hold one prefix's completions (n = 200)."""
+    or not at all, or, at order 3 under a threshold the seed beats, q times
+    each row's maximum does; its first batches hold one prefix's
+    completions (n = 200)."""
     if tables == "grid":
         monkeypatch.setattr(certify, "_TABLE_DOUBLES", 512)
     elif tables == "none":
@@ -286,7 +290,9 @@ def test_subset_blocks_keep_exactly_the_subsets_over_the_cutoff(n, k, tables, mo
     values = np.unique(bounds)
     i = int(0.9 * (len(values) - 1))
     cutoff = (values[i] + values[i + 1]) / 2  # far from every bound, in ulps
-    walked, walk = _walk(g, k, cutoff)
+    walked, walk = _walk(g, k, cutoff, -math.inf if tables == "row-max" else math.inf)
+    # the row-maximum cell is the one table of step n
+    assert (walk.tables is not None and walk.tables[1] == n) == (tables == "row-max" and k == 3)
     assert np.array_equal(walked, combos[bounds >= cutoff])
     assert walk.pruned + walk.screened + len(walked) == len(combos)
     assert (walk.pruned > 0) == (k >= 2)
@@ -361,17 +367,19 @@ def test_gate_skips_most_prefixes_that_reach_it(monkeypatch):
 def test_screened_scan_matches_unscreened_reference(monkeypatch):
     """Pruning and screening change no value, witness, direction or count
     for any threshold, and do skip eigensolves: also on C(G) knife edges,
-    with the seed above a threshold that an earlier subset crosses, and with
-    prefixes pruned at two or more lengths."""
-    solved = []
-    solve = certify._block_deviations
+    with the seed above a threshold that an earlier subset crosses, with
+    prefixes pruned at two or more lengths, and with order-3 prefixes
+    bounded by the row maxima, not by top-q tables."""
+    solved, tabled = [], []
+    solve, top_tables = certify._block_deviations, certify._top_tables
     monkeypatch.setattr(certify, "_block_deviations",
                         lambda g, block: solved.append(len(block)) or solve(g, block))
-    full_examined = full_solved = seed_above = multi_level = 0
+    monkeypatch.setattr(certify, "_top_tables", lambda g, k: tabled.append(k) or top_tables(g, k))
+    full_examined = full_solved = seed_above = multi_level = row_max_cells = 0
     for phi in _sweep_matrices():
         for k in range(1, 6):
             for threshold, value, subset, vector, direction, examined in _reference_scans(phi, k):
-                del solved[:]
+                del solved[:], tabled[:]
                 diagnostics = {}
                 rep, wit = exact_rip(phi, k, threshold=threshold, diagnostics=diagnostics)
                 assert rep.value == value
@@ -385,8 +393,54 @@ def test_screened_scan_matches_unscreened_reference(monkeypatch):
                     multi_level += sum(c > 0 for c in diagnostics["prefixes_pruned"]) >= 2
                 elif direction == LOWER_BOUND and value < diagnostics["seed_level"]:
                     seed_above += 1  # the first hit lies between threshold and seed
+                row_max_cells += k == 3 and not tabled
     assert full_solved < full_examined / 2  # unscreened, every examined subset is solved
-    assert seed_above and multi_level
+    assert seed_above and multi_level and row_max_cells
+
+
+def test_order_3_scans_that_must_stop_build_no_tables(monkeypatch):
+    """An order-3 threshold scan whose seed beats its threshold stops by the
+    seed's rank and bounds its prefixes by q times each row's maximum: it
+    builds no top-q tables and matches the unscreened reference, also where
+    a prefix member's own row, not a later one, decides the bound.  A
+    threshold above the maximum, a full scan and an order-4 scan build them."""
+    class Built(Exception):
+        pass
+
+    def refuse(g, k):
+        raise Built
+
+    phi = gen_bernoulli_sensing(12, 40, Seed(5))
+    diagnostics = {}
+    exact_rip(phi, 3, diagnostics=diagnostics)
+    seed = diagnostics["seed_level"]
+    monkeypatch.setattr(certify, "_top_tables", refuse)
+    stopped = built = 0
+    for threshold, value, subset, vector, direction, examined in _reference_scans(phi, 3):
+        if threshold is None or threshold >= seed:  # the seed does not beat it
+            with pytest.raises(Built):
+                exact_rip(phi, 3, threshold=threshold)
+            built += 1
+            continue
+        rep, wit = exact_rip(phi, 3, threshold=threshold)
+        assert (rep.value, wit.subset, rep.direction, rep.subsets_examined) == (
+            value, subset, direction, examined)
+        assert np.array_equal(wit.vector, vector)
+        stopped += 1
+    assert stopped >= 2 and built >= 2
+    with pytest.raises(Built):
+        exact_rip(phi, 4, threshold=-0.5)  # a threshold every seed beats
+    # where a prefix member's own row decides the bound: columns 2, 5 and 7
+    # have Gram [[1.25, .25, .25], [.25, 1, .25], [.25, .25, 1]], the others
+    # are orthogonal to everything, and only {2, 5, 7} deviates by more than
+    # 0.55 (by 0.60).  Prefix {2} bounds it only through |G_22 - 1| plus twice
+    # row 2's maximum (0.75): one maximum, or any row i > 2 (0.5), prunes it
+    phi = np.zeros((8, 8))
+    phi[:3, [2, 5, 7]] = np.linalg.cholesky(0.25 + np.diag([1.0, 0.75, 0.75])).T
+    phi[3:, [0, 1, 3, 4, 6]] = np.eye(5)
+    rep, wit = exact_rip(phi, 3, threshold=0.55)
+    assert (wit.subset, rep.direction) == ((2, 5, 7), LOWER_BOUND)
+    assert rep.subsets_examined == list(itertools.combinations(range(8), 3)).index((2, 5, 7)) + 1
 
 
 def _schedule_matrices():

@@ -195,16 +195,21 @@ def test_unexpected_exception_exits_one_with_a_traceback(tmp_path, capsys, monke
 @pytest.mark.parametrize("where", ["header", "data line", "tail"])
 def test_non_utf8_input_exits_two_and_writes_nothing(where, tmp_path, capsys):
     """A 0xFF byte, which no UTF-8 text holds, in a matrix or graph file's
-    header, a data line or the blank tail: one error line, exit 2, no report."""
+    header, a data line or the blank tail: one error line naming the file,
+    the line (newlines counted as text mode counts them) and the byte, exit
+    2, no report."""
     m, g, rep = tmp_path / "m.txt", tmp_path / "g.txt", tmp_path / "r.json"
-    for path, lines in ((m, [b"2 2", b"0.5 -0.5", b"-0.5 0.5", b""]), (g, [b"4 2", b"0 1", b"2 3", b""])):
-        lines[{"header": 0, "data line": 2, "tail": 3}[where]] += b"\xff"
-        path.write_bytes(b"\n".join(lines) + b"\n")
-    for argv in (["exact", "--matrix", str(m), "--order", "2", "--out", str(rep)],
-                 ["refute", "--graph", str(g), "--k", "3", "--report", str(rep)]):
-        rc, out, err = run_cli(argv, capsys)
-        assert (rc, out) == (2, ""), argv
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+    line = {"header": 1, "data line": 3, "tail": 4}[where]
+    for newline in (b"\n", b"\r\n", b"\r"):
+        for path, lines in ((m, [b"2 2", b"0.5 -0.5", b"-0.5 0.5", b""]), (g, [b"4 2", b"0 1", b"2 3", b""])):
+            lines[line - 1] += b"\xff"
+            path.write_bytes(newline.join(lines) + newline)
+        for path, argv in ((m, ["exact", "--matrix", str(m), "--order", "2", "--out", str(rep)]),
+                           (g, ["refute", "--graph", str(g), "--k", "3", "--report", str(rep)])):
+            rc, out, err = run_cli(argv, capsys)
+            assert (rc, out) == (2, ""), argv
+            assert err.startswith(f"error: {path}:{line}: ") and err.count("\n") == 1, err
+            assert "0xff" in err, err
     assert not rep.exists()
 
 

@@ -216,6 +216,14 @@ def _first_difference(got, want):
     return "lengths differ", len(got), len(want)
 
 
+def test_digit_tables_hold_their_ascii_digits():
+    """The writer's digit words, built by integer arithmetic, hold the bytes
+    of "000000dd" and "dddd", little-endian, for every index."""
+    assert fileio._HEAD.dtype == np.uint64 and fileio._QUADS.dtype == np.uint32
+    assert fileio._HEAD.tolist() == [int.from_bytes(b"000000%02d" % i, "little") for i in range(100)]
+    assert fileio._QUADS.tolist() == [int.from_bytes(b"%04d" % i, "little") for i in range(10000)]
+
+
 def test_float_writer_matches_repr(tmp_path):
     """Every token equals ``repr``: 10**6 random finite bit patterns, both
     signs and every exponent, and families at the format edges."""
