@@ -15,12 +15,13 @@ subsets are solved; the prune level is the larger of their best deviation
 and the running best, capped at the threshold of a threshold scan.  A prefix
 whose bound on every completion's Gershgorin bound (max_i sum_j
 |(G_S - I)_ij|, which caps a subset's deviation) lies below the level is
-skipped with all its completions.  An order-3 threshold scan whose seed
-beats its threshold stops by the seed's rank, too soon to repay tables of
-the q largest |G_ij| beyond each prefix: it bounds them by q times row i's
-largest, which rounding keeps an upper bound.  Every order k >= 2 ends in
-one pass over the prefixes of length k-2 (at k = 2, the empty prefix): each
-of their children is bounded from its parent's row sums, at O(k) cost, and
+skipped with all its completions.  The sums of the q largest |G_ij| beyond
+a prefix come from exact tables within 2^21 doubles; beyond, and in an
+order-3 threshold scan whose seed beats its threshold (it stops by the
+seed's rank, too soon to repay tables), from q times row i's largest, which
+rounding keeps an upper bound.  Every order k >= 2 ends in one pass over
+the prefixes of length k-2 (at k = 2, the empty prefix): each of their
+children is bounded from its parent's row sums, at O(k) cost, and
 skipped before its own row sums are built; the completions of the others
 are bounded one by one, and only subsets whose bound reaches the level go
 to a batched eigensolve.  At k = 1 each column is bounded by its
@@ -145,15 +146,15 @@ def subset_deviation(phi, subset):
 # (256 kB, cache-sized: larger slices measured slower).  A threshold scan's
 # batches of completions start at _FIRST_ROWS subsets, so a hit near the start
 # materialises little, and double up to _SLICE_DOUBLES; a full scan's start there.
-# The top-q tables hold at most about _TABLE_DOUBLES values (1 MB): exact for
-# n <= 209 at k = 3, on a coarser grid of prefix ends beyond.
+# The top-q tables hold at most about _TABLE_DOUBLES values (16 MiB), so
+# order 3 builds them for n <= 836; beyond, the walk reads the row-maximum cell.
 # A batch whose every subset passes the screen stacks its k x k Gram
 # submatrices for the eigensolve, and that stack stays within _CHUNK_DOUBLES
 # doubles (4 MB).
 _FIRST_ROWS = 256
 _SLICE_DOUBLES = 1 << 15
 _CHUNK_DOUBLES = 1 << 19
-_TABLE_DOUBLES = 1 << 17
+_TABLE_DOUBLES = 1 << 21
 
 # Subsets solved by the greedy seed before the walk.
 _SEEDS = 8
@@ -164,9 +165,9 @@ _SEEDS = 8
 # S, whether S's own Gershgorin bound, the cheaper c_j + max(D, c_i) of
 # `_Walk.completions` or a bound on all completions of a prefix of S, is a
 # computed sum b' of at most 2k nonnegative pieces: |M_ij| values, D_i =
-# |fl(G_ii - 1)|, prefix row sums s_i and c_i, and top-r table entries,
-# each at least a computed sum of the r values it stands for (so is the
-# row-maximum cell's r-fold sum of a row's largest: rounding is monotone).
+# |fl(G_ii - 1)|, prefix row sums s_i and c_i, and top-r table entries, each
+# at least a computed sum of the r values it stands for (so is the row-maximum
+# cell's sequential r-fold sum of a row's largest, at any k: rounding is monotone).
 # (`_Walk.gate` sums k pieces: a parent's row sum s_i, or the largest
 # s_i + D_i over i >= q, then |G_iq| or nothing, then a top-1 entry or a
 # row's largest off-diagonal |G_ij|; the max over them is exact.)
@@ -195,11 +196,11 @@ def _row_maxima(g):
     a padded G (`gram`), by copying them into the buffer, at twice the time."""
     n = len(g)
     top_j = np.empty(n, dtype=np.intp)
-    step = max(1, _SLICE_DOUBLES // n)
-    for lo in range(0, n, step):
-        blk = g[lo:lo + step].copy()
+    rows = max(1, _SLICE_DOUBLES // n)
+    for lo in range(0, n, rows):
+        blk = g[lo:lo + rows].copy()
         np.abs(blk, out=blk).reshape(-1)[lo::n + 1] = -1.0  # the diagonal
-        blk.argmax(axis=1, out=top_j[lo:lo + step])
+        blk.argmax(axis=1, out=top_j[lo:lo + rows])
     return np.abs(g[np.arange(n), top_j]), top_j
 
 
@@ -233,40 +234,28 @@ def _seed_level(g, k, diag):
 
 
 def _top_tables(g, k):
-    """(t, step): t[q, b, i] is at least the sum of the q largest |G_ij| over
-    j >= b * step, j != i (0 where there are fewer), for q < k; the tables
-    hold about _TABLE_DOUBLES values, so step is 1 for small n and the grid
-    coarser beyond.  A prefix ending at p reads cell (p + 1) // step, whose
-    columns include all j > p.  None when prefixes of length 1 to k - 2 do
-    not exist (k < 3) or a prefix's completion count C(n-1-p, q) may
-    overflow an int64.
+    """t[q, b, i], the largest sum of q values |G_ij| over j >= b, j != i (0
+    where there are fewer), for q < k and b <= n: a prefix ending at p reads
+    cell p + 1, whose columns are the j > p.
 
     The best q-sum whose smallest index is j is |G_ij| plus the best
-    (q-1)-sum beyond j, which is at most the previous table at cell
-    (j + 1) // step; so each table is a suffix maximum over j of the
-    previous one shifted by |G_ij|, formed in row blocks of G (which is
-    exactly symmetric) from the last block to the first.
+    (q-1)-sum beyond j, the previous table at cell j + 1; so each table is a
+    suffix maximum over j of the previous one shifted by |G_ij|, formed in
+    row blocks of G (which is exactly symmetric) from the last block to the
+    first.
     """
     n = len(g)
-    if k < 3 or math.comb(n - 1, min(k - 1, (n - 1) // 2)) >= 2**63:
-        return None
-    step = -(-k * n * n // _TABLE_DOUBLES)
-    cells = -(-n // step)
-    t = np.zeros((k, cells + 1, n))  # the last cell, beyond every j, stays 0
-    rows = max(1, _SLICE_DOUBLES // (n * step)) * step  # whole cells per block
-    for lo in reversed(range(0, n, rows)):  # later cells first: X reads beyond j
-        j = np.arange(lo, min(lo + rows, n))
-        a = np.abs(g[j])
-        a[np.arange(len(j)), j] = 0.0
-        nxt = (j + 1) // step
-        c0, c1 = lo // step, lo // step + -(-len(j) // step)
+    t = np.zeros((k, n + 1, n))  # the last cell, beyond every j, stays 0
+    rows = max(1, _SLICE_DOUBLES // n)
+    for lo in reversed(range(0, n, rows)):  # later cells first: a row reads beyond j
+        hi = min(lo + rows, n)
+        a = np.abs(g[lo:hi])
+        a[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
         for q in range(1, k):
-            cell = a + t[q - 1][nxt]
-            if step > 1:
-                cell = np.maximum.reduceat(cell, np.arange(0, len(j), step))
+            cell = a + t[q - 1, lo + 1:hi + 1]
             np.maximum.accumulate(cell[::-1], axis=0, out=cell[::-1])
-            np.maximum(cell, t[q, c1], out=t[q, c0:c1])
-    return t, step
+            np.maximum(cell, t[q, hi], out=t[q, lo:hi])
+    return t
 
 
 def _lex_rank(subset, n):
@@ -294,20 +283,21 @@ class _Walk:
     |(G - I)_ij| over all n columns; with D_i = |G_ii - 1|, every
     completion's Gershgorin bound is at most
       max( max_{i in P} s_i + top_r(i, p),  max_{i > p} D_i + s_i + top_{r-1}(i, p) ),
-    top_q(i, p) being the sum of the q largest |G_ij| over j > p.  The walk
-    bounds prefixes of lengths 1 to k-2 when `_top_tables` gives the tables
-    (an order-3 threshold scan whose seed beats its threshold stops by the
-    seed's rank and reads top_q(i, p) as q times row i's maximum instead, a
-    bound rounding keeps) and skips each prefix whose bound lies below the
-    cutoff.  Every k >= 2 ends in one pass over the prefixes of length k-2
-    (at k = 2 the empty root; see `completions`): each child P + {q} is
-    bounded from its parent's row sums, with top-1 values from the tables
-    or else from each row's largest off-diagonal |G_ij|; the completions of
-    the children that pass are bounded one by one.  At k = 1 the subsets
-    are the columns whose D_i reaches the cutoff.  ``pruned`` and
-    ``screened`` add up the subsets skipped each way, ``prefixes[m]`` the
-    prefixes of length m pruned, and ``solved`` the subsets the caller
-    solves.
+    top_q(i, p) being the sum of the q largest |G_ij| over j > p, read at
+    ``tables[q, p + 1, i]`` in the form ``bound_tables`` names: "exact"
+    `_top_tables` within _TABLE_DOUBLES, else (and in an order-3 threshold
+    scan whose seed beats its threshold, which stops by the seed's rank)
+    "row-max", q times row i's largest for every p.  At k >= 3 the walk
+    skips each prefix of length 1 to k-2 whose bound lies below the cutoff,
+    unless a completion count may overflow an int64, which leaves "none".
+    Every k >= 2 ends in one pass over the prefixes of length k-2 (at k = 2
+    the empty root; see `completions`): each child P + {q} is bounded from
+    its parent's row sums, with top-1 values from the tables or else from
+    each row's largest off-diagonal |G_ij|; the completions of the children
+    that pass are bounded one by one.  At k = 1 the subsets are the columns
+    whose D_i reaches the cutoff.  ``pruned`` and ``screened`` add up the
+    subsets skipped each way, ``prefixes[m]`` the prefixes of length m
+    pruned, and ``solved`` the subsets the caller solves.
 
     The walk's generators reach it through ``self``, which holds no
     reference back to them, so an abandoned walk frees G and its tables at
@@ -323,29 +313,40 @@ class _Walk:
         self.prefixes = [0] * k
         self.full = threshold is None
         self.cols = np.arange(self.n)
-        if k == 3 and not self.full and self.seed > threshold:
-            tops = np.zeros((k, 2, self.n))  # the row-maximum cell, then zeros
-            tops[1:, 0] = row_max, row_max + row_max
-            self.tables = tops, self.n
-        else:
-            self.tables = _top_tables(g, k)
-        # top-1 values for `gate`, read at cell (q + 1) // step: the row
-        # maxima as one cell that every q reads, or the tables'
-        self.top1 = row_max[None], self.n
-        if self.tables is not None:
-            self.top1 = self.tables[0][1], self.tables[1]
+        n = self.n
+        # prefixes of length 1 to k-2 exist at k >= 3, and `prune` counts
+        # their completions in an int64
+        self.tables = None
+        if k >= 3 and math.comb(n - 1, min(k - 1, (n - 1) // 2)) < 2**63:
+            # an order-3 threshold scan whose seed beats its threshold stops
+            # by the seed's rank, too soon to repay the tables
+            must_stop = k == 3 and not self.full and self.seed > threshold
+            if k * n * n <= _TABLE_DOUBLES and not must_stop:
+                self.tables = _top_tables(g, k)
+            else:  # the row-maximum cell: q times row i's largest, every b
+                cell = np.zeros((k, n))
+                np.cumsum(np.broadcast_to(row_max, (k - 1, n)), axis=0, out=cell[1:])
+                self.tables = np.broadcast_to(cell[:, None], (k, n + 1, n))
             # comb[r, m] = C(m, r), so a prefix ending at p with r indices to
             # go has comb[r, n-1-p] completions: C(m, r) = sum_{j < m} C(j, r-1)
-            self.comb = np.zeros((k, self.n), dtype=np.int64)
+            self.comb = np.zeros((k, n), dtype=np.int64)
             self.comb[0] = 1
             for r in range(1, k):
                 np.cumsum(self.comb[r - 1, :-1], out=self.comb[r, 1:])
+        # top-1 values for `gate`, read at cell q + 1
+        self.top1 = np.broadcast_to(row_max, (n + 1, n)) if self.tables is None else self.tables[1]
         # values in the next slice of prefixes and batch of completions: each
         # doubles up to _SLICE_DOUBLES, from _FIRST_ROWS subsets, or eight
         # times as many prefix row sums (cheap values: fewer, larger slices
         # measured faster on early threshold hits)
         first = _SLICE_DOUBLES if self.full else _FIRST_ROWS
         self.batch = {"prefixes": 8 * first, "subsets": first}
+
+    @property
+    def bound_tables(self):
+        """The form of `tables`: "exact", "row-max" (of stride 0) or "none"."""
+        t = self.tables
+        return "none" if t is None else "row-max" if t.strides[1] == 0 else "exact"
 
     def cutoff(self):
         """The level less the screening margin: a bound below it rules out
@@ -384,14 +385,13 @@ class _Walk:
 
     def prune(self, idx, s):
         """The prefixes, with their row sums, whose bound reaches the cutoff."""
-        n, k, (tops, step) = self.n, self.k, self.tables
+        n, k, tops = self.n, self.k, self.tables
         r = k - idx.shape[1]
         p = idx[:, -1]
         f = np.arange(len(p))
-        cell = (p + 1) // step
-        inner = (s[f[:, None], idx] + tops[r][cell[:, None], idx]).max(axis=1)
+        inner = (s[f[:, None], idx] + tops[r][p[:, None] + 1, idx]).max(axis=1)
         # terms are nonnegative and some i > p exists: zeros mask the others
-        outer = np.where(self.cols > p[:, None], s + self.diag + tops[r - 1][cell], 0.0)
+        outer = np.where(self.cols > p[:, None], s + self.diag + tops[r - 1][p + 1], 0.0)
         keep = np.maximum(inner, outer.max(axis=1)) >= self.cutoff()
         self.pruned += int(self.comb[r, n - 1 - p[~keep]].sum())
         self.prefixes[k - r] += len(p) - int(keep.sum())
@@ -407,12 +407,11 @@ class _Walk:
           max( max_{i in P} s_i + |G_iq| + top_1(i, q),  suffix[q] + top_1(q, q) ).
         Skipped children count their n-1-q completions as pruned.
         """
-        top, step = self.top1
-        cell = (q + 1) // step
+        top = self.top1
         par = idx[rep]
         inner = s[rep[:, None], par] + np.abs(self.g[par, q[:, None]])
-        inner += top[cell[:, None], par]
-        outer = suffix[rep, q] + top[cell, q]
+        inner += top[q[:, None] + 1, par]
+        outer = suffix[rep, q] + top[q + 1, q]
         # the terms are nonnegative, so 0 stands for the max over an empty P
         keep = np.maximum(inner.max(axis=1, initial=0.0), outer) >= self.cutoff()
         self.pruned += int((self.n - 1 - q[~keep]).sum())
@@ -568,9 +567,9 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, diagnostics=None):
             best_subset = block[top].tolist()
 
     if diagnostics is not None:
-        diagnostics.update(seed_level=walk.seed, prefixes_pruned=walk.prefixes[1:],
-                           subsets_pruned=walk.pruned, subsets_screened=walk.screened,
-                           subsets_solved=walk.solved)
+        diagnostics.update(seed_level=walk.seed, bound_tables=walk.bound_tables,
+                           prefixes_pruned=walk.prefixes[1:], subsets_pruned=walk.pruned,
+                           subsets_screened=walk.screened, subsets_solved=walk.solved)
     witness = _build_witness(g, best_subset)
     if stopped:
         direction, method = LOWER_BOUND, WITNESS_LB

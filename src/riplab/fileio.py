@@ -473,9 +473,10 @@ def _read_table(path, header, shape, parse):
         _fail(path, 1, f"expected header '{header}' of two integers, got {first!r}")
     rows, width = shape(path, a, b)
     start = len(raw) if end < 0 else end + 1
+    data = raw if raw.endswith(b"\n") else raw + b"\n"  # the byte parsers read whole lines
     found = None
-    if 2 * rows * width <= len(raw) - start:  # each value takes a byte and a separator
-        found = (_plus_minus if parse is float else _read_ints)(raw, start, rows, width)
+    if 2 * rows * width <= len(data) - start:  # each value takes a byte and a separator
+        found = (_plus_minus if parse is float else _read_ints)(data, start, rows, width)
     if found is None and raw.count(b"\n") < rows:  # the header and rows - 1 data lines end in one
         _fail(path, raw.count(b"\n") + 1, f"expected {rows} data rows, file ends early")
     table, stop = found or _parse_lines(path, raw, start, rows, width, parse)

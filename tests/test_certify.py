@@ -273,10 +273,10 @@ def _gershgorin_bounds(g, subsets):
 def test_subset_blocks_keep_exactly_the_subsets_over_the_cutoff(n, k, tables, monkeypatch):
     """At a fixed cutoff the walk yields, in lexicographic order, exactly the
     subsets whose Gershgorin bound reaches it and counts every other subset
-    once, pruned with a prefix or screened on its own, whether the top-q
-    tables bound the prefixes at every prefix end, on a coarser grid of them
-    or not at all, or, at order 3 under a threshold the seed beats, q times
-    each row's maximum does; its first batches hold one prefix's
+    once, pruned with a prefix or screened on its own, whether exact top-q
+    tables bound the prefixes, or q times each row's maximum does (tables
+    over the cap, here lowered to 512 doubles, or order 3 under a threshold
+    the seed beats), or nothing does; its first batches hold one prefix's
     completions (n = 200)."""
     if tables == "grid":
         monkeypatch.setattr(certify, "_TABLE_DOUBLES", 512)
@@ -291,11 +291,31 @@ def test_subset_blocks_keep_exactly_the_subsets_over_the_cutoff(n, k, tables, mo
     i = int(0.9 * (len(values) - 1))
     cutoff = (values[i] + values[i + 1]) / 2  # far from every bound, in ulps
     walked, walk = _walk(g, k, cutoff, -math.inf if tables == "row-max" else math.inf)
-    # the row-maximum cell is the one table of step n
-    assert (walk.tables is not None and walk.tables[1] == n) == (tables == "row-max" and k == 3)
+    if k < 3 or tables == "none":
+        form = "none"
+    elif tables == "grid" or (tables == "row-max" and k == 3):
+        form = "row-max"
+    else:
+        form = "exact"
+    assert walk.bound_tables == form
     assert np.array_equal(walked, combos[bounds >= cutoff])
     assert walk.pruned + walk.screened + len(walked) == len(combos)
     assert (walk.pruned > 0) == (k >= 2)
+
+
+def test_diagnostics_name_the_bound_tables():
+    """A scan records which bounds its prefixes read: exact top-q tables
+    within 2^21 doubles (order 3 up to N = 836), the row-maximum cell beyond
+    them and in an order-3 scan whose seed beats its threshold, and none at
+    order 2."""
+    phi = gen_bernoulli_sensing(40, 160, Seed(0))
+    for k, threshold, form in ((3, None, "exact"), (3, -0.5, "row-max"), (2, None, "none")):
+        diagnostics = {}
+        exact_rip(phi, k, threshold=threshold, diagnostics=diagnostics)
+        assert diagnostics["bound_tables"] == form
+    g = gram(gen_bernoulli_sensing(8, 837, Seed(0)))
+    assert certify._Walk(g[:836, :836], 3).bound_tables == "exact"
+    assert certify._Walk(g, 3).bound_tables == "row-max"
 
 
 def _record_gate(monkeypatch):
@@ -317,9 +337,9 @@ def _record_gate(monkeypatch):
 def test_gate_skips_no_prefix_with_a_completion_over_the_cutoff(tables, monkeypatch):
     """At fixed cutoffs, no prefix of length k-1 that the gate skips has a
     completion whose Gershgorin bound reaches the cutoff, at k = 2 to 6 on the
-    sweep (C(G) ties, near-duplicate columns), with top-1 values from tables
-    at every prefix end, on a coarse grid or, without tables (always at
-    k = 2), from the row maxima.  Each cutoff lies midway between two
+    sweep (C(G) ties, near-duplicate columns), with top-1 values from exact
+    tables or, with the table cap lowered to 512 doubles or without tables
+    (always at k = 2), from the row maxima.  Each cutoff lies midway between two
     bound values far apart in ulps: a bound within rounding of the cutoff
     may land on either side, which the scan's margin covers."""
     if tables == "grid":
@@ -480,12 +500,14 @@ SCAN_SWEEP = Path(__file__).parent / "golden" / "scan_sweep.json"
 
 
 def _scan_sweep():
-    """Full scans of Bernoulli matrices at the bench's exact-scan shapes, seeds
-    0 to 2, each followed by threshold scans at half its value and at its
-    value: per scan its report fields and witness (the vector's entries at
-    the subset), with the witness vector."""
+    """Full scans of Bernoulli matrices at the bench's exact-scan shapes and
+    at two shapes whose top-q tables exceed 2^17 doubles (96 x 300 at k = 3,
+    48 x 190 at k = 4), seeds 0 to 2, each followed by threshold scans at
+    half its value and at its value: per scan its report fields and witness
+    (the vector's entries at the subset), with the witness vector."""
     out = []
-    for rows, cols, k in ((24, 48, 4), (40, 160, 3), (20, 36, 5), (64, 1024, 2), (64, 128, 3)):
+    for rows, cols, k in ((24, 48, 4), (40, 160, 3), (20, 36, 5), (64, 1024, 2), (64, 128, 3),
+                          (96, 300, 3), (48, 190, 4)):
         for s in range(3):
             phi = gen_bernoulli_sensing(rows, cols, Seed(s))
             rep, wit = exact_rip(phi, k)
@@ -507,7 +529,7 @@ def test_scan_sweep_replays_its_golden():
     walk that keeps this golden changes none of these results."""
     want = json.loads(SCAN_SWEEP.read_text())
     got = _scan_sweep()
-    assert len(got) == len(want) == 45
+    assert len(got) == len(want) == 63
     for w, (record, vector) in zip(want, got):
         full = np.zeros(w["cols"])
         full[w["subset"]] = w["vector"]

@@ -494,7 +494,7 @@ _BYTE_PARSER_FAULTS = [
     (read_graph_file, "3 1\n0 1234567890123456789\n", True),
     (read_graph_file, "3 1\n0 \u0661\n", True),  # ARABIC-INDIC DIGIT ONE
     (read_graph_file, "3 3\n0 1\n\n0 2\n1 2\n", True),  # blank line inside the data
-    (read_graph_file, "3 3\n0 1\n0 2\n1 2", True),  # no final newline
+    (read_graph_file, "3 3\n0 1\n0 2\n1 2", False),  # no final newline
     (read_graph_file, "3 3\n0 1\n0 2\n1 2\ntrailing text\n", False),
     (read_graph_file, "3 1\n0 " + "0" * 4400 + "1\n", True),  # beyond Python's int digit limit
     (read_graph_file, "3 1\n0 " + "0" * (1 << 17) + "1\n", True),  # a line longer than a block
@@ -614,6 +614,8 @@ def test_float_files_parse_alike_by_either_tier(tmp_path, monkeypatch):
 
 
 def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):
+    """Graph and ±t files read by their byte parsers, also when their last
+    line ends the file without a newline."""
     monkeypatch.setattr(fileio, "_parse_lines", _no_line_loop)
     golden = Path(__file__).parent / "golden"
     assert read_graph_file(golden / "gnp_16_seed3.txt").n == 16
@@ -622,8 +624,12 @@ def test_well_formed_files_skip_the_line_loop(tmp_path, monkeypatch):
     g = gen_gnp_half(300, Seed(1))
     write_graph_file(p, g)
     assert read_graph_file(p) == g
+    p.write_bytes(p.read_bytes()[:-1])
+    assert read_graph_file(p) == g
     m = gen_bernoulli_sensing(128, 200, Seed(1))
     write_matrix_file(p, m)
+    assert read_matrix_file(p).tobytes() == m.tobytes()
+    p.write_bytes(p.read_bytes()[:-1])
     assert read_matrix_file(p).tobytes() == m.tobytes()
 
 
@@ -684,7 +690,7 @@ def _plus_minus_mutations(body):
     column = "".join(line.split()[0] + "\n" for line in body)
     cases += [
         ("width 1", f"{rows} 1\n" + column, True),
-        ("no final newline", text[:-1], False),
+        ("no final newline", text[:-1], True),
         ("trailing blank lines", text + "\n \n\n", True),
         ("trailing junk with -", text + f"-{t} -{t}\n", True),
         ("CRLF", text.replace("\n", "\r\n"), True),
