@@ -24,8 +24,11 @@ the prefixes of length k-2 (at k = 2, the empty prefix): each of their
 children is bounded from its parent's row sums, at O(k) cost, and
 skipped before its own row sums are built; the completions of the others
 are bounded one by one, and only subsets whose bound reaches the level go
-to a batched eigensolve.  At k = 1 each column is bounded by its
-|G_ii - 1|.  Nothing skipped could be the maximum or the first subset over
+on.  At k = 1 each column is bounded by its |G_ii - 1|.  A block of at
+least 32 such subsets is first put to a batched shifted Cholesky proof
+(`linalg.proved_within`) that each deviation lies below the level less
+the margin; only the subsets it does not prove go to a batched eigensolve.
+Nothing skipped could be the maximum or the first subset over
 a threshold, so the reported value, the witness (always the
 lexicographically smallest argmax subset) and the rank-defined
 examined-subset count are those of a scan that solves every subset.
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, gram
+from .linalg import as_matrix, gram, proved_within
 
 DEFAULT_BUDGET = 10**8
 UNIT_COLUMN_TOL = 1e-9
@@ -156,6 +159,14 @@ _SLICE_DOUBLES = 1 << 15
 _CHUNK_DOUBLES = 1 << 19
 _TABLE_DOUBLES = 1 << 21
 
+# A block of at least _PROOF_ROWS subsets is first put to `proved_within`,
+# whose fixed cost of a few dozen whole-stack operations an eigensolve per
+# subset overtakes at about 16, 20, 30 and 50 subsets for k = 5, 4, 3 and 2
+# (one BLAS thread); bench-shaped scans time alike from 16 to 64.  The
+# proof holds the gathered stack, its two shifted copies side by side and a
+# trailing-update temporary, each at most twice the stack's doubles.
+_PROOF_ROWS = 32
+
 # Subsets solved by the greedy seed before the walk.
 _SEEDS = 8
 
@@ -182,7 +193,9 @@ _SEEDS = 8
 # b' lies below level - margin has no subset with d' >= level.  The level is
 # a computed deviation of some subset (the seed's or the running best),
 # capped at the threshold in a threshold scan, so nothing screened or pruned
-# can be the first argmax or the first subset over the threshold.
+# can be the first argmax or the first subset over the threshold.  A subset
+# that `proved_within` proves at the cutoff c = level - margin has d < c,
+# so d' <= d + (k^2 + 2) u (1 + d) lies below the level just the same.
 _SCREEN_MARGIN = 8 * np.finfo(np.float64).eps
 
 
@@ -297,7 +310,8 @@ class _Walk:
     that pass are bounded one by one.  At k = 1 the subsets are the columns
     whose D_i reaches the cutoff.  ``pruned`` and ``screened`` add up the
     subsets skipped each way, ``prefixes[m]`` the prefixes of length m
-    pruned, and ``solved`` the subsets the caller solves.
+    pruned, and ``proved`` and ``solved`` the subsets the caller proves
+    below the cutoff and solves.
 
     The walk's generators reach it through ``self``, which holds no
     reference back to them, so an abandoned walk frees G and its tables at
@@ -309,7 +323,7 @@ class _Walk:
         self.seed, row_max = _seed_level(g, k, self.diag)
         self.level = self.seed if threshold is None else min(self.seed, threshold)
         self.best = -1.0
-        self.pruned = self.screened = self.solved = 0
+        self.pruned = self.screened = self.proved = self.solved = 0
         self.prefixes = [0] * k
         self.full = threshold is None
         self.cols = np.arange(self.n)
@@ -512,10 +526,12 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, diagnostics=None):
     returns the report together with a witness for the worst subset (ties
     broken toward the lexicographically smallest subset).  Subsets whose
     Gershgorin bound, or whose prefix's bound, lies below the prune level by
-    more than the rounding of the bound and of the eigensolve are counted as
-    examined but not solved; they can change neither the value nor the
-    witness.  The level is the larger of the running best and the best of a
-    few greedy seed subsets solved first, capped at ``threshold``.
+    more than the rounding of the bound and of the eigensolve, or whose
+    deviation a shifted Cholesky factorisation proves to lie that far below
+    it, are counted as examined but not solved; they can change neither
+    the value nor the witness.  The level is the larger of the running best
+    and the best of a few greedy seed subsets solved first, capped at
+    ``threshold``.
 
     If ``threshold`` (finite) is given, the scan stops at the first subset
     whose deviation strictly exceeds it; the report then carries direction
@@ -527,7 +543,7 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, diagnostics=None):
     The report carries no timing; the CLI times whole commands.  When a
     ``diagnostics`` dict is given, the scan records in it the seed's level,
     the prefixes pruned by length (1 to k-1), and the subsets pruned with a
-    prefix, screened by their own Gershgorin bound and solved.
+    prefix, screened by their own Gershgorin bound, proved and solved.
     """
     a = as_matrix(phi, "phi")
     ncols = a.shape[1]
@@ -551,6 +567,13 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, diagnostics=None):
     examined = total
     stopped = False
     for block in walk.blocks():
+        if len(block) >= _PROOF_ROWS:
+            cols = block.T
+            proved = proved_within(g[cols[:, None], cols[None]], walk.cutoff())
+            walk.proved += int(np.count_nonzero(proved))
+            block = block[~proved]
+            if not len(block):
+                continue
         devs = _block_deviations(g, block)
         walk.solved += len(block)
         if threshold is not None:
@@ -569,7 +592,8 @@ def exact_rip(phi, k, threshold=None, budget=DEFAULT_BUDGET, diagnostics=None):
     if diagnostics is not None:
         diagnostics.update(seed_level=walk.seed, bound_tables=walk.bound_tables,
                            prefixes_pruned=walk.prefixes[1:], subsets_pruned=walk.pruned,
-                           subsets_screened=walk.screened, subsets_solved=walk.solved)
+                           subsets_screened=walk.screened, subsets_proved=walk.proved,
+                           subsets_solved=walk.solved)
     witness = _build_witness(g, best_subset)
     if stopped:
         direction, method = LOWER_BOUND, WITNESS_LB

@@ -545,6 +545,66 @@ def witness_dict(witness):
     }
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float(o):
+    """``o`` as `json` spells a float: its repr, or NaN and +-Infinity."""
+    if o - o == 0.0:  # finite
+        return float.__repr__(o)
+    return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+
+
+# json's spelling of each scalar type it writes, by exact type
+_SPELL = {str: _quote, int: int.__repr__, float: _float,
+          bool: lambda o: "true" if o else "false", type(None): lambda o: "null"}
+
+
+def _scalar(o):
+    """``o`` as `json` spells a string, null, bool, int or float, its types
+    tested in json's order: bool before int, and subclasses such as
+    np.float64 as their base types."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return _SPELL[type(o)](o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json(o, pad="\n"):
+    """The text ``json.dumps(o, indent=2, sort_keys=True)`` writes for ``o``
+    nested at ``pad`` (a newline and the indent of the enclosing line),
+    which json itself forms in pure Python, value by value.  A list of
+    plain floats is one join of their reprs (kept unless one is NaN or
+    infinite, whose reprs hold an "n"), a list of one other scalar type
+    one join of their spellings."""
+    spell = _SPELL.get(type(o))
+    if spell is not None:
+        return spell(o)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        body = sep.join(_quote(k if isinstance(k, str) else _scalar(k)) + ": " + _json(v, inner)
+                        for k, v in sorted(o.items()))
+        return "{" + inner + body + pad + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        kinds = set(map(type, o))
+        body = sep.join(map(float.__repr__, o)) if kinds == {float} else "n"
+        if "n" in body:
+            spell = _SPELL.get(kinds.pop()) if len(kinds) == 1 else None
+            body = sep.join(map(spell, o) if spell else [_json(v, inner) for v in o])
+        return "[" + inner + body + pad + "]"
+    return _scalar(o)
+
+
 def write_report(path, command, seed, params, results, wall_time_ns, diagnostics=None):
     """Write a JSON run report.  ``diagnostics``, when given, becomes a
     top-level key beside ``results``, whose bytes it never changes."""
@@ -559,7 +619,7 @@ def write_report(path, command, seed, params, results, wall_time_ns, diagnostics
     if diagnostics is not None:
         doc["diagnostics"] = diagnostics
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(_json(doc) + "\n")
 
 
 def read_report(path):

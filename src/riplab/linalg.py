@@ -5,6 +5,8 @@ transpose exactly, so the triangle a solver reads never changes a result;
 the input is passed on unchanged, never symmetrized.
 """
 
+import math
+
 import numpy as np
 
 # An eigenvalue above -PSD_TOL counts as nonnegative for factorization purposes.
@@ -88,6 +90,76 @@ def gram(phi):
         if not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise ValueError("Gram matrix Phi^T Phi overflows: the matrix entries are too large")
     return g
+
+
+def _factors(a):
+    """True for each matrix of the (k, k, B) stack ``a`` (overwritten; its
+    upper triangle is read) whose Cholesky factorisation runs to completion
+    with finite diagonal entries: every pivot positive, nothing overflowed.
+
+    Column j's steps are whole-stack operations, one sqrt, one division and
+    one rank-1 update of the trailing block.  The last pivot decides: a
+    pivot that is 0, negative or NaN at step j < k-1 turns every later
+    diagonal entry into -inf or NaN (its sqrt is 0 or NaN, and x/0 or
+    x/NaN squared is inf or NaN), and so does any intermediate overflow, as
+    long as no diagonal entry starts at +inf."""
+    k = len(a)
+    for j in range(k - 1):
+        row = a[j, j + 1:]
+        row /= np.sqrt(a[j, j])
+        a[j + 1:, j + 1:] -= row[:, None] * row[None, :]
+    return a[-1, -1] > 0.0
+
+
+def proved_within(stack, c):
+    """True for each symmetric matrix G of the (k, k, B) stack ``stack``
+    (not modified; its upper triangle is read) proved to have every
+    eigenvalue strictly within c of 1, by shifted Cholesky factorisations of
+    (1 + c - s)I - G and G - (1 - c + s)I that run to completion (Rump,
+    "Verification of positive definiteness", BIT 2006).  The stack is laid
+    out entry by entry and both shifted copies sit side by side in one
+    (k, k, 2B) array, so each column step is a few whole-array operations
+    for both factorisations at once.
+
+    Write u = 2^-53 and T = 1 + c, for 0 < c <= 2^1000.  The stored
+    diagonals are a_i = fl(h1 - G_ii) and a'_i = fl(G_ii - h2), for h1 =
+    fl(fl(1 + c) - s) and h2 = fl(fl(1 - c) + s); the off-diagonal entries
+    -G_ij and G_ij are exact.  Rounding 1 + c and 1 - c errs by at most uT,
+    the shifts by at most u(1 + u)T + us, so h1 = T - s + e and h2 = 1 - c +
+    s + e' with |e|, |e'| <= u(2 + u)T + us.  When both factorisations
+    complete, every a_i and a'_i is positive (a pivot never exceeds its
+    diagonal entry), so h2 < G_ii < h1 and each is at most fl(h1 - h2) <=
+    2T(1 + 4u) =: D, finite, and `_factors` judges completion soundly.  A
+    factorisation of a k x k matrix A that runs to completion gives R^T R =
+    A + E with |E| <= g |R|^T |R| and g = (k+1)u / (1 - (k+1)u), whatever
+    the order of summation (Demmel 1989; Higham, "Accuracy and Stability of
+    Numerical Algorithms", Thm 10.3).  Cauchy-Schwarz bounds (|R|^T |R|)_ij
+    by the product of column norms, each at most sqrt(A_ii / (1 - g)), so
+    ||E||_2 <= ||E||_F <= tr(A) g/(1 - g) <= k D g/(1 - g), and R^T R is
+    positive definite, so lambda_min(A) > -k D g/(1 - g).  The diagonal of
+    (1 + c)I - G exceeds a_i by (T - h1) + (h1 - G_ii - a_i) >= s - |e| -
+    uD/(1 - u), and that of G - (1 - c)I exceeds a'_i by as much.  Both are
+    therefore positive definite once s(1 - u) >= u(2 + u)T + D(u/(1 - u) +
+    k g/(1 - g)), which for k < 2^40 (any stack that fits in memory) holds
+    when s >= uT(2k^2 + 2k + 4)(1 + 2^-9); s = 4(k+1)^2 u fl(1 + c), rounded
+    once, is larger.  Underflow adds to E only terms of order k^2 2^-1074,
+    far inside that spare.  A proved G thus has lambda_max(G) < 1 + c and
+    lambda_min(G) > 1 - c.
+    """
+    k, _, b = stack.shape
+    if not 0.0 < c <= 2.0**1000:  # also refuses NaN and inf: nothing is proved
+        return np.zeros(b, dtype=bool)
+    t = 1.0 + c
+    s = (k + 1) ** 2 * math.ldexp(t, -51)
+    a = np.empty((k, k, 2 * b))
+    np.negative(stack, out=a[..., :b])
+    a[..., b:] = stack
+    diag = a.reshape(k * k, 2 * b)[::k + 1]
+    diag[:, :b] += t - s
+    diag[:, b:] -= (1.0 - c) + s
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        done = _factors(a)
+    return done[:b] & done[b:]
 
 
 def cholesky_psd(b):

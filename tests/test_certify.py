@@ -384,18 +384,16 @@ def test_gate_skips_most_prefixes_that_reach_it(monkeypatch):
     assert min(shares) >= 0.6 and np.median(shares) >= 0.8, shares
 
 
-def test_screened_scan_matches_unscreened_reference(monkeypatch):
-    """Pruning and screening change no value, witness, direction or count
-    for any threshold, and do skip eigensolves: also on C(G) knife edges,
-    with the seed above a threshold that an earlier subset crosses, with
-    prefixes pruned at two or more lengths, and with order-3 prefixes
-    bounded by the row maxima, not by top-q tables."""
+def _match_reference_scans(monkeypatch):
+    """Every `_reference_scans` case of the sweep at k = 1 to 5, scanned with
+    the walk and matched field by field; returns the scans' tallies."""
     solved, tabled = [], []
     solve, top_tables = certify._block_deviations, certify._top_tables
     monkeypatch.setattr(certify, "_block_deviations",
                         lambda g, block: solved.append(len(block)) or solve(g, block))
     monkeypatch.setattr(certify, "_top_tables", lambda g, k: tabled.append(k) or top_tables(g, k))
-    full_examined = full_solved = seed_above = multi_level = row_max_cells = 0
+    tally = dict.fromkeys(["full_examined", "full_solved", "seed_above", "multi_level",
+                           "row_max_cells", "proved"], 0)
     for phi in _sweep_matrices():
         for k in range(1, 6):
             for threshold, value, subset, vector, direction, examined in _reference_scans(phi, k):
@@ -407,15 +405,36 @@ def test_screened_scan_matches_unscreened_reference(monkeypatch):
                 assert np.array_equal(wit.vector, vector)
                 assert rep.direction == direction
                 assert rep.subsets_examined == examined
+                tally["proved"] += diagnostics["subsets_proved"]
                 if threshold is None:
-                    full_examined += examined
-                    full_solved += sum(solved[1:])  # solved[0]: the seed
-                    multi_level += sum(c > 0 for c in diagnostics["prefixes_pruned"]) >= 2
+                    tally["full_examined"] += examined
+                    tally["full_solved"] += sum(solved[1:])  # solved[0]: the seed
+                    tally["multi_level"] += sum(c > 0 for c in diagnostics["prefixes_pruned"]) >= 2
                 elif direction == LOWER_BOUND and value < diagnostics["seed_level"]:
-                    seed_above += 1  # the first hit lies between threshold and seed
-                row_max_cells += k == 3 and not tabled
-    assert full_solved < full_examined / 2  # unscreened, every examined subset is solved
-    assert seed_above and multi_level and row_max_cells
+                    tally["seed_above"] += 1  # the first hit lies between threshold and seed
+                tally["row_max_cells"] += k == 3 and not tabled
+    return tally
+
+
+def test_screened_scan_matches_unscreened_reference(monkeypatch):
+    """Pruning and screening change no value, witness, direction or count
+    for any threshold, and do skip eigensolves: also on C(G) knife edges,
+    with the seed above a threshold that an earlier subset crosses, with
+    prefixes pruned at two or more lengths, and with order-3 prefixes
+    bounded by the row maxima, not by top-q tables."""
+    tally = _match_reference_scans(monkeypatch)
+    # unscreened, every examined subset is solved
+    assert tally["full_solved"] < tally["full_examined"] / 2
+    assert tally["seed_above"] and tally["multi_level"] and tally["row_max_cells"]
+
+
+def test_proved_scan_matches_unscreened_reference(monkeypatch):
+    """With every block put to the Cholesky proof first, however small, the
+    sweep's scans (exact ties, near-duplicate columns, C(G) with and without
+    a Bernoulli block, k = 1 to 5, every reference threshold) still match
+    the unscreened reference, and the proof settles subsets."""
+    monkeypatch.setattr(certify, "_PROOF_ROWS", 1)
+    assert _match_reference_scans(monkeypatch)["proved"] > 0
 
 
 def test_order_3_scans_that_must_stop_build_no_tables(monkeypatch):
@@ -527,6 +546,17 @@ def test_scan_sweep_replays_its_golden():
     """The walk's committed comparison: every report field and witness byte
     of the bench-shape scans matches the recorded one, so a change to the
     walk that keeps this golden changes none of these results."""
+    _replay_scan_sweep()
+
+
+def test_scan_sweep_replays_its_golden_with_every_block_proved(monkeypatch):
+    """So it does when every block, however small, goes to the Cholesky
+    proof first."""
+    monkeypatch.setattr(certify, "_PROOF_ROWS", 1)
+    _replay_scan_sweep()
+
+
+def _replay_scan_sweep():
     want = json.loads(SCAN_SWEEP.read_text())
     got = _scan_sweep()
     assert len(got) == len(want) == 63
@@ -559,8 +589,10 @@ def test_threshold_hit_materialises_first_chunk_only(monkeypatch):
 
 
 def test_full_scans_account_for_every_subset_once():
-    """On full scans, subsets pruned with a prefix, screened on their own and
-    solved add up to the examined count; the seed solves a few more."""
+    """On full scans, subsets pruned with a prefix, screened on their own,
+    proved below the cutoff and solved add up to the examined count; the
+    seed solves a few more.  The 20 x 36 order-5 scan proves most of the
+    subsets its screen passes."""
     for phi, k in ((gen_bernoulli_sensing(20, 36, Seed(1)), 5),
                    (gen_bernoulli_sensing(64, 300, Seed(2)), 2),
                    (cholesky_reduce(gen_gnp_half(16, Seed(3)), ReductionParams()), 4),
@@ -569,7 +601,10 @@ def test_full_scans_account_for_every_subset_once():
         rep, _ = exact_rip(phi, k, diagnostics=diagnostics)
         assert rep.subsets_examined == math.comb(phi.shape[1], k)
         assert (diagnostics["subsets_pruned"] + diagnostics["subsets_screened"]
-                + diagnostics["subsets_solved"]) == rep.subsets_examined
+                + diagnostics["subsets_proved"] + diagnostics["subsets_solved"]
+                ) == rep.subsets_examined
+        if k == 5:
+            assert diagnostics["subsets_proved"] > 10 * diagnostics["subsets_solved"]
         assert len(diagnostics["prefixes_pruned"]) == max(k - 1, 0)
         assert diagnostics["seed_level"] <= rep.value
 

@@ -636,10 +636,10 @@ def test_every_command_writes_the_same_report_shape(case, tmp_path, capsys):
         assert doc["diagnostics"] == {"proof": "vector"}  # the planted 4-clique, k = 3
     elif diagnostics:
         scan = doc["diagnostics"]
-        assert sorted(scan) == ["bound_tables", "prefixes_pruned", "seed_level",
+        assert sorted(scan) == ["bound_tables", "prefixes_pruned", "seed_level", "subsets_proved",
                                 "subsets_pruned", "subsets_screened", "subsets_solved"]
         assert scan["bound_tables"] == "none"  # order 2 has no prefix to bound
-        assert scan["subsets_pruned"] + scan["subsets_screened"] + scan["subsets_solved"] == 66
+        assert sum(scan[f"subsets_{way}"] for way in ("pruned", "screened", "proved", "solved")) == 66
     assert (doc["seed"] is not None) == (argv[0] in ("generate", "experiment"))
     assert doc["command"] == argv + [flag, rep]
     assert doc["wall_time_ns"] > 0

@@ -1,3 +1,5 @@
+import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -900,6 +902,74 @@ def test_report_roundtrip(tmp_path):
     assert text.endswith("\n")
     # keys are sorted, so serialization is stable
     assert text.index('"command"') < text.index('"params"') < text.index('"results"')
+
+
+def _as_json(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# documents json spells in its own ways: NaN and +-Infinity, signed zero,
+# the smallest subnormal, exponent notation from 1e16, empty and nested-empty
+# containers, tuples, escapes and non-ASCII text in keys and strings, bools
+# beside ints (and as keys, beside int and float keys), float subclasses
+_CRAFTED_DOCS = [
+    {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "floats": [math.nan, 1.0, -math.inf]},
+    [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 123456789012345678.0, 0.1, 1.7976931348623157e308],
+    {"empty": {}, "none": [], "nested": [[], {}, [[]], [{}], {"a": []}], "pair": ()},
+    (1, 2.5, ("x", (), [None])),
+    {"é": "ü☃\x00\n\"\\", "\U0001f600": ["\u2028", "tab\t"], "ascii": "plain"},
+    [True, 1, False, 0, None, 1.0, -1, 2**70],
+    {True: 1, 2: "two", 0.5: "half", False: [], 10: None},
+    np.float64(0.1), [np.float64(1.5), np.float64(-0.0), np.float64(math.nan), 2.5],
+    {"fs": (0.25, 0.5), "f64": np.float64(3.0), "ints": [1, 2, 3], "mixed": [1, 2.0]},
+    math.inf, "text", None, True, 7, [],
+]
+
+
+def test_report_writer_writes_what_json_writes(tmp_path):
+    """The report writer's text is json.dumps(doc, indent=2, sort_keys=True)
+    plus a newline, for every JSON golden and for documents json spells in
+    its own ways; a written report holds exactly those bytes."""
+    goldens = sorted((Path(__file__).parent / "golden").glob("*.json"))
+    assert len(goldens) >= 5
+    for doc in [json.loads(p.read_text()) for p in goldens] + _CRAFTED_DOCS:
+        assert fileio._json(doc) + "\n" == _as_json(doc), doc
+    p = tmp_path / "r.json"
+    write_report(p, ["exact", "--matrix", "ü.txt"], Seed(5, 1), {"order": 3, "threshold": None},
+                 {"crafted": _CRAFTED_DOCS}, wall_time_ns=12345, diagnostics={"n": [0.5, math.nan]})
+    doc = {"tool_version": VERSION, "command": ["exact", "--matrix", "ü.txt"],
+           "seed": {"value": 5, "stream": 1}, "params": {"order": 3, "threshold": None},
+           "results": {"crafted": _CRAFTED_DOCS}, "wall_time_ns": 12345,
+           "diagnostics": {"n": [0.5, math.nan]}}
+    assert p.read_bytes() == _as_json(doc).encode("ascii")
+
+
+def test_cli_reports_are_written_as_json_writes_them(tmp_path, capsys, monkeypatch):
+    """Every command's report, as the CLI tests write them (one per command,
+    and an order-3 scan with a witness vector of floats), is the text json
+    gives for the same document."""
+    from test_cli import REPORT_CASES, make_matrix, run_cli
+
+    encode, docs = fileio._json, []
+
+    def recording(o, pad="\n"):
+        if pad == "\n":  # a whole report, not a value nested in one
+            docs.append(o)
+        return encode(o, pad)
+
+    monkeypatch.setattr(fileio, "_json", recording)
+    g = str(tmp_path / "g.txt")
+    run_cli(["generate", "planted", "--n", "10", "--t", "4", "--seed", "4", "--out", g], capsys)
+    paths = {"m": make_matrix(tmp_path, capsys), "g": g, "o": str(tmp_path / "o.txt")}
+    del docs[:]
+    cases = list(REPORT_CASES.values())
+    cases.append((["exact", "--matrix", "{m}", "--order", "3", "--threshold", "0.1"], "--out"))
+    for i, (template, flag) in enumerate(cases):
+        rep = tmp_path / f"r{i}.json"
+        rc, _, _ = run_cli([a.format(**paths) for a in template] + [flag, str(rep)], capsys)
+        assert rc == 0
+        assert rep.read_text(encoding="ascii") == _as_json(docs[-1])
+    assert len(docs) == len(cases)
 
 
 def test_report_rejects_bad_json(tmp_path):

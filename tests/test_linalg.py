@@ -10,6 +10,7 @@ from riplab.linalg import (
     as_matrix,
     cholesky_psd,
     gram,
+    proved_within,
     sym_eigenvalues,
 )
 from riplab.randgen import Seed, gen_model_a
@@ -268,3 +269,68 @@ def test_model_a_eigenvalues_against_oracle():
     got = sym_eigenvalues(a)
     want = eigvals_oracle(a)
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def _stack(mats):
+    """A (B, k, k) array of matrices as a (k, k, B) stack."""
+    return np.moveaxis(np.asarray(mats, dtype=np.float64), 0, -1)
+
+
+def _deviations(mats):
+    w = np.linalg.eigvalsh(mats)
+    return np.maximum(np.abs(w[:, 0] - 1.0), np.abs(w[:, -1] - 1.0))
+
+
+def test_proof_settles_what_the_eigenvalues_settle():
+    """Gram matrices of random k-column matrices, k = 1 to 6: every matrix
+    proved has its eigenvalues within c of 1, and every one whose eigvalsh
+    deviation lies below c by a relative 1e-6 is proved, from either end
+    of the spectrum."""
+    rng = np.random.default_rng(7)
+    for k in range(1, 7):
+        a = rng.standard_normal((3000, 3 * k, k)) / math.sqrt(3 * k)
+        mats = a.transpose(0, 2, 1) @ a
+        mats = (mats + mats.transpose(0, 2, 1)) / 2  # exactly symmetric
+        devs = _deviations(mats)
+        for c in (0.3, 0.6, 1.0, 1.5, 3.0):
+            proved = proved_within(_stack(mats), c)
+            assert (devs[proved] < c).all(), (k, c)
+            assert proved[devs < c * (1 - 1e-6)].all(), (k, c)
+            assert 0 < proved.sum() or c < devs.min()
+
+
+def test_proof_refuses_matrices_on_or_over_the_bound():
+    """Matrices whose deviation is exactly c, or lies a few ulps above it,
+    are never proved: I + a(J - I) for dyadic a of either sign (eigenvalues
+    1 + a(k-1) and 1 - a, so deviation |a|(k-1), reached at the top or at
+    the bottom of the spectrum), and singular Gram matrices of duplicated
+    columns (smallest eigenvalue exactly 0, deviation at least 1)."""
+    for k in range(2, 7):
+        for m in range(1, 160):
+            a = m * 2.0**-10
+            mats = [np.eye(k) + sign * a * (np.ones((k, k)) - np.eye(k)) for sign in (1, -1)]
+            c = a * (k - 1)  # exact, and so are 1 + c and 1 - c
+            for _ in range(4):
+                assert not proved_within(_stack(mats), c).any(), (k, m, c)
+                c = np.nextafter(c, 0.0)
+    rng = np.random.default_rng(11)
+    for k in range(2, 7):
+        g = gram(rng.standard_normal((8, k - 1)) * rng.uniform(0.5, 0.9, k - 1))
+        mats = []
+        for _ in range(400):
+            idx = np.sort(np.append(rng.permutation(k - 1), rng.integers(k - 1)))
+            mats.append(g[np.ix_(idx, idx)])  # two equal rows and columns
+        for c in (1.0, np.nextafter(1.0, 0.0), 0.9):
+            assert not proved_within(_stack(mats), c).any(), (k, c)
+
+
+def test_proof_needs_a_positive_finite_cutoff():
+    """An infinite, NaN, zero or negative cutoff proves nothing, not even
+    the identity, which any cutoff in (0, 2^1000] proves; the stack is
+    left as it was."""
+    eye = _stack([np.eye(3)] * 4)
+    for c in (math.inf, math.nan, 0.0, -0.5, -math.inf, 2.0**1001):
+        assert not proved_within(eye, c).any(), c
+    for c in (1e-12, 0.5, 2.0**1000):
+        assert proved_within(eye, c).all(), c
+    assert np.array_equal(eye, _stack([np.eye(3)] * 4))
