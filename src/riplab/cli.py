@@ -38,7 +38,7 @@ from .fileio import (
     write_matrix_file,
     write_report,
 )
-from .linalg import PSD_TOL
+from .linalg import PSD_TOL, blas_info
 from .randgen import (
     Seed,
     gen_bernoulli_sensing,
@@ -258,12 +258,12 @@ def cmd_reduce(args):
     print(f"wrote={args.out}")
     # psd_tol: the fixed tolerance the run used, kept so reports replay unchanged
     params = {"n": g.n, "c": args.c, "psd_tol": PSD_TOL}
-    return None, params, {"n": g.n, "not_psd": not_psd}, None
+    return None, params, {"n": g.n, "not_psd": not_psd}, {"blas": blas_info()}
 
 
 def cmd_refute(args):
     g = read_graph_file(args.graph)
-    diagnostics = {}
+    diagnostics = {"blas": blas_info()}
     decision = spectral_clique_refuter(g, args.k, diagnostics)
     print(decision)
     return None, {"n": g.n, "k": args.k}, {"decision": decision}, diagnostics
@@ -291,6 +291,7 @@ def cmd_experiment(args):
 
     params = ReductionParams(c=args.c)
     seed = Seed(args.seed, args.stream)
+    diagnostics = {"blas": blas_info()}
     report = run_distinguishing_experiment(
         **run,
         params=params,
@@ -298,6 +299,7 @@ def cmd_experiment(args):
         rect_cols=args.rect_cols,
         null_statistic=args.null_stat,
         budget=args.budget,
+        diagnostics=diagnostics,
     )
     sep = report.separation
     trials = len(report.trials) // 2
@@ -315,7 +317,7 @@ def cmd_experiment(args):
         "null_statistic": args.null_stat,
         "budget": args.budget,
     }
-    return seed, run_params, asdict(report), None
+    return seed, run_params, asdict(report), diagnostics
 
 
 # shared by every main() call: its defaults are immutable and parsing mutates no state

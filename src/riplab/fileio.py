@@ -555,6 +555,20 @@ def _float(o):
     return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
 
 
+def _floats(o, sep):
+    """The reprs of the plain floats ``o`` joined by ``sep``.  When at least
+    half of them are +0.0 (all 64 bits zero, so -0.0 keeps its repr), as in
+    a witness vector, those are spelled "0.0" without a repr each, which
+    costs about 0.1 us."""
+    keep = np.flatnonzero(np.array(o).view(np.int64))
+    if 2 * len(keep) > len(o):
+        return sep.join(map(float.__repr__, o))
+    tokens = ["0.0"] * len(o)
+    for i in keep.tolist():
+        tokens[i] = float.__repr__(o[i])
+    return sep.join(tokens)
+
+
 # json's spelling of each scalar type it writes, by exact type
 _SPELL = {str: _quote, int: int.__repr__, float: _float,
           bool: lambda o: "true" if o else "false", type(None): lambda o: "null"}
@@ -579,9 +593,9 @@ def _json(o, pad="\n"):
     """The text ``json.dumps(o, indent=2, sort_keys=True)`` writes for ``o``
     nested at ``pad`` (a newline and the indent of the enclosing line),
     which json itself forms in pure Python, value by value.  A list of
-    plain floats is one join of their reprs (kept unless one is NaN or
-    infinite, whose reprs hold an "n"), a list of one other scalar type
-    one join of their spellings."""
+    plain floats is one join of their reprs (see `_floats`; kept unless one
+    is NaN or infinite, whose reprs hold an "n"), a list of one other
+    scalar type one join of their spellings."""
     spell = _SPELL.get(type(o))
     if spell is not None:
         return spell(o)
@@ -597,7 +611,7 @@ def _json(o, pad="\n"):
         if not o:
             return "[]"
         kinds = set(map(type, o))
-        body = sep.join(map(float.__repr__, o)) if kinds == {float} else "n"
+        body = _floats(o, sep) if kinds == {float} else "n"
         if "n" in body:
             spell = _SPELL.get(kinds.pop()) if len(kinds) == 1 else None
             body = sep.join(map(spell, o) if spell else [_json(v, inner) for v in o])

@@ -3,8 +3,16 @@
 All matrices are float64 numpy arrays.  A symmetric input must equal its
 transpose exactly, so the triangle a solver reads never changes a result;
 the input is passed on unchanged, never symmetrized.
+
+OpenBLAS's threaded LAPACK gives other bits than its serial one (n x n
+Cholesky factors from n = 128, eigvalsh from n = 256 on a 2-core host), so
+`sym_eigenvalues` and `cholesky_psd` run inside `one_blas_thread`, which
+pins the OpenBLAS library numpy loaded to one thread for the call.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
 
 import numpy as np
@@ -56,6 +64,77 @@ def _symmetric(m):
     return a
 
 
+# OpenBLAS's thread-count and config calls are {prefix}openblas_{name}{suffix}:
+# scipy-openblas wheels (numpy >= 2) prefix "scipy_", 64-bit-integer builds
+# suffix "64_".
+_OPENBLAS_NAMES = [(p, s) for p in ("scipy_", "") for s in ("64_", "")]
+
+
+@functools.cache
+def _openblas():
+    """(set_num_threads, get_num_threads, get_config) of the first OpenBLAS
+    library mapped into this process, through ctypes, or None where there
+    is none (another BLAS, or no /proc/self/maps to list the mappings)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = dict.fromkeys(line.split(None, 5)[-1].strip() for line in fh
+                                  if "openblas" in line.lower() and "/" in line)
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_NAMES:
+            try:
+                calls = [getattr(lib, f"{prefix}openblas_{name}{suffix}")
+                         for name in ("set_num_threads", "get_num_threads", "get_config")]
+            except AttributeError:
+                continue
+            calls[0].argtypes, calls[0].restype = [ctypes.c_int], None
+            calls[1].argtypes, calls[1].restype = [], ctypes.c_int
+            calls[2].argtypes, calls[2].restype = [], ctypes.c_char_p
+            return calls
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS set to one thread, and restore the
+    caller's thread count on exit, also on an exception.  Yields whether the
+    pin held: False, and nothing is set, where no OpenBLAS is found.
+
+    Nothing is set either when OpenBLAS already runs on one thread, as in a
+    nested block or a forked experiment worker: after a fork, setting any
+    count restarts OpenBLAS's thread pool, whose new thread spins for about
+    0.13 s of CPU time, a core's worth taken from the other processes."""
+    calls = _openblas()
+    if calls is None:
+        yield False
+        return
+    set_threads, get_threads, _ = calls
+    before = get_threads()
+    if before == 1:
+        yield True
+        return
+    set_threads(1)
+    try:
+        yield get_threads() == 1
+    finally:
+        set_threads(before)
+
+
+def blas_info():
+    """The BLAS facts a report's diagnostics record: OpenBLAS's config
+    string (None without OpenBLAS) and whether `one_blas_thread` holds."""
+    calls = _openblas()
+    with one_blas_thread() as pinned:
+        config = calls[2]().decode(errors="replace") if calls else None
+    return {"config": config, "one_thread": pinned}
+
+
+@one_blas_thread()
 def sym_eigenvalues(m):
     """All eigenvalues of a symmetric matrix, sorted descending."""
     return np.linalg.eigvalsh(_symmetric(m))[::-1].copy()
@@ -162,6 +241,7 @@ def proved_within(stack, c):
     return done[:b] & done[b:]
 
 
+@one_blas_thread()
 def cholesky_psd(b):
     """Factor a symmetric PSD matrix as R^T R with R upper triangular.
 

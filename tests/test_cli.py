@@ -20,6 +20,7 @@ from riplab.fileio import (
     results_bytes,
     write_matrix_file,
 )
+from riplab.linalg import blas_info
 from riplab.randgen import (
     MAX_GRAPH_VERTICES,
     Seed,
@@ -137,7 +138,7 @@ def test_refute_order_above_n_needs_no_matrix(tmp_path, capsys):
     assert rc == 0 and out == "no-clique\n"
     doc = read_report(rep)
     assert doc["params"]["k"] == 2**63 + 1
-    assert doc["diagnostics"] == {"proof": "k>n"}
+    assert doc["diagnostics"] == {"blas": blas_info(), "proof": "k>n"}
 
 
 def test_reduce_not_psd(tmp_path, capsys):
@@ -467,7 +468,8 @@ def test_library_warnings_print_as_warning_lines(tmp_path):
                "planted-arm detection is no longer guaranteed")
     assert r.returncode == 0
     assert r.stderr == f"warning: {message}\n"
-    assert read_report(rep)["diagnostics"] == {"warnings": [message]}
+    assert read_report(rep)["diagnostics"] == {"blas": blas_info(), "processes": 1,
+                                               "warnings": [message]}
 
 
 def test_warnings_print_before_the_error(tmp_path, capsys):
@@ -628,12 +630,19 @@ def test_every_command_writes_the_same_report_shape(case, tmp_path, capsys):
     assert rc == 0 and out_with_report == out
     doc = read_report(rep)
     # refute records the proof that decided, exact and lazy their scan's
-    # counters, all outside results; no other command has diagnostics
-    diagnostics = ["diagnostics"] if case in ("refute", "exact", "lazy") else []
+    # counters, reduce, refute and experiment the BLAS facts, experiment how
+    # many processes ran its trials, all outside results; no other command
+    # has diagnostics
+    diagnostics = ["diagnostics"] if case in ("refute", "exact", "lazy", "reduce",
+                                              "experiment") else []
     assert sorted(doc) == sorted(["command", "params", "results", "seed", "tool_version",
                                   "wall_time_ns"] + diagnostics)
-    if case == "refute":
-        assert doc["diagnostics"] == {"proof": "vector"}  # the planted 4-clique, k = 3
+    if case == "refute":  # the planted 4-clique, k = 3
+        assert doc["diagnostics"] == {"blas": blas_info(), "proof": "vector"}
+    elif case == "reduce":
+        assert doc["diagnostics"] == {"blas": blas_info()}
+    elif case == "experiment":  # n = 20, one trial: too little work to split
+        assert doc["diagnostics"] == {"blas": blas_info(), "processes": 1}
     elif diagnostics:
         scan = doc["diagnostics"]
         assert sorted(scan) == ["bound_tables", "prefixes_pruned", "seed_level", "subsets_proved",
@@ -643,3 +652,46 @@ def test_every_command_writes_the_same_report_shape(case, tmp_path, capsys):
     assert (doc["seed"] is not None) == (argv[0] in ("generate", "experiment"))
     assert doc["command"] == argv + [flag, rep]
     assert doc["wall_time_ns"] > 0
+
+
+# experiment runs whose trials a forced split deals to two processes
+SPLIT_RUNS = {
+    **{preset: ["experiment", "--preset", preset, "--trials", "4", "--seed", "11"]
+       for preset in ("desk-200", "desk-200-k35", "desk-400")},
+    "exact": ["experiment", "--null-stat", "exact", "--n", "24", "--clique-size", "6",
+              "--order", "4", "--delta", "0.3", "--rect-cols", "24", "--trials", "4",
+              "--seed", "11"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_RUNS))
+def test_experiment_split_over_processes_repeats_the_serial_run(case, tmp_path, capsys,
+                                                                split_trials):
+    """Serial and split over two processes, a run prints the same lines and
+    warnings and writes byte-identical results; only its diagnostics' count
+    of processes differs."""
+    runs = []
+    for on in (False, True):
+        split_trials(on)
+        rep = tmp_path / f"{on}.json"
+        rc, out, err = run_cli(SPLIT_RUNS[case] + ["--out", str(rep)], capsys)
+        doc = read_report(rep)
+        diagnostics = doc["diagnostics"]
+        runs.append((rc, out, err, results_bytes(doc), diagnostics.get("warnings"),
+                     diagnostics["processes"]))
+    assert runs[0][0] == 0 and runs[0][:5] == runs[1][:5]
+    assert (runs[0][5], runs[1][5]) == (1, 2)
+    if case == "exact":  # delta 0.3 is above the witness deviation 0.3 * 3 / sqrt(24)
+        assert runs[0][2].startswith("warning: delta = 0.3 is not below")
+
+
+def test_experiment_split_over_processes_fails_like_the_serial_run(tmp_path, capsys,
+                                                                   split_trials):
+    # C(48, 4) subsets exceed a budget of 10 in every trial, the worker's too
+    runs = []
+    for on in (False, True):
+        split_trials(on)
+        runs.append(run_cli(SPLIT_RUNS["exact"] + ["--budget", "10"], capsys))
+    assert runs[0] == runs[1]
+    rc, out, err = runs[0]
+    assert rc == 3 and out == "" and "exceeds the enumeration budget 10" in err

@@ -944,6 +944,24 @@ def test_report_writer_writes_what_json_writes(tmp_path):
     assert p.read_bytes() == _as_json(doc).encode("ascii")
 
 
+def test_float_lists_spell_their_zeros_as_json_does():
+    """Float lists whose +0.0 entries are spelled without a repr give
+    json's bytes with -0.0, NaN, infinities, subnormals and other types
+    among the zeros, and when zeros are few, none or all."""
+    n = 32
+    odd = [-0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.1, 1e16, -2.5]
+    docs = [[0.0] * n, [-0.0] * n, [0.0], [0.0, 1.0], [1.0] * n, odd * n,
+            {"v": [0.0] * 3 * n + odd}, [0.0] * n + [1], [0.0] * n + [True],
+            [0.0] * n + [np.float64(-0.0)], [0.0] * n + [None], [[0.0] * n, [-0.0, 1.0] * n]]
+    for x in odd:
+        for at in (0, n // 2, 2 * n - 1):
+            v = [0.0] * 2 * n
+            v[at] = x
+            docs.append(v)
+    for doc in docs:
+        assert fileio._json(doc) + "\n" == _as_json(doc), doc
+
+
 def test_cli_reports_are_written_as_json_writes_them(tmp_path, capsys, monkeypatch):
     """Every command's report, as the CLI tests write them (one per command,
     and an order-3 scan with a witness vector of floats), is the text json

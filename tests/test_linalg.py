@@ -334,3 +334,48 @@ def test_proof_needs_a_positive_finite_cutoff():
     for c in (1e-12, 0.5, 2.0**1000):
         assert proved_within(eye, c).all(), c
     assert np.array_equal(eye, _stack([np.eye(3)] * 4))
+
+
+def test_one_blas_thread_pins_and_restores_the_callers_count(set_blas_threads):
+    """At two OpenBLAS threads the context runs its block on one, nested
+    blocks too, and restores two on exit, also when the block raises, as
+    in a decorated solver refusing its input."""
+    set_blas_threads(2)
+    get_threads = linalg._openblas()[1]
+    with linalg.one_blas_thread() as pinned:
+        assert pinned and get_threads() == 1
+        with linalg.one_blas_thread() as inner:
+            assert inner and get_threads() == 1
+        assert get_threads() == 1
+    assert get_threads() == 2
+    with pytest.raises(RuntimeError, match="inside"):
+        with linalg.one_blas_thread():
+            raise RuntimeError("inside")
+    assert get_threads() == 2
+    for f in (sym_eigenvalues, cholesky_psd):
+        with pytest.raises(ValueError, match="not symmetric"):
+            f(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        assert get_threads() == 2
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_solvers_give_one_thread_bits_at_two_threads(n, set_blas_threads):
+    b = np.eye(n) + (0.3 / np.sqrt(n)) * gen_model_a(n, Seed(5))
+    set_blas_threads(1)
+    one = sym_eigenvalues(b), cholesky_psd(b)
+    set_blas_threads(2)
+    two = sym_eigenvalues(b), cholesky_psd(b)
+    for a, c in zip(one, two):
+        np.testing.assert_array_equal(a, c)
+
+
+def test_blas_info_names_the_library_and_the_pin(monkeypatch):
+    info = linalg.blas_info()
+    assert sorted(info) == ["config", "one_thread"]
+    if linalg._openblas() is not None:
+        assert info["config"].startswith("OpenBLAS") and info["one_thread"] is True
+    # with no OpenBLAS found nothing is set, and the pin is reported lapsed
+    monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    assert linalg.blas_info() == {"config": None, "one_thread": False}
+    with linalg.one_blas_thread() as pinned:
+        assert pinned is False

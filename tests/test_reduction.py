@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -625,3 +627,145 @@ def test_asym_preset():
         asym_preset(2, 0.1)
     with pytest.raises(ValueError):
         asym_preset(1000, 0.6)
+
+
+def test_reduction_and_refuter_give_one_thread_bits_at_two_threads(set_blas_threads):
+    """At two OpenBLAS threads the reduction at n = 200 and 400, the lambda1
+    statistic at n = 400 and the knife-edge refutes give their one-thread
+    bits.  Unpinned, the n = 400 factor differs on a 2-core host, and
+    lambda_1 of gen_gnp_half(400, Seed(5)) reads 40.04933117493732 against
+    40.049331174937386."""
+    part = np.arange(60) % 3
+    knife = [(Graph(60, ~np.eye(60, dtype=bool)), 60),  # K_60: lambda_1 = 59
+             (Graph(60, part[:, None] != part[None, :]), 22)]  # K_20,20,20: lambda_1 = 21
+
+    def run():
+        factors = [cholesky_reduce(gen_gnp_half(n, Seed(5))) for n in (200, 400)]
+        rep = run_distinguishing_experiment(400, 20, 20, 0.2, trials=1, base_seed=Seed(5))
+        refutes = []
+        for g, k in knife:
+            diagnostics = {}
+            refutes.append((spectral_clique_refuter(g, k, diagnostics), diagnostics))
+        return factors, rep.trials, refutes
+
+    set_blas_threads(1)
+    one = run()
+    set_blas_threads(2)
+    two = run()
+    for a, b in zip(one[0], two[0]):
+        np.testing.assert_array_equal(a, b)
+    assert one[1] == two[1]
+    assert one[2] == two[2] == [(YES, {"proof": "vector"})] * 2
+
+
+def _split_run(trials=5, **kw):
+    """A desk-200-shaped experiment of ``trials`` trials: its report, the
+    warnings it raised in order, and how many processes ran it."""
+    diagnostics = {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = run_distinguishing_experiment(**dict(PRESETS["desk-200"], trials=trials, **kw),
+                                            base_seed=Seed(3), diagnostics=diagnostics)
+    return rep, [(str(w.message), w.category) for w in caught], diagnostics["processes"]
+
+
+def test_split_experiment_repeats_the_serial_records_and_warnings(monkeypatch, split_trials):
+    """Trials dealt to two processes give the serial run's records, and the
+    warnings raised inside each trial in the serial order."""
+    plant = reduction.plant_clique
+
+    def noisy(graph, size, seed):
+        warnings.warn(f"planting in {seed}", UserWarning)
+        return plant(graph, size, seed)
+
+    monkeypatch.setattr(reduction, "plant_clique", noisy)
+    split_trials(False)
+    serial = _split_run()
+    split_trials(True)
+    split = _split_run()
+    assert (serial[2], split[2]) == (1, 2)
+    assert split[:2] == serial[:2]
+    assert [m for m, _ in serial[1]] == [f"planting in {Seed(3).child(t, 1)}" for t in range(5)]
+
+
+def test_split_experiment_runs_a_failed_workers_trials_itself(monkeypatch, split_trials):
+    """A worker that dies without a word, here by os._exit in its first
+    trial, costs time but changes nothing: its trials run in the parent."""
+    parent, gnp = os.getpid(), reduction.gen_gnp_half
+
+    def dying(n, seed):
+        if os.getpid() != parent:
+            os._exit(7)
+        return gnp(n, seed)
+
+    split_trials(False)
+    serial = _split_run()
+    monkeypatch.setattr(reduction, "gen_gnp_half", dying)
+    split_trials(True)
+    assert _split_run()[:2] == serial[:2]
+
+
+@pytest.mark.parametrize("failing", [(1,), (2,), (1, 2), (2, 3)])
+def test_split_experiment_raises_the_serial_error(failing, monkeypatch, split_trials):
+    """Trials that raise, in the worker's share (odd trials), the parent's
+    (even trials) or both, raise the serial run's error: the first failing
+    trial's."""
+    gnp = reduction.gen_gnp_half
+    bad = [Seed(3).child(t, 0) for t in failing]
+
+    def failing_gnp(n, seed):
+        if seed in bad:
+            raise ValueError(f"no graph for {seed}")
+        return gnp(n, seed)
+
+    monkeypatch.setattr(reduction, "gen_gnp_half", failing_gnp)
+    for on in (False, True):
+        split_trials(on)
+        with pytest.raises(ValueError) as err:
+            _split_run()
+        assert str(err.value) == f"no graph for {bad[0]}"
+
+
+def test_split_experiment_reaps_its_workers_on_an_interrupt(monkeypatch, split_trials):
+    parent, gnp = os.getpid(), reduction.gen_gnp_half
+
+    def interrupted(n, seed):
+        if os.getpid() == parent and seed == Seed(3).child(2, 0):
+            raise KeyboardInterrupt
+        return gnp(n, seed)
+
+    monkeypatch.setattr(reduction, "gen_gnp_half", interrupted)
+    split_trials(True)
+    with pytest.raises(KeyboardInterrupt):
+        _split_run()
+
+
+def test_experiment_stays_serial_when_a_split_would_not_pay_or_be_safe(monkeypatch):
+    # 4 trials at n = 24, the certify bench's exact-null shape, never fork
+    assert reduction._processes(24, 4, True) == 1
+    assert reduction._processes(400, 20, True) == min(20, len(os.sched_getaffinity(0)))
+    assert reduction._processes(400, 20, False) == 1
+    stop = threading.Event()
+    waiting = threading.Thread(target=stop.wait)
+    waiting.start()
+    try:
+        assert reduction._processes(400, 20, True) == 1
+    finally:
+        stop.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
+    monkeypatch.delattr(reduction.os, "fork")
+    assert reduction._processes(400, 20, True) == 1
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_split_experiment_without_a_pipe_or_a_process_runs_serially(call, monkeypatch,
+                                                                     split_trials):
+    def refuse():
+        raise OSError(24, "Too many open files")
+
+    split_trials(False)
+    serial = _split_run()
+    monkeypatch.setattr(reduction.os, call, refuse)
+    split_trials(True)
+    assert _split_run() == serial[:2] + (2,)
