@@ -190,46 +190,64 @@ def _factors(a):
     return a[-1, -1] > 0.0
 
 
+def rump_shift(order, diag):
+    """Shift s = 2u(m+1)^2 d, u = 2^-53, for order m and diagonal bound
+    d = ``diag`` >= 1, with which a floating-point Cholesky factorisation
+    that runs to completion proves positive definiteness (Rump,
+    "Verification of positive definiteness", BIT 2006).  2^-52 d is exact,
+    so s rounds once: s >= 2u(m+1)^2 d / (1 + u).
+
+    Let M be an exact symmetric matrix of order m < 2^40, factored as the
+    stored S: S_ij = M_ij off the diagonal, S_ii = M_ii - s + e_i with
+    |e_i| <= u(2d + s), and S_ii <= d.  A factorisation of S that runs to
+    completion gives R^T R = S + E with |E| <= g |R|^T |R| and g = (m+1)u /
+    (1 - (m+1)u), whatever the order of summation, for a BLAS that is not
+    Strassen-like (Demmel 1989; Higham, "Accuracy and Stability of
+    Numerical Algorithms", Thm 10.3).  Column j of R has squared norm
+    S_jj + E_jj <= d + g|r_j|^2, so |r_j|^2 <= d/(1 - g); Cauchy-Schwarz
+    bounds (|R|^T |R|)_ij by |r_i| |r_j|, so ||E||_2 <= ||E||_F <=
+    m d g/(1 - g).  R^T R is positive definite and M = R^T R - E + sI -
+    diag(e), so lambda_min(M) > s(1 - u) - 2ud - m(m+1)ud / (1 - 2(m+1)u)
+    >= ud((m+1)^2 - 4u(m+1)^3) > 0: M is positive definite.  Underflow adds
+    to E only terms of order m^2 2^-1074, far inside that spare.  s is +inf
+    only where the product overflows (d near 2^1000, m above 2^37); no
+    diagonal shifted by it lets a factorisation complete.
+
+    The clique refuter factors (k-1)I - A, A with off-diagonal entries +-1
+    (exact) and order n <= 2^14, with d = k-1 and diagonal fl(d - s) <= d,
+    within ud of d - s.  `proved_within` bounds its two-sided diagonal.
+    """
+    return (order + 1) ** 2 * math.ldexp(diag, -52)
+
+
 def proved_within(stack, c):
     """True for each symmetric matrix G of the (k, k, B) stack ``stack``
     (not modified; its upper triangle is read) proved to have every
-    eigenvalue strictly within c of 1, by shifted Cholesky factorisations of
-    (1 + c - s)I - G and G - (1 - c + s)I that run to completion (Rump,
-    "Verification of positive definiteness", BIT 2006).  The stack is laid
-    out entry by entry and both shifted copies sit side by side in one
-    (k, k, 2B) array, so each column step is a few whole-array operations
-    for both factorisations at once.
+    eigenvalue strictly within c of 1, by Cholesky factorisations of
+    (1 + c)I - G and G - (1 - c)I shifted by `rump_shift` that run to
+    completion.  The stack is laid out entry by entry and both shifted
+    copies sit side by side in one (k, k, 2B) array, so each column step is
+    a few whole-array operations for both factorisations at once.
 
-    Write u = 2^-53 and T = 1 + c, for 0 < c <= 2^1000.  The stored
-    diagonals are a_i = fl(h1 - G_ii) and a'_i = fl(G_ii - h2), for h1 =
-    fl(fl(1 + c) - s) and h2 = fl(fl(1 - c) + s); the off-diagonal entries
-    -G_ij and G_ij are exact.  Rounding 1 + c and 1 - c errs by at most uT,
-    the shifts by at most u(1 + u)T + us, so h1 = T - s + e and h2 = 1 - c +
-    s + e' with |e|, |e'| <= u(2 + u)T + us.  When both factorisations
+    For 0 < c <= 2^1000 write t = fl(1 + c), f = fl(1 - c), s =
+    rump_shift(k, 2t), h1 = fl(t - s) and h2 = fl(f + s); the stored
+    diagonals are a_i = fl(h1 - G_ii) and a'_i = fl(G_ii - h2), and the
+    off-diagonal entries -G_ij and G_ij are exact.  When both factorisations
     complete, every a_i and a'_i is positive (a pivot never exceeds its
-    diagonal entry), so h2 < G_ii < h1 and each is at most fl(h1 - h2) <=
-    2T(1 + 4u) =: D, finite, and `_factors` judges completion soundly.  A
-    factorisation of a k x k matrix A that runs to completion gives R^T R =
-    A + E with |E| <= g |R|^T |R| and g = (k+1)u / (1 - (k+1)u), whatever
-    the order of summation (Demmel 1989; Higham, "Accuracy and Stability of
-    Numerical Algorithms", Thm 10.3).  Cauchy-Schwarz bounds (|R|^T |R|)_ij
-    by the product of column norms, each at most sqrt(A_ii / (1 - g)), so
-    ||E||_2 <= ||E||_F <= tr(A) g/(1 - g) <= k D g/(1 - g), and R^T R is
-    positive definite, so lambda_min(A) > -k D g/(1 - g).  The diagonal of
-    (1 + c)I - G exceeds a_i by (T - h1) + (h1 - G_ii - a_i) >= s - |e| -
-    uD/(1 - u), and that of G - (1 - c)I exceeds a'_i by as much.  Both are
-    therefore positive definite once s(1 - u) >= u(2 + u)T + D(u/(1 - u) +
-    k g/(1 - g)), which for k < 2^40 (any stack that fits in memory) holds
-    when s >= uT(2k^2 + 2k + 4)(1 + 2^-9); s = 4(k+1)^2 u fl(1 + c), rounded
-    once, is larger.  Underflow adds to E only terms of order k^2 2^-1074,
-    far inside that spare.  A proved G thus has lambda_max(G) < 1 + c and
+    diagonal entry), so h2 < G_ii < h1, and each is at most fl(h1 - h2) <=
+    fl(t - f) <= 2t, as h1 <= t, h2 >= f and |f| <= t (|1 - c| < 1 + c):
+    finite, so `_factors` judges completion soundly.  Rounding a_i, h1 and t puts a_i within
+    u a_i + u|t - s| + ut <= u(4t + s) of (1 + c - s) - G_ii, and rounding
+    a'_i, h2 and f puts a'_i as near G_ii - (1 - c + s).  With d = 2t and
+    k < 2^40 (any stack that fits in memory), `rump_shift` proves both
+    shifted matrices positive definite: lambda_max(G) < 1 + c and
     lambda_min(G) > 1 - c.
     """
     k, _, b = stack.shape
     if not 0.0 < c <= 2.0**1000:  # also refuses NaN and inf: nothing is proved
         return np.zeros(b, dtype=bool)
     t = 1.0 + c
-    s = (k + 1) ** 2 * math.ldexp(t, -51)
+    s = rump_shift(k, 2 * t)
     a = np.empty((k, k, 2 * b))
     np.negative(stack, out=a[..., :b])
     a[..., b:] = stack

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .certify import DEFAULT_BUDGET, LOWER_BOUND, Witness, exact_rip
-from .linalg import as_matrix, cholesky_psd, one_blas_thread, sym_eigenvalues
+from .linalg import as_matrix, cholesky_psd, one_blas_thread, rump_shift, sym_eigenvalues
 from .randgen import Seed, gen_bernoulli_sensing, gen_gnp_half, identity_plus_scaled, plant_clique
 
 YES = "yes"
@@ -202,38 +202,12 @@ def _is_positive_definite_exact(m):
     return True
 
 
-def _rump_shift(n, k):
-    """Shift c for which a Cholesky factorisation of fl(M - cI) that runs to
-    completion proves M = (k-1)I - A positive definite (Rump, "Verification
-    of positive definiteness", BIT 2006), for n x n signed adjacency A and
-    2 <= k <= n <= 2^14.
-
-    Write d = k-1 and u = 2^-53.  The diagonal of the factored matrix is
-    s = fl(d - c) <= d (rounding is monotone and d is a double), with
-    |s - (d - c)| <= u d, so it is exactly M - c'I for c' = d - s >= c - u d;
-    the off-diagonal entries +-1 are exact.  A Cholesky factorisation that
-    runs to completion gives R'^T R' = M - c'I + E with
-    |E| <= g |R'|^T |R'| and g = (n+1)u / (1 - (n+1)u), whatever the order
-    of summation, provided the BLAS is not Strassen-like (Demmel 1989;
-    Higham, "Accuracy and Stability of Numerical Algorithms", Thm 10.3).
-    Cauchy-Schwarz bounds (|R'|^T |R'|)_ij by the product of column norms,
-    each at most sqrt(s / (1 - g)), so |E_ij| <= g s / (1 - g) and
-    ||E||_2 <= n s g / (1 - g).  R'^T R' is positive definite, so
-    lambda_min(M) > c' - n s g / (1 - g) >= c - d u (1 + n(n+1)/(1 - 2(n+1)u)),
-    and 1/(1 - 2(n+1)u) <= 2 makes c = 2u d (n+1)^2 enough.  Underflow adds
-    only a term of order n^2 2^-1074 to Rump's bound, far inside the spare
-    u d (2n + 1) > 2^-52.  The shift is an integer below 2^53 times 2^-52,
-    so exact, and below d, so s > 0.
-    """
-    return math.ldexp((k - 1) * (n + 1) ** 2, -52)
-
-
 def _rump_shifted(g, k, m):
     """The leading block of order m of (k-1)I - A shifted down by
-    :func:`_rump_shift`, as float64, for the signed adjacency A of g."""
+    ``rump_shift(n, k - 1)``, as float64, for the signed adjacency A of g."""
     f = g.signed_adjacency(m)
     np.negative(f, out=f)
-    np.fill_diagonal(f, (k - 1) - _rump_shift(g.n, k))
+    np.fill_diagonal(f, (k - 1) - rump_shift(g.n, k - 1))
     return f
 
 
@@ -318,7 +292,7 @@ def _vector_proves_reach(g, k, f, m):
     """
     x = np.zeros(m)
     x[-1] = 1.0
-    try:  # m >= 2: the order-1 block (k-1) - _rump_shift(n, k) is positive
+    try:  # m >= 2: the order-1 block (k-1) - rump_shift(n, k - 1) is positive
         x[:-1] = -np.linalg.solve(f[: m - 1, : m - 1], f[: m - 1, m - 1])
     except np.linalg.LinAlgError:  # a singular block gives no vector
         return False
@@ -367,8 +341,8 @@ def spectral_clique_refuter(g, k, diagnostics=None):
 
     - ``k>n``: lambda_1 <= n-1 < k-1, "no-clique" before any matrix is built;
     - ``cholesky``: a floating-point Cholesky factorisation of M, shifted
-      down by Rump's rigorous constant, runs to completion, so M is positive
-      definite: "no-clique";
+      down by :func:`riplab.linalg.rump_shift`, runs to completion, so M is
+      positive definite (Rump's certificate, derived there): "no-clique";
     - ``vector``: an integer vector x != 0 from the Schur complement at the
       failing pivot has x^T M x <= 0, checked exactly in integers: "yes"
       (for K_n at k = n, x is the all-ones vector);

@@ -267,6 +267,7 @@ def _gershgorin_bounds(g, subsets):
     return m[subsets[:, :, None], subsets[:, None, :]].sum(axis=2).max(axis=1)
 
 
+# "grid" lowers the table cap to 512 doubles: prefixes read the row-maximum cell.
 @pytest.mark.parametrize("tables", ["exact", "grid", "none", "row-max"])
 @pytest.mark.parametrize("n, k", [(9, 1), (30, 2), (200, 2), (24, 3), (110, 3), (20, 4),
                                   (14, 6), (11, 9)])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from riplab.linalg import (
     cholesky_psd,
     gram,
     proved_within,
+    rump_shift,
     sym_eigenvalues,
 )
 from riplab.randgen import Seed, gen_model_a
@@ -334,6 +336,72 @@ def test_proof_needs_a_positive_finite_cutoff():
     for c in (1e-12, 0.5, 2.0**1000):
         assert proved_within(eye, c).all(), c
     assert np.array_equal(eye, _stack([np.eye(3)] * 4))
+
+
+def test_rump_shift_keeps_the_bits_of_both_callers():
+    """`rump_shift` equals, bit for bit, the refuter's former shift
+    2^-52 (k-1)(n+1)^2 at 2 <= k <= n <= 2^14 (sampled, n = 2^14 included)
+    and the leaf proof's former (k+1)^2 2^-51 fl(1 + c) at k = 1 to 64 for c
+    from 2^-60 to 2^1000."""
+    rng = np.random.default_rng(5)
+    ns = np.unique(np.concatenate(([2, 3, 1 << 14], rng.integers(2, (1 << 14) + 1, 200))))
+    for n in ns.tolist():
+        ks = np.unique(np.concatenate(([2, n], rng.integers(2, n + 1, 20)))).tolist()
+        for k in ks:
+            assert rump_shift(n, k - 1).hex() == math.ldexp((k - 1) * (n + 1) ** 2, -52).hex(), (n, k)
+    cs = [2.0**-60, 2.0**1000] + [math.ldexp(x, e) for e, x in zip(range(-60, 1000), rng.uniform(1, 2, 1060))]
+    for c in cs:
+        t = 1.0 + c
+        for k in range(1, 65):
+            assert rump_shift(k, 2 * t).hex() == ((k + 1) ** 2 * math.ldexp(t, -51)).hex(), (k, c)
+
+
+_U = Fraction(1, 1 << 53)
+
+
+def _rump_spare(m, d):
+    """s(1 - u) - 2ud - m(m+1)ud / (1 - 2(m+1)u) for s = rump_shift(m, d):
+    positive when the shift covers Demmel's term and the diagonal's
+    rounding, the last inequality of `rump_shift`'s derivation."""
+    s = Fraction(rump_shift(m, d))
+    d = Fraction(d)
+    return s * (1 - _U) - 2 * _U * d - m * (m + 1) * _U * d / (1 - 2 * (m + 1) * _U)
+
+
+def test_rump_shift_covers_both_callers_at_their_extremes():
+    """In exact arithmetic, at the extremes of both callers: the shift
+    exceeds Demmel's term plus the diagonal's rounding, and the stored
+    diagonal is at most d and within u(2d + s) of the exact shifted
+    diagonal, as `rump_shift`'s derivation assumes.  The refuter stores
+    fl((k-1) - s) at d = k - 1 and order n <= 2^14; the leaf proof stores
+    fl(h1 - G_ii) and fl(G_ii - h2) at d = 2 fl(1 + c) for G_ii between h2
+    and h1.  A quarter of the shift fails the first check everywhere."""
+    for n, k in ((2, 2), (1 << 14, 2), (1 << 14, 1 << 14), (1000, 1000)):
+        d = k - 1
+        s = rump_shift(n, d)
+        assert _rump_spare(n, d) > 0, (n, k)
+        stored = Fraction(d - s)
+        assert 0 < stored <= d, (n, k)
+        assert abs(stored - (d - Fraction(s))) <= _U * (2 * d + Fraction(s)), (n, k)
+    for c in (2.0**-60, 0.5, 1.0, 3.0, 2.0**1000):
+        t = 1.0 + c
+        for k in (1, 2, 64, 1 << 20, (1 << 40) - 1):
+            s = rump_shift(k, 2 * t)
+            if math.isinf(s):  # the product overflows: no diagonal can stay positive
+                assert k > 1 << 37 and t - s == -math.inf, (k, c)
+                continue
+            assert _rump_spare(k, 2 * t) > 0, (k, c)
+            h1, h2 = t - s, (1.0 - c) + s
+            if not h2 < h1:  # no G_ii passes both factorisations
+                continue
+            assert Fraction(h1 - h2) <= 2 * t, (k, c)
+            bound = _U * (4 * Fraction(t) + Fraction(s))
+            for g in (np.nextafter(h2, math.inf), 1.0, (h1 + h2) / 2, np.nextafter(h1, -math.inf)):
+                if not h2 < g < h1:
+                    continue
+                shifted = Fraction(1) + Fraction(c) - Fraction(s) - Fraction(g)
+                assert abs(Fraction(h1 - g) - shifted) <= bound, (k, c, g)
+                assert abs(Fraction(g - h2) - (2 * Fraction(c) - shifted - 2 * Fraction(s))) <= bound, (k, c, g)
 
 
 def test_one_blas_thread_pins_and_restores_the_callers_count(set_blas_threads):
